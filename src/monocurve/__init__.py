@@ -73,7 +73,9 @@ from .zeta import (
     CyclotomicVector,
     FactorProduct,
     characteristic_polynomial,
+    cyclotomic_exponent,
     milnor_number,
+    negative_cyclotomic_orders,
     resolution_multiplicities,
     to_cyclotomic,
     zeros_and_poles,
@@ -119,6 +121,7 @@ __all__ = [
     "curve_axis_intersections",
     "curve_component_count",
     "curve_open_euler",
+    "cyclotomic_exponent",
     "decompose",
     "divisor_multiplicity",
     "enum_count_solutions",
@@ -128,6 +131,7 @@ __all__ = [
     "grid_discrepancies",
     "l_factor",
     "milnor_number",
+    "negative_cyclotomic_orders",
     "normalize_cyclic",
     "pk_factorization",
     "plane_curve_open_euler",

@@ -9,13 +9,16 @@ Commands::
     fuzz        --count N --seed S random semigroups through all cross-checks
     oracle      [budget flags]     closed form vs enumeration over the grid
 
-Exit status: 0 success, 1 verification failure, 2 invalid input.  Output is
-deterministic for identical invocations (fuzz given a fixed seed).
+Exit status: 0 success, 1 verification failure, 2 invalid input.  A library
+error after the input was accepted, or an output file that cannot be written,
+prints one ``error:`` line to stderr and exits 1.  Output is deterministic
+for identical invocations (fuzz given a fixed seed).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -78,6 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process for in-process callers of :func:`main`."""
+    return build_parser()
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text + "\n")
@@ -133,15 +142,24 @@ def _analyze_text(sg) -> tuple[str, bool]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
 
+    sg = None
     if args.command in ("analyze", "zeta", "graph", "conjecture"):
         try:
             sg = build_semigroup(args.gens)
         except (MonocurveError, ValueError) as exc:
             sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
             return 2
+    try:
+        return _run(args, sg)
+    except (MonocurveError, OSError) as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 1
 
+
+def _run(args, sg) -> int:
+    """Execute the parsed command on the validated semigroup ``sg``, if any."""
     if args.command == "analyze":
         if args.format == "json":
             doc, passed = _analyze_doc(sg)

@@ -26,9 +26,9 @@ from .zeta import (
     CharacteristicPolynomial,
     FactorProduct,
     characteristic_polynomial,
+    cyclotomic_exponent,
+    negative_cyclotomic_orders,
     resolution_multiplicities,
-    to_cyclotomic,
-    zeros_and_poles,
     zeta_closed_form,
 )
 
@@ -149,7 +149,7 @@ def pk_factorization(sg: PlaneSemigroup) -> list[FactorProduct]:
         ):
             factors[a] = factors.get(a, 0) + e
         pk = FactorProduct.from_t_minus_one(factors)
-        if any(c < 0 for _, c in to_cyclotomic(pk).entries):
+        if negative_cyclotomic_orders(pk):
             raise InternalInconsistency(f"P_{k} is not a polynomial")
         out.append(pk)
     delta = characteristic_polynomial(sg)
@@ -176,8 +176,8 @@ def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
     poles = candidate_poles(sg)
     pks = pk_factorization(sg)
     delta = characteristic_polynomial(sg)
-    delta_vec = to_cyclotomic(delta.product)
-    zeta_zp = zeros_and_poles(zeta_closed_form(sg))
+    z = zeta_closed_form(sg)
+    delta_at_one = cyclotomic_exponent(delta.product, 1)
 
     entries = [
         PoleEntry(
@@ -187,7 +187,7 @@ def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
             integer=True,
             order=1,
             case="trivial",
-            delta_mult=delta_vec.get(1),
+            delta_mult=delta_at_one,
             verdict=True,
         )
     ]
@@ -200,7 +200,7 @@ def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
         q = value.denominator
         if q == 1:
             entries.append(
-                PoleEntry(k, value, display, True, 1, "trivial", delta_vec.get(1), True)
+                PoleEntry(k, value, display, True, 1, "trivial", delta_at_one, True)
             )
             continue
         div_m = M[k] % q == 0
@@ -208,9 +208,9 @@ def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
         case = {(False, False): "i", (True, False): "ii", (False, True): "iii", (True, True): "iv"}[
             (div_m, div_l)
         ]
-        mult_pk = to_cyclotomic(pks[k - 1]).get(q)
-        mult_delta = delta_vec.get(q)
-        if zeta_zp.get(q, 0) != -mult_delta:
+        mult_pk = cyclotomic_exponent(pks[k - 1], q)
+        mult_delta = cyclotomic_exponent(delta.product, q)
+        if cyclotomic_exponent(z, q) != -mult_delta:
             raise InternalInconsistency(
                 f"Delta multiplicity at order {q} inconsistent with zeta poles"
             )

@@ -101,9 +101,14 @@ def build_semigroup(gens) -> PlaneSemigroup:
     Raises:
         NotCoprime: the generators have a common factor.
         NotPlane: the generators fail one of the plane-branch conditions.
-        ValueError: fewer than three generators, or a non-positive entry.
+        ValueError: fewer than three generators, an entry that is not an
+            ``int`` (a ``bool``, float or string is rejected, never
+            truncated or converted), or a non-positive entry.
     """
-    gens = tuple(int(x) for x in gens)
+    gens = tuple(gens)
+    for x in gens:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"generators must be integers, got {x!r}")
     if len(gens) < 3:
         raise ValueError("need at least three generators (g >= 2)")
     if any(x <= 0 for x in gens):

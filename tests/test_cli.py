@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import monocurve.cli
 from monocurve.cli import main
+from monocurve.errors import InternalInconsistency
 
 
 def run(capsys, *argv):
@@ -137,6 +139,41 @@ class TestOutputFile:
         assert out == ""
         assert json.loads(target.read_text())["pass"] is True
 
+    def test_unwritable_output_exit_1(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "x.json"
+        code, out, err = run(
+            capsys, "conjecture", "--gens", "4,6,13", "--output", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: FileNotFoundError:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestLibraryError:
+    @pytest.mark.parametrize("command", ["analyze", "zeta", "graph", "conjecture"])
+    def test_error_after_parsing_exit_1(self, capsys, monkeypatch, command):
+        def broken(*args, **kwargs):
+            raise InternalInconsistency("two routes disagree")
+
+        for name in ("verify_conjecture", "zeta_closed_form", "build_resolution"):
+            monkeypatch.setattr(monocurve.cli, name, broken)
+        code, out, err = run(capsys, command, "--gens", "4,6,13")
+        assert code == 1
+        assert out == ""
+        assert err == "error: InternalInconsistency: two routes disagree\n"
+
+    def test_fuzz_error_exit_1(self, capsys, monkeypatch):
+        def broken(sg):
+            raise InternalInconsistency("check crashed")
+
+        monkeypatch.setattr(monocurve.cli, "cross_check", broken)
+        code, out, err = run(capsys, "fuzz", "--count", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: InternalInconsistency: check crashed\n"
+
 
 class TestParser:
     def test_missing_command(self):
@@ -146,3 +183,11 @@ class TestParser:
     def test_malformed_gens(self):
         with pytest.raises(SystemExit):
             main(["analyze", "--gens", "4,six,13"])
+
+    def test_parser_reused_without_leaking_options(self, capsys, tmp_path):
+        target = tmp_path / "graph.json"
+        assert run(capsys, "graph", "--gens", "4,6,13", "--output", str(target))[0] == 0
+        code, out, _ = run(capsys, "zeta", "--gens", "4,6,13")
+        assert code == 0
+        assert out.startswith("Z = ")  # not --output or --format of the first call
+        assert monocurve.cli._parser() is monocurve.cli._parser()

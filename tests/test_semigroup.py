@@ -59,6 +59,16 @@ class TestBuildSemigroup:
         with pytest.raises(NotPlane):
             build_semigroup((6, 4, 13))
 
+    @pytest.mark.parametrize(
+        "gens",
+        [(4.7, 6, 13), (4, 6, 13.9), ("4", 6, 13), (True, 6, 13), (4.0, 6, 13)],
+    )
+    def test_non_integer_entry_rejected(self, gens):
+        # int() would truncate 4.7 to 4, parse "4" and turn True into 1
+        # (then reported as a misleading NotPlane).
+        with pytest.raises(ValueError, match="must be integers"):
+            build_semigroup(gens)
+
     def test_invariants_recompute(self):
         sg = build_semigroup((8, 12, 26, 53))
         for i in range(1, sg.g + 1):
