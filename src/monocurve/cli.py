@@ -26,7 +26,7 @@ from .conjecture import verify_conjecture
 from .crosscheck import cross_check
 from .errors import MonocurveError
 from .oracle import EnumerationBudget, grid_discrepancies
-from .resolution import build_resolution, export_graph
+from .resolution import _graph_doc, build_resolution, export_graph
 from .semigroup import build_semigroup, random_semigroup
 from .zeta import characteristic_polynomial, zeta_closed_form
 
@@ -97,9 +97,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def _analyze_doc(sg) -> tuple[dict, bool]:
     graph = build_resolution(sg)
-    z = zeta_closed_form(sg)
-    delta = characteristic_polynomial(sg)
     report = verify_conjecture(sg)
+    z, delta = report.zeta, report.delta
     doc = {
         "gens": list(sg.gens),
         "g": sg.g,
@@ -112,7 +111,7 @@ def _analyze_doc(sg) -> tuple[dict, bool]:
             "factors": delta.product.to_json(),
             "rendered": delta.product.render("t_minus_one"),
         },
-        "resolution": json.loads(export_graph(graph, "json")),
+        "resolution": _graph_doc(graph),
         "poles": [p.to_json() for p in report.poles],
         "conjecture_pass": report.passed,
     }
@@ -120,9 +119,8 @@ def _analyze_doc(sg) -> tuple[dict, bool]:
 
 
 def _analyze_text(sg) -> tuple[str, bool]:
-    z = zeta_closed_form(sg)
-    delta = characteristic_polynomial(sg)
     report = verify_conjecture(sg)
+    z, delta = report.zeta, report.delta
     lines = [
         "gens = " + ", ".join(str(x) for x in sg.gens),
         f"g = {sg.g}",

@@ -69,10 +69,14 @@ class PoleEntry:
 
 @dataclass(frozen=True)
 class ConjectureReport:
+    """Pole verdicts with the closed-form ``zeta``, ``delta`` and ``pk`` (P_1..P_g)
+    they were certified from, each built once; callers read them here."""
+
     gens: tuple[int, ...]
     poles: tuple[PoleEntry, ...]
     pk: tuple[FactorProduct, ...]
     delta: CharacteristicPolynomial
+    zeta: FactorProduct
 
     @property
     def passed(self) -> bool:
@@ -127,8 +131,13 @@ def pk_factorization(sg: PlaneSemigroup) -> list[FactorProduct]:
     with ``L_k = lcm(n_k, ..., n_g)`` and ``L_{g+1} = 1``.  Asserts that the
     product equals ``Delta`` and every ``P_k`` is a polynomial.
     """
-    g = sg.g
     M, N = resolution_multiplicities(sg)
+    return _pk_factors(sg, M, N, characteristic_polynomial(sg))
+
+
+def _pk_factors(sg: PlaneSemigroup, M, N, delta: CharacteristicPolynomial) -> list[FactorProduct]:
+    """:func:`pk_factorization` from already built ``(M, N)`` and ``Delta``."""
+    g = sg.g
     L = [math.lcm(*sg.n[k:]) if k <= g else 1 for k in range(1, g + 2)]  # L[k-1] = L_k
     out = []
     for k in range(1, g + 1):
@@ -152,7 +161,6 @@ def pk_factorization(sg: PlaneSemigroup) -> list[FactorProduct]:
         if negative_cyclotomic_orders(pk):
             raise InternalInconsistency(f"P_{k} is not a polynomial")
         out.append(pk)
-    delta = characteristic_polynomial(sg)
     product = FactorProduct.one()
     for pk in out:
         product = product * pk
@@ -174,8 +182,8 @@ def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
     M, N = resolution_multiplicities(sg)
     L = [math.lcm(*sg.n[k:]) for k in range(1, g + 1)]
     poles = candidate_poles(sg)
-    pks = pk_factorization(sg)
     delta = characteristic_polynomial(sg)
+    pks = _pk_factors(sg, M, N, delta)
     z = zeta_closed_form(sg)
     delta_at_one = cyclotomic_exponent(delta.product, 1)
 
@@ -226,7 +234,9 @@ def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
                 verdict=mult_pk >= 1 and mult_delta >= 1,
             )
         )
-    return ConjectureReport(gens=sg.gens, poles=tuple(entries), pk=tuple(pks), delta=delta)
+    return ConjectureReport(
+        gens=sg.gens, poles=tuple(entries), pk=tuple(pks), delta=delta, zeta=z
+    )
 
 
 def _display(value: Fraction, Nk: int, k: int) -> str:

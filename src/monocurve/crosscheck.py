@@ -10,12 +10,11 @@ raising, so a campaign can report every offending generator tuple.
 
 from __future__ import annotations
 
-from .conjecture import pk_factorization, verify_conjecture
+from .conjecture import verify_conjecture
 from .errors import BudgetExceeded, MonocurveError
 from .oracle import enum_digits
 from .resolution import build_resolution, zeta_from_graph
 from .semigroup import PlaneSemigroup, decompose
-from .zeta import characteristic_polynomial
 
 __all__ = ["cross_check", "DENSE_MU_CAP"]
 
@@ -27,12 +26,12 @@ def cross_check(sg: PlaneSemigroup, dense_mu_cap: int = DENSE_MU_CAP) -> list[st
 
     Checks: resolution-graph invariants (divisibility, component counts,
     tree shape, quotient-space cross-validation), stratum-product zeta equal
-    to the closed form, characteristic polynomial with nonnegative
-    cyclotomic exponents and degree equal to the Milnor number (verified by
-    dense expansion when it is at most ``dense_mu_cap``), exact per-level
-    factor splitting, a passing pole verdict, and agreement of the modular
-    digit decomposition with exhaustive search where the search space is
-    small.
+    to the closed form, :func:`verify_conjecture` (which checks Delta for
+    nonnegative cyclotomic exponents and degree mu, and the exact per-level
+    factor splitting, once each) with a passing pole verdict, the dense
+    expansion of that same Delta when mu is at most ``dense_mu_cap``, and
+    agreement of the modular digit decomposition with exhaustive search
+    where the search space is small.  A stage that fails adds one line.
     """
     failures: list[str] = []
     tag = f"gens={sg.gens}"
@@ -44,24 +43,18 @@ def cross_check(sg: PlaneSemigroup, dense_mu_cap: int = DENSE_MU_CAP) -> list[st
         failures.append(f"{tag}: resolution graph: {exc}")
 
     try:
-        delta = characteristic_polynomial(sg)
-        if delta.mu <= dense_mu_cap:
-            delta.expand(max_degree=dense_mu_cap)
-    except MonocurveError as exc:
-        failures.append(f"{tag}: characteristic polynomial: {exc}")
-
-    try:
-        pk_factorization(sg)
-    except MonocurveError as exc:
-        failures.append(f"{tag}: per-level factor splitting: {exc}")
-
-    try:
         report = verify_conjecture(sg)
+    except MonocurveError as exc:
+        failures.append(f"{tag}: Delta, P_k and pole verification: {exc}")
+    else:
         if not report.passed:
             bad = [p.display for p in report.poles if not p.verdict]
             failures.append(f"{tag}: pole verdict false at {bad}")
-    except MonocurveError as exc:
-        failures.append(f"{tag}: pole verification: {exc}")
+        try:
+            if report.delta.mu <= dense_mu_cap:
+                report.delta.expand(max_degree=dense_mu_cap)
+        except MonocurveError as exc:
+            failures.append(f"{tag}: dense expansion of Delta: {exc}")
 
     for i in range(1, sg.g + 1):
         s = sg.n[i] * sg.gens[i]

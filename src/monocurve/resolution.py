@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from . import qspace
 from .errors import InternalInconsistency
-from .qspace import CyclicQuotientType, WeightedCurveSpec
-from .semigroup import PlaneSemigroup, b_table, build_semigroup
+from .qspace import CyclicQuotientType, WeightedCurveSpec, _exact_div
+from .semigroup import PlaneSemigroup, b_table
 from .zeta import FactorProduct, resolution_multiplicities, zeta_closed_form
 
 __all__ = [
@@ -77,6 +77,7 @@ class ResolutionGraph:
     edges: tuple[tuple[str, str], ...]
     strata: tuple[Stratum, ...]
     local_types: tuple[LocalType, ...]
+    semigroup: PlaneSemigroup  # the validated input the graph was built from
 
     def stratum(self, kind: str, k: int) -> Stratum:
         for s in self.strata:
@@ -85,19 +86,12 @@ class ResolutionGraph:
         raise KeyError((kind, k))
 
 
-def _exact(num: int, den: int, what: str) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise InternalInconsistency(f"{what}: {num} not divisible by {den}")
-    return q
-
-
 def _component_counts(sg: PlaneSemigroup) -> list[int]:
     g = sg.g
     r = []
     for k in range(1, g + 1):
         lcm_tail = math.lcm(*sg.n[k + 1:]) if k < g else 1
-        r.append(_exact(sg.e[k], lcm_tail, f"r_{k}"))
+        r.append(_exact_div(sg.e[k], lcm_tail, f"r_{k}"))
     if r[-1] != 1 or (g >= 2 and r[-2] != 1):
         raise InternalInconsistency("r_(g-1) and r_g must both be 1")
     return r
@@ -136,8 +130,9 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
     reproducibility choice).
 
     Raises:
-        InternalInconsistency: any divisibility or cross-validation check
-            fails (would indicate a formula transcription bug).
+        NotDivisible: a count, weight or Euler characteristic is not exact.
+        InternalInconsistency: any other divisibility or cross-validation
+            check fails.  Either indicates a formula transcription bug.
     """
     g = sg.g
     n, e, gens = sg.n, sg.e, sg.gens
@@ -154,12 +149,12 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
         if k >= 2 and r[k - 1] and r[k - 2] % r[k - 1]:
             raise InternalInconsistency(f"r_{k} does not divide r_{k - 1}")
         if k == 1:
-            weights = tuple(_exact(order, n[i], "weight") for i in range(g + 1))
+            weights = tuple(_exact_div(order, n[i], "weight") for i in range(g + 1))
         else:
             b_prev = bt.get(k, k - 1)
-            weights = (1, *(_exact(b_prev, n[i], "weight") for i in range(k, g + 1)))
-        chi = -_exact(n[k] * gens[k], Nk, f"chi(E_{k})")
-        chi_per = _exact(chi, rk, f"per-component chi(E_{k})")
+            weights = (1, *(_exact_div(b_prev, n[i], "weight") for i in range(k, g + 1)))
+        chi = -_exact_div(n[k] * gens[k], Nk, f"chi(E_{k})")
+        chi_per = _exact_div(chi, rk, f"per-component chi(E_{k})")
         levels.append(
             GraphLevel(
                 k=k, r=rk, N=Nk, M=Mk, weights=weights,
@@ -167,16 +162,16 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
             )
         )
 
-    strata = [Stratum("Q0", 0, _exact(gens[0], M[0], "|Q0|"), M[0])]
+    strata = [Stratum("Q0", 0, _exact_div(gens[0], M[0], "|Q0|"), M[0])]
     for k in range(1, g + 1):
-        strata.append(Stratum("Qk", k, _exact(gens[k], M[k], f"|Q_{k}|"), M[k]))
+        strata.append(Stratum("Qk", k, _exact_div(gens[k], M[k], f"|Q_{k}|"), M[k]))
     for k in range(1, g):
         strata.append(Stratum("Qkk1", k, r[k - 1], None))
 
     # Per-component shares of the boundary incidences must be integral.
-    _exact(strata[0].count, r[0], "Q0 share per E_1 component")
+    _exact_div(strata[0].count, r[0], "Q0 share per E_1 component")
     for k in range(1, g + 1):
-        _exact(strata[k].count, r[k - 1], f"Q_{k} share per E_{k} component")
+        _exact_div(strata[k].count, r[k - 1], f"Q_{k} share per E_{k} component")
 
     nodes = [f"H_{i}" for i in range(g + 1)]
     for k in range(1, g + 1):
@@ -191,7 +186,7 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
         for j in range(1, r[k - 1] + 1):
             edges.append((f"H_{k}", f"E_{k}_{j}"))
     for k in range(1, g):
-        block = _exact(r[k - 1], r[k], "contiguous block size")
+        block = _exact_div(r[k - 1], r[k], "contiguous block size")
         for j_next in range(1, r[k] + 1):
             for j in range((j_next - 1) * block + 1, j_next * block + 1):
                 edges.append((f"E_{k}_{j}", f"E_{k + 1}_{j_next}"))
@@ -206,6 +201,7 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
         edges=tuple(edges),
         strata=tuple(strata),
         local_types=tuple(local_types),
+        semigroup=sg,
     )
     _check_tree(graph)
     _cross_validate(sg, bt, graph)
@@ -233,7 +229,7 @@ def _local_types(sg: PlaneSemigroup, bt) -> list[LocalType]:
         types.append(LocalType(f"Egen{k}", CyclicQuotientType((d_gen,), ((-1,),))))
     for k in range(2, g + 1):
         diff = n[k] * gens[k] - n[k - 1] * gens[k - 1]
-        d1 = _exact(diff, math.lcm(*n[k:]), "two-row order")
+        d1 = _exact_div(diff, math.lcm(*n[k:]), "two-row order")
         types.append(
             LocalType(
                 f"E{k - 1}E{k}",
@@ -322,44 +318,48 @@ def zeta_from_graph(graph: ResolutionGraph) -> FactorProduct:
     for lvl in graph.levels:
         factors[lvl.N] = factors.get(lvl.N, 0) + lvl.chi_open
     result = FactorProduct.from_map(factors)
-    closed = zeta_closed_form(build_semigroup(graph.gens))
+    closed = zeta_closed_form(graph.semigroup)
     if result != closed:
         raise InternalInconsistency("graph zeta differs from closed form")
     return result
 
 
+def _graph_doc(graph: ResolutionGraph) -> dict:
+    """The JSON document of :func:`export_graph`, before serialization."""
+    return {
+        "gens": list(graph.gens),
+        "levels": [
+            {
+                "k": lvl.k,
+                "r": lvl.r,
+                "N": lvl.N,
+                "M": lvl.M,
+                "weights": list(lvl.weights),
+                "chi_open": lvl.chi_open,
+            }
+            for lvl in graph.levels
+        ],
+        "edges": [list(ed) for ed in graph.edges],
+        "strata": [
+            {
+                "kind": s.kind,
+                "k": s.k,
+                "count": s.count,
+                "multiplicity": s.multiplicity,
+            }
+            for s in graph.strata
+        ],
+        "local_types": [
+            {"at": t.at, "d": list(t.qtype.d), "A": [list(row) for row in t.qtype.A]}
+            for t in graph.local_types
+        ],
+    }
+
+
 def export_graph(graph: ResolutionGraph, format: str = "json") -> str:
     """Serialize the graph deterministically as ``"json"`` or ``"dot"``."""
     if format == "json":
-        doc = {
-            "gens": list(graph.gens),
-            "levels": [
-                {
-                    "k": lvl.k,
-                    "r": lvl.r,
-                    "N": lvl.N,
-                    "M": lvl.M,
-                    "weights": list(lvl.weights),
-                    "chi_open": lvl.chi_open,
-                }
-                for lvl in graph.levels
-            ],
-            "edges": [list(ed) for ed in graph.edges],
-            "strata": [
-                {
-                    "kind": s.kind,
-                    "k": s.k,
-                    "count": s.count,
-                    "multiplicity": s.multiplicity,
-                }
-                for s in graph.strata
-            ],
-            "local_types": [
-                {"at": t.at, "d": list(t.qtype.d), "A": [list(row) for row in t.qtype.A]}
-                for t in graph.local_types
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=False)
+        return json.dumps(_graph_doc(graph), indent=2, sort_keys=False)
     if format == "dot":
         mult = {f"E_{lvl.k}": lvl.N for lvl in graph.levels}
         lines = ["graph resolution {"]

@@ -68,11 +68,10 @@ class PlaneSemigroup:
         return math.prod(self.n)
 
     def conductor_degree(self) -> int:
-        """Milnor number ``mu = 1 + sum_k (n_k - 1)*b_k - b0`` (k = 1..G)."""
-        mu = 1 - self.gens[0]
-        for k in range(1, self.g + 1):
-            mu += (self.n[k] - 1) * self.gens[k]
-        return mu
+        """The Milnor number; an alias of :func:`monocurve.zeta.milnor_number`."""
+        from .zeta import milnor_number
+
+        return milnor_number(self)
 
 
 @dataclass(frozen=True)

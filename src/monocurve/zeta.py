@@ -272,7 +272,7 @@ def zeta_closed_form(sg: PlaneSemigroup) -> FactorProduct:
 
 def milnor_number(sg: PlaneSemigroup) -> int:
     """Milnor number ``mu = 1 + sum_{k>=1} (n_k - 1)*b_k - b_0``."""
-    mu = sg.conductor_degree()
+    mu = 1 - sg.gens[0] + sum((sg.n[k] - 1) * sg.gens[k] for k in range(1, sg.g + 1))
     if mu <= 0:
         raise InternalInconsistency(f"Milnor number {mu} is not positive")
     return mu

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (exit codes, output contract)."""
 
+import hashlib
 import json
 
 import pytest
@@ -191,3 +192,18 @@ class TestParser:
         assert code == 0
         assert out.startswith("Z = ")  # not --output or --format of the first call
         assert monocurve.cli._parser() is monocurve.cli._parser()
+
+
+class TestAnalyzeDocument:
+    def test_resolution_equals_graph_json(self, capsys):
+        for gens in ("4,6,13", "8,12,26,53", "12,18,37"):
+            _, analyzed, _ = run(capsys, "analyze", "--gens", gens, "--format", "json")
+            _, graph, _ = run(capsys, "graph", "--gens", gens, "--format", "json")
+            assert json.loads(analyzed)["resolution"] == json.loads(graph)
+
+    def test_pinned_bytes(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--gens", "8,12,26,53", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "35ef5e0cdea7f9947b521b088b62552e2f372e34f29701e60821e9dbd0c55bab"
+        )

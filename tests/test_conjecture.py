@@ -10,6 +10,7 @@ from monocurve.zeta import (
     characteristic_polynomial,
     resolution_multiplicities,
     to_cyclotomic,
+    zeta_closed_form,
 )
 
 
@@ -116,3 +117,20 @@ class TestVerifyConjecture:
         }
         assert entry["value"] == "8/6"
         assert entry["verdict"] is True
+
+
+class TestReportCarriesQuantities:
+    """The report's Z, Delta and P_k equal what the stand-alone functions build."""
+
+    @staticmethod
+    def semigroups():
+        pinned = [build_semigroup(g) for g in ((4, 6, 13), (8, 12, 26, 53), (12, 18, 37))]
+        drawn = [random_semigroup(1000 + seed, 2 + seed % 4, 10**6) for seed in range(30)]
+        return pinned + drawn
+
+    def test_zeta_delta_and_pk(self):
+        for sg in self.semigroups():
+            report = verify_conjecture(sg)
+            assert report.zeta == zeta_closed_form(sg)
+            assert report.delta == characteristic_polynomial(sg)
+            assert list(report.pk) == pk_factorization(sg)

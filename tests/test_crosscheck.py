@@ -1,0 +1,82 @@
+"""Tests for the cross-check battery: each quantity built once, failures reported."""
+
+import sys
+
+import pytest
+
+import monocurve.conjecture
+from monocurve import zeta
+from monocurve.cli import main
+from monocurve.crosscheck import cross_check
+from monocurve.errors import InternalInconsistency
+from monocurve.resolution import build_resolution, zeta_from_graph
+from monocurve.semigroup import build_semigroup
+
+
+def count_calls(monkeypatch, module_name: str, name: str) -> list:
+    """Wrap ``module_name.name`` in every ``monocurve`` namespace binding it.
+
+    Returns a list that grows by one entry per call.
+    """
+    original = getattr(sys.modules[module_name], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "monocurve" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+GENS = ((4, 6, 13), (8, 12, 26, 53), (12, 18, 37))
+
+
+class TestComputedOnce:
+    @pytest.mark.parametrize("gens", GENS)
+    def test_verify_conjecture_builds_delta_once(self, monkeypatch, gens):
+        calls = count_calls(monkeypatch, "monocurve.zeta", "characteristic_polynomial")
+        monocurve.conjecture.verify_conjecture(build_semigroup(gens))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_analyze_builds_delta_once(self, monkeypatch, capsys, fmt):
+        calls = count_calls(monkeypatch, "monocurve.zeta", "characteristic_polynomial")
+        assert main(["analyze", "--gens", "8,12,26,53", "--format", fmt]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("gens", GENS)
+    def test_cross_check_builds_delta_once(self, monkeypatch, gens):
+        calls = count_calls(monkeypatch, "monocurve.zeta", "characteristic_polynomial")
+        assert cross_check(build_semigroup(gens)) == []
+        assert len(calls) == 1
+
+    def test_graph_zeta_does_not_revalidate(self, monkeypatch):
+        graph = build_resolution(build_semigroup((8, 12, 26, 53)))
+        calls = count_calls(monkeypatch, "monocurve.semigroup", "build_semigroup")
+        assert zeta_from_graph(graph) == zeta.zeta_closed_form(graph.semigroup)
+        assert calls == []
+
+
+class TestFailureLines:
+    def test_pk_failure_is_one_line(self, monkeypatch):
+        def broken(*args):
+            raise InternalInconsistency("P_1 is not a polynomial")
+
+        monkeypatch.setattr(monocurve.conjecture, "_pk_factors", broken)
+        failures = cross_check(build_semigroup((4, 6, 13)))
+        assert len(failures) == 1
+        assert "Delta, P_k and pole verification: P_1 is not a polynomial" in failures[0]
+
+    def test_dense_expansion_failure_is_one_line(self, monkeypatch):
+        def broken(self, max_degree=None):
+            raise InternalInconsistency("expansion degree 15 != mu = 16")
+
+        monkeypatch.setattr(zeta.CharacteristicPolynomial, "expand", broken)
+        failures = cross_check(build_semigroup((4, 6, 13)))
+        assert failures == [
+            "gens=(4, 6, 13): dense expansion of Delta: expansion degree 15 != mu = 16"
+        ]
