@@ -41,15 +41,11 @@ from .qspace import (
     WeightedCurveSpec,
     count_solutions_fixed_tail,
     count_solutions_total,
-    covering_degree,
     curve_axis_intersections,
     curve_component_count,
     curve_open_euler,
     divisor_multiplicity,
     l_factor,
-    normalize_cyclic,
-    plane_curve_open_euler,
-    stabilizer_order,
 )
 from .resolution import (
     GraphLevel,
@@ -116,7 +112,6 @@ __all__ = [
     "characteristic_polynomial",
     "count_solutions_fixed_tail",
     "count_solutions_total",
-    "covering_degree",
     "cross_check",
     "curve_axis_intersections",
     "curve_component_count",
@@ -132,12 +127,9 @@ __all__ = [
     "l_factor",
     "milnor_number",
     "negative_cyclotomic_orders",
-    "normalize_cyclic",
     "pk_factorization",
-    "plane_curve_open_euler",
     "random_semigroup",
     "resolution_multiplicities",
-    "stabilizer_order",
     "to_cyclotomic",
     "verify_conjecture",
     "zeros_and_poles",

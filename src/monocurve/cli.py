@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--max-group-order", type=int, default=10)
     oracle.add_argument("--max-exponent", type=int, default=6)
     oracle.add_argument("--max-rank", type=int, default=3)
-    oracle.add_argument("--max-poly-degree", type=int, default=5000)
     oracle.add_argument("--output", default=None)
     return parser
 
@@ -234,7 +233,6 @@ def _run(args, sg) -> int:
                 max_group_order=args.max_group_order,
                 max_exponent=args.max_exponent,
                 max_rank=args.max_rank,
-                max_poly_degree=args.max_poly_degree,
             )
         except ValueError as exc:
             sys.stderr.write(f"error: {exc}\n")

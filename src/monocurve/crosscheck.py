@@ -14,14 +14,14 @@ from .conjecture import verify_conjecture
 from .errors import BudgetExceeded, MonocurveError
 from .oracle import enum_digits
 from .resolution import build_resolution, zeta_from_graph
-from .semigroup import PlaneSemigroup, decompose
+from .semigroup import PlaneSemigroup
 
 __all__ = ["cross_check", "DENSE_MU_CAP"]
 
 DENSE_MU_CAP = 5000
 
 
-def cross_check(sg: PlaneSemigroup, dense_mu_cap: int = DENSE_MU_CAP) -> list[str]:
+def cross_check(sg: PlaneSemigroup) -> list[str]:
     """Run every cross-check on ``sg``; return failure descriptions (empty = pass).
 
     Checks: resolution-graph invariants (divisibility, component counts,
@@ -29,9 +29,10 @@ def cross_check(sg: PlaneSemigroup, dense_mu_cap: int = DENSE_MU_CAP) -> list[st
     to the closed form, :func:`verify_conjecture` (which checks Delta for
     nonnegative cyclotomic exponents and degree mu, and the exact per-level
     factor splitting, once each) with a passing pole verdict, the dense
-    expansion of that same Delta when mu is at most ``dense_mu_cap``, and
-    agreement of the modular digit decomposition with exhaustive search
-    where the search space is small.  A stage that fails adds one line.
+    expansion of that same Delta when mu is at most :data:`DENSE_MU_CAP`,
+    and agreement of the modular digits stored in ``sg.digits`` with
+    exhaustive search where the search space is small.  A stage that fails
+    adds one line.
     """
     failures: list[str] = []
     tag = f"gens={sg.gens}"
@@ -51,8 +52,8 @@ def cross_check(sg: PlaneSemigroup, dense_mu_cap: int = DENSE_MU_CAP) -> list[st
             bad = [p.display for p in report.poles if not p.verdict]
             failures.append(f"{tag}: pole verdict false at {bad}")
         try:
-            if report.delta.mu <= dense_mu_cap:
-                report.delta.expand(max_degree=dense_mu_cap)
+            if report.delta.mu <= DENSE_MU_CAP:
+                report.delta.expand()
         except MonocurveError as exc:
             failures.append(f"{tag}: dense expansion of Delta: {exc}")
 
@@ -65,9 +66,9 @@ def cross_check(sg: PlaneSemigroup, dense_mu_cap: int = DENSE_MU_CAP) -> list[st
         except MonocurveError as exc:
             failures.append(f"{tag}: digit search at level {i}: {exc}")
             continue
-        if brute != decompose(sg, s, i):
+        if brute != sg.digits[i - 1]:
             failures.append(
                 f"{tag}: digit decomposition at level {i}: "
-                f"search {brute} != modular {decompose(sg, s, i)}"
+                f"search {brute} != modular {sg.digits[i - 1]}"
             )
     return failures

@@ -34,7 +34,7 @@ class IllFormed(MonocurveError):
 
 
 class HypothesisViolated(MonocurveError):
-    """A stated hypothesis (commutation range, spec shape) does not hold."""
+    """A stated hypothesis (weight proportionality, spec shape) does not hold."""
 
 
 class BudgetExceeded(MonocurveError):

@@ -25,17 +25,13 @@ from .errors import HypothesisViolated, IllFormed, InternalInconsistency, NotDiv
 __all__ = [
     "CyclicQuotientType",
     "WeightedCurveSpec",
-    "normalize_cyclic",
-    "stabilizer_order",
     "l_factor",
     "divisor_multiplicity",
     "count_solutions_total",
     "count_solutions_fixed_tail",
     "curve_component_count",
     "curve_axis_intersections",
-    "plane_curve_open_euler",
     "curve_open_euler",
-    "covering_degree",
 ]
 
 
@@ -50,9 +46,8 @@ def _exact_div(num: int, den: int, what: str) -> int:
 class CyclicQuotientType:
     """Quotient type ``X(d; A)`` with one weight row per cyclic factor.
 
-    Row entries are stored reduced modulo the row order ``d_t``.  Use
-    :func:`normalize_cyclic` to reach the normalized (small-group) form of a
-    one-row type.
+    Row entries are stored reduced modulo the row order ``d_t``.  Types are
+    kept as given, not normalized to the small group acting.
     """
 
     d: tuple[int, ...]
@@ -71,59 +66,8 @@ class CyclicQuotientType:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "A", A)
 
-    @property
-    def rank(self) -> int:
-        """Number of coordinates."""
-        return len(self.A[0]) if self.A else 0
-
     def column(self, i: int) -> tuple[int, ...]:
         return tuple(row[i] for row in self.A)
-
-
-def normalize_cyclic(t: CyclicQuotientType) -> CyclicQuotientType:
-    """Normalize a one-row type ``X(d; a_0, ..., a_r)``.
-
-    Repeatedly: if for some coordinate ``i`` the gcd
-    ``k = gcd(d, a_j : j != i)`` exceeds 1, pass to the isomorphic type
-    ``X(d/k; ..., a_j/k, ..., a_i, ...)`` (entry ``i`` kept, others divided)
-    reduced mod ``d/k``.  Afterwards every stabilizer of a single coordinate
-    hyperplane's generic point is trivial and ``d`` is the order of the small
-    group actually acting.
-    """
-    if len(t.d) != 1:
-        raise IllFormed("normalize_cyclic expects a one-row type")
-    d = t.d[0]
-    a = list(t.A[0])
-    changed = True
-    while changed and d > 1:
-        changed = False
-        for i in range(len(a)):
-            others = [a[j] for j in range(len(a)) if j != i]
-            k = math.gcd(d, *others) if others else d
-            if k > 1:
-                d //= k
-                a = [(a[j] if j == i else a[j] // k) % d for j in range(len(a))]
-                changed = True
-                break
-    if d == 1:
-        a = [0] * len(a)
-    return CyclicQuotientType((d,), (tuple(a),))
-
-
-def stabilizer_order(t: CyclicQuotientType, zero_set=frozenset()) -> int:
-    """Order of the subgroup fixing a point whose zero coordinates are ``zero_set``.
-
-    For a one-row type this is ``gcd(d, a_i : i not in zero_set)``; it is
-    ``d`` when every coordinate vanishes.
-    """
-    if len(t.d) != 1:
-        raise IllFormed("stabilizer_order expects a one-row type")
-    d = t.d[0]
-    zero_set = set(zero_set)
-    rest = [a for i, a in enumerate(t.A[0]) if i not in zero_set]
-    if not rest:
-        return d
-    return math.gcd(d, *rest)
 
 
 def l_factor(t: CyclicQuotientType, i: int) -> int:
@@ -211,22 +155,19 @@ class WeightedCurveSpec:
     Well-formedness: ``d | a_i * m_i`` for all ``i`` and all ``p_i * m_i``
     equal (each equation weighted homogeneous).
 
-    ``commutation`` declares on which index range the exact integer
-    proportionality ``a_i * p_j = a_j * p_i`` holds: ``"tail"`` for
-    ``i, j >= 2`` (enough for component and axis counts) or ``"full"`` for
-    ``i, j >= 1`` (required for the Euler characteristic and the
-    previous-divisor intersection counts).  The action weights are kept as
-    the given integers (possibly negative), *not* reduced mod ``d``: the
-    quantities ``a_w*P - p_w*Q`` enter the counting formulas as true
-    integers.  The declared range is verified at construction;
-    :class:`HypothesisViolated` is raised when it fails.
+    The exact integer proportionality ``a_i * p_j = a_j * p_i`` must hold
+    for all ``i, j >= 1``, as the Euler characteristic and the
+    previous-divisor intersection counts require; it is verified at
+    construction and :class:`HypothesisViolated` is raised when it fails.
+    The action weights are kept as the given integers (possibly negative),
+    *not* reduced mod ``d``: the quantities ``a_w*P - p_w*Q`` enter the
+    counting formulas as true integers.
     """
 
     d: int
     a: tuple[int, ...]
     p: tuple[int, ...]
     m: tuple[int, ...]
-    commutation: str = "tail"
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(int(x) for x in self.a))
@@ -239,8 +180,6 @@ class WeightedCurveSpec:
             raise IllFormed("a, p, m must have equal length")
         if self.d < 1 or any(x < 1 for x in self.p) or any(x < 1 for x in self.m):
             raise IllFormed("orders, weights and exponents must be positive")
-        if self.commutation not in ("tail", "full"):
-            raise IllFormed(f"unknown commutation range {self.commutation!r}")
         for i in range(r + 1):
             if (self.a[i] * self.m[i]) % self.d:
                 raise IllFormed(
@@ -249,8 +188,7 @@ class WeightedCurveSpec:
         K = self.p[0] * self.m[0]
         if any(self.p[i] * self.m[i] != K for i in range(1, r + 1)):
             raise IllFormed("curve is not weighted homogeneous: p_i*m_i differ")
-        lo = 2 if self.commutation == "tail" else 1
-        for i in range(lo, r + 1):
+        for i in range(1, r + 1):
             for j in range(i + 1, r + 1):
                 if self.a[i] * self.p[j] != self.a[j] * self.p[i]:
                     raise HypothesisViolated(
@@ -260,11 +198,6 @@ class WeightedCurveSpec:
     @property
     def r(self) -> int:
         return len(self.p) - 1
-
-    @property
-    def degree(self) -> int:
-        """Common weighted degree ``K = p_i * m_i``."""
-        return self.p[0] * self.m[0]
 
 
 def curve_component_count(spec: WeightedCurveSpec) -> int:
@@ -348,40 +281,17 @@ def _axis_count_chart(spec: WeightedCurveSpec, axis: int, c: int) -> int:
     )
 
 
-def plane_curve_open_euler(p, action: CyclicQuotientType, K: int) -> int:
-    """Euler characteristic of ``{x_0^{m_0} + x_1^{m_1} + x_2^{m_2} = 0}``
-    minus the coordinate axes, in the one-row quotient of a weighted plane.
-
-    ``m_i = K / p_i`` must be integral; the value is
-    ``-K^2 * gcd(d * gcd(p_0, p_1, p_2), M_0, M_1, M_2) / (d * p_0 * p_1 * p_2)``
-    where ``M_i`` is the 2x2 minor of the matrix with rows ``p`` and ``a``
-    obtained by deleting column ``i``.
-    """
-    p = tuple(int(x) for x in p)
-    if len(action.d) != 1 or len(p) != 3 or action.rank != 3:
-        raise IllFormed("plane curve data needs a one-row action on 3 coordinates")
-    d = action.d[0]
-    a = action.A[0]
-    for pi in p:
-        if K % pi:
-            raise IllFormed(f"degree {K} not divisible by weight {pi}")
-    minors = [abs(p[j] * a[k] - p[k] * a[j]) for (j, k) in ((1, 2), (0, 2), (0, 1))]
-    gc = math.gcd(d * math.gcd(*p), *minors)
-    return -_exact_div(K * K * gc, d * p[0] * p[1] * p[2], "plane curve Euler char")
-
-
 def curve_open_euler(spec: WeightedCurveSpec) -> int:
     """Euler characteristic of the curve minus all coordinate hyperplanes.
 
-    Requires the full commutation range (``i, j >= 1``).  The value is
+    Uses the proportionality ``a_i * p_j = a_j * p_i`` (``i, j >= 1``) that
+    :class:`WeightedCurveSpec` verifies at construction.  The value is
 
         -m_1*...*m_r * gcd(d*P*gcd(p_0, ..., p_r), |p_0*Q - a_0*P|*gcd(p_1..p_r))
             / (d * p_0 * P)
 
     with ``P = p_1*...*p_r`` and ``Q = a_i * prod_{j>=1, j!=i} p_j``.
     """
-    if spec.commutation != "full":
-        raise HypothesisViolated("Euler characteristic needs the full commutation range")
     d, a, p, m = spec.d, spec.a, spec.p, spec.m
     P = math.prod(p[1:])
     Q = a[1] * math.prod(p[2:])
@@ -390,27 +300,3 @@ def curve_open_euler(spec: WeightedCurveSpec) -> int:
     )
     return -_exact_div(val, d * p[0] * P, "curve Euler characteristic")
 
-
-def covering_degree(K: int, k: int, ks, N: int) -> int:
-    """Degree of the projection of a monomial curve cover onto two coordinates.
-
-    Data: total weight ``K``, base order ``k``, coordinate orders
-    ``ks = (k_0, ..., k_r)`` (each dividing ``K``) and ``N`` the number of
-    curve components.  The degree is::
-
-        K * N * gcd(K/k, K/k_0, ..., K/k_r)
-          / (k * gcd(K/k, K/k_0, K/k_1) * gcd(K/k, K/k_2, ..., K/k_r))
-    """
-    ks = tuple(int(x) for x in ks)
-    if len(ks) < 3:
-        raise IllFormed("covering degree needs at least three coordinate orders")
-    for x in (k, *ks):
-        if x < 1 or K % x:
-            raise IllFormed(f"order {x} must divide K = {K}")
-    q = [K // x for x in ks]
-    qk = K // k
-    return _exact_div(
-        K * N * math.gcd(qk, *q),
-        k * math.gcd(qk, q[0], q[1]) * math.gcd(qk, *q[2:]),
-        "covering degree",
-    )

@@ -97,27 +97,29 @@ def _component_counts(sg: PlaneSemigroup) -> list[int]:
     return r
 
 
+def _weights(sg: PlaneSemigroup, bt, k: int) -> tuple[int, ...]:
+    """Weight vector of the k-th weighted blow-up."""
+    n = sg.n
+    if k == 1:
+        return tuple(_exact_div(sg.order, n[i], "weight") for i in range(sg.g + 1))
+    b_prev = bt.get(k, k - 1)
+    return (1, *(_exact_div(b_prev, n[i], "weight") for i in range(k, sg.g + 1)))
+
+
 def _homogeneous_spec(sg: PlaneSemigroup, bt, k: int) -> WeightedCurveSpec:
     """The weighted-homogeneous system cutting out ``E_k`` (valid for k < g)."""
     g = sg.g
     n = sg.n
+    p = _weights(sg, bt, k)
     if k == 1:
-        order = sg.order
-        return WeightedCurveSpec(
-            d=1,
-            a=(0,) * (g + 1),
-            p=tuple(order // n[i] for i in range(g + 1)),
-            m=tuple(n),
-            commutation="full",
-        )
+        return WeightedCurveSpec(d=1, a=(0,) * (g + 1), p=p, m=tuple(n))
     b_prev = bt.get(k, k - 1)
     prev = n[k - 1] * sg.gens[k - 1]
     return WeightedCurveSpec(
         d=sg.e[k - 1],
         a=(-1, *(prev // n[i] for i in range(k, g + 1))),
-        p=(1, *(b_prev // n[i] for i in range(k, g + 1))),
+        p=p,
         m=(b_prev, *(n[i] for i in range(k, g + 1))),
-        commutation="full",
     )
 
 
@@ -135,8 +137,7 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
             check fails.  Either indicates a formula transcription bug.
     """
     g = sg.g
-    n, e, gens = sg.n, sg.e, sg.gens
-    order = sg.order
+    n, gens = sg.n, sg.gens
     bt = b_table(sg)
     M, N = resolution_multiplicities(sg)
     r = _component_counts(sg)
@@ -148,16 +149,11 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
             raise InternalInconsistency(f"M_{k} or L_{k} does not divide N_{k}")
         if k >= 2 and r[k - 1] and r[k - 2] % r[k - 1]:
             raise InternalInconsistency(f"r_{k} does not divide r_{k - 1}")
-        if k == 1:
-            weights = tuple(_exact_div(order, n[i], "weight") for i in range(g + 1))
-        else:
-            b_prev = bt.get(k, k - 1)
-            weights = (1, *(_exact_div(b_prev, n[i], "weight") for i in range(k, g + 1)))
         chi = -_exact_div(n[k] * gens[k], Nk, f"chi(E_{k})")
         chi_per = _exact_div(chi, rk, f"per-component chi(E_{k})")
         levels.append(
             GraphLevel(
-                k=k, r=rk, N=Nk, M=Mk, weights=weights,
+                k=k, r=rk, N=Nk, M=Mk, weights=_weights(sg, bt, k),
                 chi_open=chi, chi_open_per_component=chi_per,
             )
         )

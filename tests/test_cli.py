@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,15 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    def test_text_matches_readme_example(self, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        prompt = "$ monocurve analyze --gens 4,6,13\n"
+        start = readme.index(prompt) + len(prompt)
+        example = readme[start:readme.index("```", start)]
+        code, out, _ = run(capsys, "analyze", "--gens", "4,6,13")
+        assert code == 0
+        assert out == example
 
     def test_not_coprime_exit_2(self, capsys):
         code, _, err = run(capsys, "analyze", "--gens", "4,6,14")
@@ -128,6 +138,12 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--max-rank", "0")
         assert code == 2
         assert "error:" in err
+
+    def test_poly_degree_flag_rejected_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--max-poly-degree", "10"])
+        assert exc.value.code == 2
+        assert "--max-poly-degree" in capsys.readouterr().err
 
 
 class TestOutputFile:

@@ -5,9 +5,10 @@ import sys
 import pytest
 
 import monocurve.conjecture
+import monocurve.crosscheck
 from monocurve import zeta
 from monocurve.cli import main
-from monocurve.crosscheck import cross_check
+from monocurve.crosscheck import DENSE_MU_CAP, cross_check
 from monocurve.errors import InternalInconsistency
 from monocurve.resolution import build_resolution, zeta_from_graph
 from monocurve.semigroup import build_semigroup
@@ -54,6 +55,32 @@ class TestComputedOnce:
         assert cross_check(build_semigroup(gens)) == []
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("gens", GENS)
+    def test_cross_check_reads_stored_digits(self, monkeypatch, gens):
+        sg = build_semigroup(gens)
+        calls = count_calls(monkeypatch, "monocurve.semigroup", "decompose")
+        assert cross_check(sg) == []
+        assert calls == []
+
+    @pytest.mark.parametrize("gens, mu, expansions", [
+        ((4, 6, 13), 16, 1),
+        ((100, 150, 301), 14800, 0),
+    ])
+    def test_dense_expansion_gated_by_mu(self, monkeypatch, gens, mu, expansions):
+        sg = build_semigroup(gens)
+        assert zeta.milnor_number(sg) == mu
+        assert (mu <= DENSE_MU_CAP) == (expansions == 1)
+        original = zeta.CharacteristicPolynomial.expand
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.mu)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(zeta.CharacteristicPolynomial, "expand", counted)
+        assert cross_check(sg) == []
+        assert len(calls) == expansions
+
     def test_graph_zeta_does_not_revalidate(self, monkeypatch):
         graph = build_resolution(build_semigroup((8, 12, 26, 53)))
         calls = count_calls(monkeypatch, "monocurve.semigroup", "build_semigroup")
@@ -79,4 +106,20 @@ class TestFailureLines:
         failures = cross_check(build_semigroup((4, 6, 13)))
         assert failures == [
             "gens=(4, 6, 13): dense expansion of Delta: expansion degree 15 != mu = 16"
+        ]
+
+    def test_digit_mismatch_is_one_line(self, monkeypatch):
+        original = monocurve.crosscheck.enum_digits
+
+        def wrong_at_level_2(s, i, sg):
+            digits = original(s, i, sg)
+            return (digits[0] + 1, *digits[1:]) if i == 2 else digits
+
+        monkeypatch.setattr(monocurve.crosscheck, "enum_digits", wrong_at_level_2)
+        sg = build_semigroup((4, 6, 13))
+        search = original(sg.n[2] * sg.gens[2], 2, sg)
+        failures = cross_check(sg)
+        assert failures == [
+            f"gens=(4, 6, 13): digit decomposition at level 2: "
+            f"search {(search[0] + 1, *search[1:])} != modular {sg.digits[1]}"
         ]

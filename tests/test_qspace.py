@@ -1,8 +1,6 @@
 """Tests for quotient-space arithmetic and weighted-curve counting."""
 
 import math
-import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,15 +10,11 @@ from monocurve.qspace import (
     WeightedCurveSpec,
     count_solutions_fixed_tail,
     count_solutions_total,
-    covering_degree,
     curve_axis_intersections,
     curve_component_count,
     curve_open_euler,
     divisor_multiplicity,
     l_factor,
-    normalize_cyclic,
-    plane_curve_open_euler,
-    stabilizer_order,
 )
 from monocurve.resolution import _homogeneous_spec
 from monocurve.semigroup import b_table, build_semigroup, random_semigroup
@@ -28,42 +22,6 @@ from monocurve.semigroup import b_table, build_semigroup, random_semigroup
 
 def one_row(d, *a):
     return CyclicQuotientType((d,), (tuple(a),))
-
-
-class TestNormalizeCyclic:
-    def test_single_step(self):
-        assert normalize_cyclic(one_row(4, 1, 2)) == one_row(2, 1, 1)
-
-    def test_already_normalized(self):
-        for d, a in ((5, 3), (7, 2), (9, 4)):
-            t = one_row(d, 1, a)
-            assert normalize_cyclic(t) == t
-
-    def test_trivializes(self):
-        assert normalize_cyclic(one_row(6, 2, 3)) == one_row(1, 0, 0)
-
-    def test_normal_form_criterion(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            d = rng.randint(1, 40)
-            n = rng.randint(1, 4)
-            t = one_row(d, *(rng.randrange(d) for _ in range(n)))
-            norm = normalize_cyclic(t)
-            # Every stabilizer of a single vanishing coordinate is trivial.
-            for i in range(n):
-                assert stabilizer_order(norm, {i}) == 1
-
-
-class TestStabilizerOrder:
-    def test_origin(self):
-        t = one_row(12, 3, 4, 5)
-        assert stabilizer_order(t, {0, 1, 2}) == 12
-
-    def test_one_zero(self):
-        assert stabilizer_order(one_row(4, 1, 2), {0}) == 2
-
-    def test_generic_point(self):
-        assert stabilizer_order(one_row(6, 2, 3)) == 1
 
 
 class TestLFactorAndMultiplicity:
@@ -129,7 +87,7 @@ class TestCurveCounts:
 
     def test_coprime_exponents_single_component(self):
         spec = WeightedCurveSpec(
-            d=1, a=(0, 0, 0, 0), p=(12, 6, 4, 3), m=(1, 2, 3, 4), commutation="full"
+            d=1, a=(0, 0, 0, 0), p=(12, 6, 4, 3), m=(1, 2, 3, 4)
         )
         assert curve_component_count(spec) == 1
 
@@ -146,14 +104,7 @@ class TestCurveCounts:
 
     def test_commutation_flag(self):
         with pytest.raises(HypothesisViolated):
-            WeightedCurveSpec(
-                d=2, a=(0, 1, 0), p=(1, 1, 1), m=(2, 2, 2), commutation="full"
-            )
-        spec = WeightedCurveSpec(
-            d=2, a=(0, 1, 0), p=(1, 1, 1), m=(2, 2, 2), commutation="tail"
-        )
-        with pytest.raises(HypothesisViolated):
-            curve_open_euler(spec)
+            WeightedCurveSpec(d=2, a=(0, 1, 0), p=(1, 1, 1), m=(2, 2, 2))
 
     def test_not_weighted_homogeneous(self):
         with pytest.raises(IllFormed):
@@ -161,111 +112,9 @@ class TestCurveCounts:
 
 
 class TestEulerCharacteristics:
-    def test_plane_trivial(self):
-        for K in (1, 2, 6, 12):
-            assert plane_curve_open_euler((1, 1, 1), one_row(1, 0, 0, 0), K) == -K * K
-
-    def test_plane_weighted(self):
-        assert plane_curve_open_euler((2, 3, 6), one_row(1, 0, 0, 0), 6) == -1
-
     def test_curve_examples(self):
         assert curve_open_euler(_e1_spec((4, 6, 13))) == -2  # -n_1 b_1 / N_1
         assert curve_open_euler(_e1_spec((8, 12, 26, 53))) == -4
-
-    def test_r2_reduces_to_plane_formula(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            sg = random_semigroup(rng.randrange(10**6), 2, 10**5)
-            spec = _e1_spec(sg.gens)
-            assert spec.r == 2
-            plane = plane_curve_open_euler(
-                spec.p, one_row(spec.d, *spec.a), spec.degree
-            )
-            assert curve_open_euler(spec) == plane
-
-
-class TestCoveringDegree:
-    def test_identity_cover(self):
-        assert covering_degree(12, 12, (12, 12, 12), 5) == 5
-
-    def test_reduction_r2(self):
-        # Trivial tail coordinate: the projection forgets nothing.
-        assert covering_degree(6, 6, (2, 3, 6), 1) == 1
-
-    def test_ill_formed(self):
-        with pytest.raises(IllFormed):
-            covering_degree(12, 5, (12, 12, 12), 1)
-
-    def test_against_fiber_enumeration(self):
-        rng = random.Random(11)
-        checked = 0
-        for _ in range(400):
-            k = rng.choice((1, 2, 3, 4, 6))
-            ks = [rng.choice((1, 2, 3, 4, 6)) for _ in range(rng.randint(3, 4))]
-            K = math.lcm(k, *ks)
-            if K > 24:
-                continue
-            tail_c = [Fraction(rng.randrange(3), 3) for _ in ks[2:]]
-            n_comp = _tail_component_count(K // k, [K // x for x in ks], ks, tail_c)
-            expected = covering_degree(K, k, ks, n_comp)
-            assert _fiber_count(K, k, ks, tail_c) == expected
-            checked += 1
-        assert checked > 100
-
-
-def _roots(exponent_order, c, denom):
-    """Exponent residues mod denom of the k-th roots of exp(2*pi*i*c)."""
-    return [int((c + j) * (denom // exponent_order)) % denom
-            for j in range(exponent_order)]
-
-
-def _tail_component_count(d, a, ks, tail_c):
-    """Orbits of tail solutions (x_i^{k_i} = c_i, i >= 2) under the action."""
-    import itertools
-
-    denom = math.lcm(d, *(k * c.denominator for k, c in zip(ks[2:], tail_c)))
-    points = list(itertools.product(*(
-        _roots(k, c, denom) for k, c in zip(ks[2:], tail_c)
-    )))
-    shifts = [ai * denom // d % denom for ai in a[2:]]
-    seen, orbits = set(), 0
-    for pt in points:
-        if pt in seen:
-            continue
-        orbits += 1
-        for u in range(d):
-            seen.add(tuple((v + u * s) % denom for v, s in zip(pt, shifts)))
-    return orbits
-
-
-def _fiber_count(K, k, ks, tail_c):
-    """Fiber cardinality of the two-coordinate projection, by enumeration.
-
-    A generic base point [(b0, b1)] is kept symbolic: its preimages are
-    labelled by the head action (u*a0 mod d, u*a1 mod d) together with a
-    tail solution, identified under the simultaneous action.
-    """
-    import itertools
-
-    d = K // k
-    a = [K // x for x in ks]
-    denom = math.lcm(d, *(x * c.denominator for x, c in zip(ks[2:], tail_c)))
-    heads = sorted({(u * a[0] % d, u * a[1] % d) for u in range(d)})
-    tails = list(itertools.product(*(
-        _roots(x, c, denom) for x, c in zip(ks[2:], tail_c)
-    )))
-    shifts = [ai * denom // d % denom for ai in a[2:]]
-    seen, orbits = set(), 0
-    for h in heads:
-        for t in tails:
-            if (h, t) in seen:
-                continue
-            orbits += 1
-            for u in range(d):
-                h2 = ((h[0] + u * a[0]) % d, (h[1] + u * a[1]) % d)
-                t2 = tuple((v + u * s) % denom for v, s in zip(t, shifts))
-                seen.add((h2, t2))
-    return orbits
 
 
 class TestChartIndependence:
