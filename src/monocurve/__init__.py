@@ -62,6 +62,7 @@ from .semigroup import (
     b_table,
     build_semigroup,
     decompose,
+    min_last_generator,
     random_semigroup,
 )
 from .zeta import (
@@ -126,6 +127,7 @@ __all__ = [
     "grid_discrepancies",
     "l_factor",
     "milnor_number",
+    "min_last_generator",
     "negative_cyclotomic_orders",
     "pk_factorization",
     "random_semigroup",

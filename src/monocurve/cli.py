@@ -27,7 +27,7 @@ from .crosscheck import cross_check
 from .errors import MonocurveError
 from .oracle import EnumerationBudget, grid_discrepancies
 from .resolution import _graph_doc, build_resolution, export_graph
-from .semigroup import build_semigroup, random_semigroup
+from .semigroup import build_semigroup, min_last_generator, random_semigroup
 from .zeta import characteristic_polynomial, zeta_closed_form
 
 __all__ = ["main", "build_parser"]
@@ -73,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="enumeration oracle over the budget grid")
     oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument("--draws", type=int, default=3)
-    oracle.add_argument("--max-group-order", type=int, default=10)
-    oracle.add_argument("--max-exponent", type=int, default=6)
-    oracle.add_argument("--max-rank", type=int, default=3)
+    oracle.add_argument("--max-group-order", type=int, default=EnumerationBudget.max_group_order)
+    oracle.add_argument("--max-exponent", type=int, default=EnumerationBudget.max_exponent)
+    oracle.add_argument("--max-rank", type=int, default=EnumerationBudget.max_rank)
     oracle.add_argument("--output", default=None)
     return parser
 
@@ -206,8 +206,15 @@ def _run(args, sg) -> int:
         return 0 if report.passed else 1
 
     if args.command == "fuzz":
-        if args.count < 1 or args.max_g < 2 or args.max_size < 8:
-            sys.stderr.write("error: count >= 1, max-g >= 2, max-size >= 8 required\n")
+        if args.count < 1 or args.max_g < 2:
+            sys.stderr.write("error: count >= 1 and max-g >= 2 required\n")
+            return 2
+        top_g = min(args.max_g, args.count + 1)  # the largest g sampled
+        # b_g > 4^(g-1), so a g past the bit length of max-size needs no bound.
+        if (2 * top_g - 2 > args.max_size.bit_length()
+                or args.max_size < min_last_generator(top_g)):
+            sys.stderr.write(f"error: no plane semigroup with g={top_g} "
+                             f"has generators <= {args.max_size}\n")
             return 2
         lines = []
         failures = 0

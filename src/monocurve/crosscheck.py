@@ -13,7 +13,7 @@ from __future__ import annotations
 from .conjecture import verify_conjecture
 from .errors import BudgetExceeded, MonocurveError
 from .oracle import enum_digits
-from .resolution import build_resolution, zeta_from_graph
+from .resolution import _stratum_product, build_resolution
 from .semigroup import PlaneSemigroup
 
 __all__ = ["cross_check", "DENSE_MU_CAP"]
@@ -25,21 +25,22 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
     """Run every cross-check on ``sg``; return failure descriptions (empty = pass).
 
     Checks: resolution-graph invariants (divisibility, component counts,
-    tree shape, quotient-space cross-validation), stratum-product zeta equal
-    to the closed form, :func:`verify_conjecture` (which checks Delta for
-    nonnegative cyclotomic exponents and degree mu, and the exact per-level
-    factor splitting, once each) with a passing pole verdict, the dense
-    expansion of that same Delta when mu is at most :data:`DENSE_MU_CAP`,
-    and agreement of the modular digits stored in ``sg.digits`` with
-    exhaustive search where the search space is small.  A stage that fails
-    adds one line.
+    tree shape, quotient-space cross-validation), :func:`verify_conjecture`
+    (which checks Delta for nonnegative cyclotomic exponents and degree mu,
+    and the exact per-level factor splitting, once each) with a passing pole
+    verdict, the stratum-product zeta of the graph equal to the closed form
+    in that report (Z is built once, so this check is skipped when either
+    call fails), the dense expansion of that same Delta when mu is at most
+    :data:`DENSE_MU_CAP`, and agreement of the modular digits stored in
+    ``sg.digits`` with exhaustive search where the search space is small.
+    A stage that fails adds one line.
     """
     failures: list[str] = []
     tag = f"gens={sg.gens}"
 
+    graph = None
     try:
         graph = build_resolution(sg)
-        zeta_from_graph(graph)
     except MonocurveError as exc:
         failures.append(f"{tag}: resolution graph: {exc}")
 
@@ -48,6 +49,8 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
     except MonocurveError as exc:
         failures.append(f"{tag}: Delta, P_k and pole verification: {exc}")
     else:
+        if graph is not None and _stratum_product(graph) != report.zeta:
+            failures.append(f"{tag}: resolution graph: graph zeta differs from closed form")
         if not report.passed:
             bad = [p.display for p in report.poles if not p.verdict]
             failures.append(f"{tag}: pole verdict false at {bad}")

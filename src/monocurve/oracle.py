@@ -1,10 +1,10 @@
 """Independent brute-force verifiers for the closed-form formulas.
 
 Roots of unity are represented symbolically: a point on the unit circle is
-an exponent residue (an integer modulo a common denominator), never a
-floating complex number.  Constants ``c_i`` are likewise given as rational
-exponents ``c = exp(2*pi*i*q)`` with ``q`` a ``Fraction``; all counting is
-exact orbit enumeration under the explicit cyclic action.
+an exponent residue (a plain int modulo a common denominator), never a
+floating complex number.  Constants ``c_i`` are given as rational exponents
+``c = exp(2*pi*i*q)`` with ``q`` a ``Fraction``; all counting is exact orbit
+listing under the explicit cyclic action, one orbit per cycle of its generator.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    max_group_order: int = 10
+    max_group_order: int = 12
     max_exponent: int = 6
     max_rank: int = 3
     max_poly_degree: int = 5000
@@ -57,17 +57,17 @@ def enum_count_solutions(
     """Count solution classes of ``x_i^{k_i} = c_i`` in ``X(d; a)`` by listing.
 
     ``c`` is a tuple of ``Fraction`` exponents: ``c_i = exp(2*pi*i*c[i])``.
-    All ``k_i``-th roots are enumerated and identified under the explicit
-    action of the ``d``-th roots of unity; ``mode`` is ``"total"`` (count all
-    orbits) or ``"fixed_tail"`` (count classes of ``x_0`` with a concrete
-    tail solution fixed).
+    All ``k_i``-th roots are listed as int residues and identified under the
+    explicit action of the ``d``-th roots of unity; ``mode`` is ``"total"``
+    (count all orbits) or ``"fixed_tail"`` (count classes of ``x_0`` with a
+    concrete tail solution fixed).
     """
     if len(t.d) != 1:
         raise InternalInconsistency("oracle expects a one-row type")
     d = t.d[0]
     a = t.A[0]
     k = tuple(int(x) for x in k)
-    c = tuple(Fraction(x) for x in c)
+    c = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in c)
     if not (len(k) == len(a) == len(c)):
         raise InternalInconsistency("k, a, c must have equal length")
     if d > budget.max_group_order:
@@ -80,20 +80,17 @@ def enum_count_solutions(
         if (ai * ki) % d:
             raise InternalInconsistency(f"d does not divide a_{i}*k_{i}")
 
-    # Common denominator for all exponent residues: every root of c_i is
-    # (c_i + j)/k_i, shifted by multiples of a_i/d under the action.
+    # Common denominator for all exponent residues: root j of c_i = p/q is
+    # (p/q + j)/k_i, and the generator of the action adds a_i/d to it.
     denom = math.lcm(d, *(ki * ci.denominator for ki, ci in zip(k, c)))
-    roots = [
-        tuple((ci + j) * (denom // ki) % denom for j in range(ki))
-        for ki, ci in zip(k, c)
-    ]
-    roots = [tuple(int(v) for v in row) for row in roots]
+    roots = []
+    for ki, ci in zip(k, c):
+        first, gap = ci.numerator * (denom // (ki * ci.denominator)), denom // ki
+        roots.append([(first + j * gap) % denom for j in range(ki)])
     shifts = [ai * denom // d % denom for ai in a]
 
     if mode == "total":
-        return _count_orbits(
-            list(itertools.product(*roots)), shifts, d, denom
-        )
+        return _count_orbits(roots, shifts, denom)
     if mode == "fixed_tail":
         if len(a) < 2:
             raise InternalInconsistency("fixed_tail needs at least two coordinates")
@@ -102,10 +99,9 @@ def enum_count_solutions(
         stab = [
             u for u in range(d) if all(u * s % denom == 0 for s in shifts[1:])
         ]
-        head = list(roots[0])
         seen: set[int] = set()
         orbits = 0
-        for v in head:
+        for v in roots[0]:
             if v in seen:
                 continue
             orbits += 1
@@ -115,20 +111,24 @@ def enum_count_solutions(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _count_orbits(points, shifts, d, denom) -> int:
-    deltas = {tuple(u * s % denom for s in shifts) for u in range(d)}
-    deltas.discard((0,) * len(shifts))
-    if not deltas:
-        return len(points)
-    seen: set[tuple[int, ...]] = set()
+def _count_orbits(roots, shifts, denom) -> int:
+    """Orbits, as the cycles of the generator's permutation of the mixed-radix points."""
+    perm = [0]
+    for row, s in zip(roots, shifts):
+        index = {v: j for j, v in enumerate(row)}
+        step = [index[(v + s) % denom] for v in row]
+        radix = len(row)
+        perm = [p * radix + j for p in perm for j in step]
+    seen = bytearray(len(perm))
     orbits = 0
-    for pt in points:
-        if pt in seen:
+    for start in range(len(perm)):
+        if seen[start]:
             continue
         orbits += 1
-        seen.add(pt)
-        for delta in deltas:
-            seen.add(tuple((v + dv) % denom for v, dv in zip(pt, delta)))
+        p = start
+        while not seen[p]:
+            seen[p] = 1
+            p = perm[p]
     return orbits
 
 

@@ -106,11 +106,11 @@ def _weights(sg: PlaneSemigroup, bt, k: int) -> tuple[int, ...]:
     return (1, *(_exact_div(b_prev, n[i], "weight") for i in range(k, sg.g + 1)))
 
 
-def _homogeneous_spec(sg: PlaneSemigroup, bt, k: int) -> WeightedCurveSpec:
-    """The weighted-homogeneous system cutting out ``E_k`` (valid for k < g)."""
+def _homogeneous_spec(sg: PlaneSemigroup, bt, level: GraphLevel) -> WeightedCurveSpec:
+    """The weighted-homogeneous system cutting out ``E_k``, ``k = level.k < g``."""
     g = sg.g
     n = sg.n
-    p = _weights(sg, bt, k)
+    k, p = level.k, level.weights
     if k == 1:
         return WeightedCurveSpec(d=1, a=(0,) * (g + 1), p=p, m=tuple(n))
     b_prev = bt.get(k, k - 1)
@@ -282,7 +282,7 @@ def _cross_validate(sg: PlaneSemigroup, bt, graph: ResolutionGraph) -> None:
 
     # Counting formulas on the homogeneous systems cutting out E_k (k < g).
     for k in range(1, g):
-        spec = _homogeneous_spec(sg, bt, k)
+        spec = _homogeneous_spec(sg, bt, graph.levels[k - 1])
         if qspace.curve_component_count(spec) != r[k - 1]:
             raise InternalInconsistency(f"component count of E_{k} disagrees")
         _, tot0 = qspace.curve_axis_intersections(spec, 0)
@@ -306,6 +306,14 @@ def zeta_from_graph(graph: ResolutionGraph) -> FactorProduct:
     ``(1 - t^{N_k})^{chi}``; strata on two or more divisors contribute
     nothing.  The result is checked against the closed form.
     """
+    result = _stratum_product(graph)
+    if result != zeta_closed_form(graph.semigroup):
+        raise InternalInconsistency("graph zeta differs from closed form")
+    return result
+
+
+def _stratum_product(graph: ResolutionGraph) -> FactorProduct:
+    """The stratum product of :func:`zeta_from_graph`, without the comparison."""
     factors: dict[int, int] = {}
     for s in graph.strata:
         if s.multiplicity is None:
@@ -313,11 +321,7 @@ def zeta_from_graph(graph: ResolutionGraph) -> FactorProduct:
         factors[s.multiplicity] = factors.get(s.multiplicity, 0) + s.count
     for lvl in graph.levels:
         factors[lvl.N] = factors.get(lvl.N, 0) + lvl.chi_open
-    result = FactorProduct.from_map(factors)
-    closed = zeta_closed_form(graph.semigroup)
-    if result != closed:
-        raise InternalInconsistency("graph zeta differs from closed form")
-    return result
+    return FactorProduct.from_map(factors)
 
 
 def _graph_doc(graph: ResolutionGraph) -> dict:

@@ -35,6 +35,7 @@ __all__ = [
     "build_semigroup",
     "decompose",
     "b_table",
+    "min_last_generator",
     "random_semigroup",
 ]
 
@@ -243,6 +244,14 @@ def b_table(sg: PlaneSemigroup) -> BRecursionTable:
     return BRecursionTable(entries=out)
 
 
+def min_last_generator(g: int) -> int:
+    """The smallest ``b_g`` over plane semigroups with ``g`` terms: ``(10*4^(g-1) - 1)/3``.
+
+    The chain with every ``n_i = 2`` reaches it: 4,6,13, then 8,12,26,53, ...
+    """
+    return (10 * 4 ** (g - 1) - 1) // 3
+
+
 def random_semigroup(seed: int, g: int, max_size: int) -> PlaneSemigroup:
     """Sample a random plane semigroup with ``g`` characteristic terms.
 
@@ -253,10 +262,14 @@ def random_semigroup(seed: int, g: int, max_size: int) -> PlaneSemigroup:
     Deterministic for a fixed seed.
 
     Raises:
+        ValueError: ``g < 2``, or ``max_size`` is below
+            :func:`min_last_generator`, so no semigroup exists.
         BudgetExceeded: no admissible semigroup found within the attempt budget.
     """
     if g < 2:
         raise ValueError("g must be >= 2")
+    if max_size < min_last_generator(g):
+        raise ValueError(f"no plane semigroup with g={g} has generators <= {max_size}")
     rng = random.Random(seed)
     for _ in range(500):
         gens = _try_sample(rng, g, max_size)

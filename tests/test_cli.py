@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import monocurve.cli
-from monocurve.cli import main
+from monocurve.cli import build_parser, main
 from monocurve.errors import InternalInconsistency
+from monocurve.oracle import EnumerationBudget
 
 
 def run(capsys, *argv):
@@ -124,6 +125,24 @@ class TestFuzz:
         assert code == 2
         assert "error:" in err
 
+    def test_infeasible_size_exit_2(self, capsys):
+        # No g = 5 plane semigroup has generators <= 500 (the smallest b_5 is 853).
+        code, out, err = run(capsys, "fuzz", "--count", "8", "--max-g", "5",
+                             "--max-size", "500", "--seed", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no plane semigroup with g=5 has generators <= 500\n"
+
+    def test_size_checked_against_the_largest_g_sampled(self, capsys):
+        # One instance samples g = 2 only, whose smallest b_2 is 13.
+        code, out, _ = run(capsys, "fuzz", "--count", "1", "--max-g", "5",
+                           "--max-size", "13")
+        assert code == 0
+        assert out == "fuzz: 1 instances, 0 failures\n"
+        code, _, err = run(capsys, "fuzz", "--count", "1", "--max-size", "12")
+        assert code == 2
+        assert err == "error: no plane semigroup with g=2 has generators <= 12\n"
+
 
 class TestOracle:
     def test_tiny_budget_clean(self, capsys):
@@ -133,6 +152,13 @@ class TestOracle:
         )
         assert code == 0
         assert "0 discrepancies" in out
+
+    def test_defaults_are_the_library_budget(self):
+        args = build_parser().parse_args(["oracle"])
+        budget = EnumerationBudget()
+        assert args.max_group_order == budget.max_group_order
+        assert args.max_exponent == budget.max_exponent
+        assert args.max_rank == budget.max_rank
 
     def test_bad_budget(self, capsys):
         code, _, err = run(capsys, "oracle", "--max-rank", "0")

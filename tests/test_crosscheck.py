@@ -6,12 +6,12 @@ import pytest
 
 import monocurve.conjecture
 import monocurve.crosscheck
-from monocurve import zeta
+from monocurve import resolution, zeta
 from monocurve.cli import main
 from monocurve.crosscheck import DENSE_MU_CAP, cross_check
 from monocurve.errors import InternalInconsistency
 from monocurve.resolution import build_resolution, zeta_from_graph
-from monocurve.semigroup import build_semigroup
+from monocurve.semigroup import b_table, build_semigroup
 
 
 def count_calls(monkeypatch, module_name: str, name: str) -> list:
@@ -81,6 +81,20 @@ class TestComputedOnce:
         assert cross_check(sg) == []
         assert len(calls) == expansions
 
+    @pytest.mark.parametrize("gens", GENS)
+    def test_cross_check_builds_zeta_once(self, monkeypatch, gens):
+        calls = count_calls(monkeypatch, "monocurve.zeta", "zeta_closed_form")
+        assert cross_check(build_semigroup(gens)) == []
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("gens", GENS)
+    def test_cross_validation_reads_graph_weights(self, monkeypatch, gens):
+        sg = build_semigroup(gens)
+        graph = build_resolution(sg)
+        calls = count_calls(monkeypatch, "monocurve.resolution", "_weights")
+        resolution._cross_validate(sg, b_table(sg), graph)
+        assert calls == []
+
     def test_graph_zeta_does_not_revalidate(self, monkeypatch):
         graph = build_resolution(build_semigroup((8, 12, 26, 53)))
         calls = count_calls(monkeypatch, "monocurve.semigroup", "build_semigroup")
@@ -106,6 +120,14 @@ class TestFailureLines:
         failures = cross_check(build_semigroup((4, 6, 13)))
         assert failures == [
             "gens=(4, 6, 13): dense expansion of Delta: expansion degree 15 != mu = 16"
+        ]
+
+    def test_graph_zeta_mismatch_is_one_line(self, monkeypatch):
+        wrong = zeta.FactorProduct.from_map({1: 1})
+        monkeypatch.setattr(monocurve.crosscheck, "_stratum_product", lambda graph: wrong)
+        failures = cross_check(build_semigroup((4, 6, 13)))
+        assert failures == [
+            "gens=(4, 6, 13): resolution graph: graph zeta differs from closed form"
         ]
 
     def test_digit_mismatch_is_one_line(self, monkeypatch):

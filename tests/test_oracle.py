@@ -1,5 +1,7 @@
 """Tests for the brute-force enumeration oracles."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -60,8 +62,9 @@ class TestEnumCountSolutions:
         assert got == count_solutions_fixed_tail(t, 2) == 2
 
     def test_budget_group_order(self):
+        d = EnumerationBudget().max_group_order + 1
         with pytest.raises(BudgetExceeded):
-            enum_count_solutions(one_row(11, 1), (11,), (Fraction(0),))
+            enum_count_solutions(one_row(d, 1), (d,), (Fraction(0),))
 
     def test_budget_exponent(self):
         with pytest.raises(BudgetExceeded):
@@ -71,6 +74,81 @@ class TestEnumCountSolutions:
         t = one_row(1, 0, 0, 0, 0, 0)
         with pytest.raises(BudgetExceeded):
             enum_count_solutions(t, (1,) * 5, (Fraction(0),) * 5)
+
+
+def listed_count(d, a, k, c, mode):
+    """Reference count: every group element applied to every point.
+
+    A point is a tuple of residues mod 1, each a ``Fraction`` kept as its
+    (numerator, denominator) pair.  In ``"fixed_tail"`` mode only the points
+    carrying the first root of each tail constant are listed, so two of them
+    are identified exactly when an element fixing the tail maps one to the
+    other.
+    """
+    def residue(q):
+        q %= 1
+        return q.numerator, q.denominator
+
+    roots = [[residue((ci + j) / ki) for j in range(ki)] for ki, ci in zip(k, c)]
+    if mode == "total":
+        points = list(itertools.product(*roots))
+    else:
+        points = [(x0, *(row[0] for row in roots[1:])) for x0 in roots[0]]
+    # moved[i][x][u]: root x of coordinate i under the group element u.
+    moved = [
+        {x: [residue(Fraction(*x) + Fraction(u * ai, d)) for u in range(d)] for x in row}
+        for row, ai in zip(roots, a)
+    ]
+    seen = set()
+    orbits = 0
+    for pt in points:
+        if pt in seen:
+            continue
+        orbits += 1
+        seen.update(zip(*(table[x] for table, x in zip(moved, pt))))
+    return orbits
+
+
+BUDGET_12 = EnumerationBudget(max_group_order=12)
+
+
+class TestAgainstListing:
+    def test_seeded_systems(self):
+        rng = random.Random(2024)
+        checked = {"total": 0, "fixed_tail": 0}
+        kinds = set()
+        for _ in range(2000):
+            d = rng.randint(1, 12)
+            pairs = [(a, k) for a in range(-d, d) for k in range(1, 7) if a * k % d == 0]
+            combo = [rng.choice(pairs) for _ in range(rng.randint(1, 4))]
+            a = tuple(x for x, _ in combo)
+            k = tuple(x for _, x in combo)
+            c = tuple(Fraction(rng.randrange(-6, 12), rng.randint(1, 6)) for _ in k)
+            t = one_row(d, *a)
+            for mode in ("total", "fixed_tail")[: min(len(k), 2)]:
+                got = enum_count_solutions(t, k, c, mode, BUDGET_12)
+                assert got == listed_count(d, a, k, c, mode), (d, a, k, c, mode)
+                checked[mode] += 1
+            # Order of the generator on each coordinate's roots: a_i/d mod 1.
+            orders = {d // math.gcd(ai, d) for ai, ki in zip(a, k) if ki > 1}
+            kinds.add(("d=1", d == 1))
+            kinds.add(("unequal cycles", len(orders) > 1))
+            kinds.add(("not free", math.lcm(*orders) < d if orders else d > 1))
+        assert min(checked.values()) >= 1000
+        assert kinds == {(name, flag) for name in ("d=1", "unequal cycles", "not free")
+                         for flag in (False, True)}
+
+    def test_hand_computed_non_free(self):
+        # X(12; 6, 4, 0) with k = (2, 3, 5), c = 0: the generator moves x0 by 1/2,
+        # x1 by 1/3 and fixes x2, so u = 6 fixes every point.  The 30 points
+        # fall into orbits of size 6: 5 orbits.  With the tail (x1, x2) = (0, 0)
+        # fixed, u = 3 still acts and swaps the two roots of x0: 1 class.
+        t = one_row(12, 6, 4, 0)
+        k, c = (2, 3, 5), (Fraction(0),) * 3
+        assert enum_count_solutions(t, k, c, "total", BUDGET_12) == 5
+        assert enum_count_solutions(t, k, c, "fixed_tail", BUDGET_12) == 1
+        assert count_solutions_total(t, k) == 5
+        assert count_solutions_fixed_tail(t, k[0]) == 1
 
 
 class TestEnumDigits:

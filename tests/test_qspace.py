@@ -16,7 +16,7 @@ from monocurve.qspace import (
     divisor_multiplicity,
     l_factor,
 )
-from monocurve.resolution import _homogeneous_spec
+from monocurve.resolution import _homogeneous_spec, build_resolution
 from monocurve.semigroup import b_table, build_semigroup, random_semigroup
 
 
@@ -74,7 +74,7 @@ class TestCountSolutions:
 
 def _e1_spec(gens):
     sg = build_semigroup(gens)
-    return _homogeneous_spec(sg, b_table(sg), 1)
+    return _homogeneous_spec(sg, b_table(sg), build_resolution(sg).levels[0])
 
 
 class TestCurveCounts:
@@ -122,8 +122,8 @@ class TestChartIndependence:
         for seed in range(60):
             sg = random_semigroup(seed, 3 + seed % 3, 10**6)
             bt = b_table(sg)
-            for k in range(1, sg.g):
-                spec = _homogeneous_spec(sg, bt, k)
+            for level in build_resolution(sg).levels[:-1]:
+                spec = _homogeneous_spec(sg, bt, level)
                 # Internal chart checks (x2 != 0 vs x3 != 0) raise on mismatch.
                 n_comp = curve_component_count(spec)
                 for axis in (0, 1):

@@ -1,5 +1,6 @@
 """Tests for semigroup validation, digit decomposition and the b-recursion."""
 
+import itertools
 import math
 
 import pytest
@@ -8,12 +9,14 @@ from monocurve.errors import (
     BudgetExceeded,
     NotCoprime,
     NotPlane,
+    MonocurveError,
     NotRepresentable,
 )
 from monocurve.semigroup import (
     b_table,
     build_semigroup,
     decompose,
+    min_last_generator,
     random_semigroup,
 )
 
@@ -157,10 +160,37 @@ class TestRandomSemigroup:
         assert a == b
 
     def test_budget_exceeded(self):
-        # e_0 >= 2^3 = 8 > 4 makes g = 3 impossible under this bound.
+        # 853 admits exactly one g = 5 semigroup, 32,48,104,212,426,853, which
+        # the sampler does not draw within its attempt budget.
         with pytest.raises(BudgetExceeded):
-            random_semigroup(2, 3, 4)
+            random_semigroup(2, 5, 853)
+
+    def test_infeasible_size_is_value_error(self):
+        # No g = 5 plane semigroup has b_5 <= 500 (the smallest b_5 is 853).
+        with pytest.raises(ValueError, match="g=5"):
+            random_semigroup(0, 5, 500)
 
     def test_g_too_small(self):
         with pytest.raises(ValueError):
             random_semigroup(0, 1, 100)
+
+
+class TestMinLastGenerator:
+    def test_all_two_chains(self):
+        chains = [(4, 6, 13), (8, 12, 26, 53), (16, 24, 52, 106, 213),
+                  (32, 48, 104, 212, 426, 853)]
+        for g, gens in enumerate(chains, start=2):
+            assert min_last_generator(g) == gens[-1]
+            assert build_semigroup(gens).n[1:] == (2,) * g
+
+    @pytest.mark.parametrize("only", [(4, 6, 13), (8, 12, 26, 53)], ids=["g2", "g3"])
+    def test_minimal_by_filtering_every_tuple(self, only):
+        g = len(only) - 1
+        accepted = []
+        for gens in itertools.combinations(range(1, min_last_generator(g) + 1), g + 1):
+            try:
+                build_semigroup(gens)
+            except (MonocurveError, ValueError):
+                continue
+            accepted.append(gens)
+        assert accepted == [only]
