@@ -5,8 +5,10 @@ computes, in exact integer/rational arithmetic: the semigroup invariants,
 the combinatorial embedded Q-resolution dual graph obtained by weighted
 blow-ups, the monodromy zeta function and characteristic polynomial, the
 candidate poles of the motivic Igusa zeta function, and a certified check
-that every pole induces a monodromy eigenvalue.  Every closed-form count is
-cross-validated against independent computations or brute-force oracles.
+that every pole induces a monodromy eigenvalue.  The closed forms are
+cross-validated against independent computations or brute-force oracles,
+at run time or in the tests, except the candidate pole values: only a
+regrouping of their own formula checks those.
 """
 
 from .conjecture import (
@@ -67,15 +69,12 @@ from .semigroup import (
 )
 from .zeta import (
     CharacteristicPolynomial,
-    CyclotomicVector,
     FactorProduct,
     characteristic_polynomial,
     cyclotomic_exponent,
     milnor_number,
     negative_cyclotomic_orders,
     resolution_multiplicities,
-    to_cyclotomic,
-    zeros_and_poles,
     zeta_closed_form,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "CharacteristicPolynomial",
     "ConjectureReport",
     "CyclicQuotientType",
-    "CyclotomicVector",
     "EnumerationBudget",
     "FactorProduct",
     "GraphLevel",
@@ -132,9 +130,7 @@ __all__ = [
     "pk_factorization",
     "random_semigroup",
     "resolution_multiplicities",
-    "to_cyclotomic",
     "verify_conjecture",
-    "zeros_and_poles",
     "zeta_closed_form",
     "zeta_from_graph",
 ]

@@ -23,7 +23,7 @@ import json
 import sys
 
 from .conjecture import verify_conjecture
-from .crosscheck import cross_check
+from .crosscheck import campaign
 from .errors import MonocurveError
 from .oracle import EnumerationBudget, grid_discrepancies
 from .resolution import _graph_doc, build_resolution, export_graph
@@ -155,6 +155,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def _draws(args):
+    """The ``fuzz`` stream: seeded semigroups, or the error a draw raised."""
+    span = max(1, args.max_g - 1)
+    for i in range(args.count):
+        try:
+            yield random_semigroup(args.seed * 1_000_003 + i, 2 + i % span, args.max_size)
+        except MonocurveError as exc:
+            yield exc
+
+
 def _run(args, sg) -> int:
     """Execute the parsed command on the validated semigroup ``sg``, if any."""
     if args.command == "analyze":
@@ -216,23 +226,10 @@ def _run(args, sg) -> int:
             sys.stderr.write(f"error: no plane semigroup with g={top_g} "
                              f"has generators <= {args.max_size}\n")
             return 2
-        lines = []
-        failures = 0
-        span = max(1, args.max_g - 1)
-        for i in range(args.count):
-            g = 2 + i % span
-            try:
-                sg = random_semigroup(args.seed * 1_000_003 + i, g, args.max_size)
-            except MonocurveError as exc:
-                failures += 1
-                lines.append(f"FAIL instance {i}: sampling: {exc}")
-                continue
-            for msg in cross_check(sg):
-                failures += 1
-                lines.append(f"FAIL instance {i}: {msg}")
-        lines.append(f"fuzz: {args.count} instances, {failures} failures")
-        _emit("\n".join(lines), args.output)
-        return 0 if failures == 0 else 1
+        failures = campaign(_draws(args))
+        summary = f"fuzz: {args.count} instances, {len(failures)} failures"
+        _emit("\n".join([*failures, summary]), args.output)
+        return 0 if not failures else 1
 
     if args.command == "oracle":
         try:

@@ -1,14 +1,12 @@
-"""Full consistency battery run on a single semigroup.
-
-Used by the ``fuzz`` CLI command and the property-based test suite: every
-instance goes through the resolution-graph invariants, the two independent
-zeta computations, the characteristic-polynomial checks (dense expansion
-when the degree is small enough), the per-level factor splitting and the
-pole verdicts.  Failures are collected as human-readable strings instead of
-raising, so a campaign can report every offending generator tuple.
+"""Full consistency battery: :func:`cross_check` on one semigroup, and
+:func:`campaign` over a stream of them, as the ``fuzz`` CLI command and the
+property-based tests run it.  Failures are collected as human-readable
+strings instead of raising, so a campaign reports every offending instance.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from .conjecture import verify_conjecture
 from .errors import BudgetExceeded, MonocurveError
@@ -16,7 +14,7 @@ from .oracle import enum_digits
 from .resolution import _stratum_product, build_resolution
 from .semigroup import PlaneSemigroup
 
-__all__ = ["cross_check", "DENSE_MU_CAP"]
+__all__ = ["cross_check", "campaign", "DENSE_MU_CAP"]
 
 DENSE_MU_CAP = 5000
 
@@ -75,3 +73,19 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
                 f"search {brute} != modular {sg.digits[i - 1]}"
             )
     return failures
+
+
+def campaign(semigroups: Iterable[PlaneSemigroup | MonocurveError]) -> list[str]:
+    """Run :func:`cross_check` over a stream; return ``FAIL instance i: ...`` lines.
+
+    ``i`` counts the stream from 0.  An item that is a :class:`MonocurveError`
+    stands for a draw that raised instead of giving a semigroup, and adds one
+    ``sampling:`` line.
+    """
+    lines = []
+    for i, sg in enumerate(semigroups):
+        if isinstance(sg, MonocurveError):
+            lines.append(f"FAIL instance {i}: sampling: {sg}")
+        else:
+            lines.extend(f"FAIL instance {i}: {msg}" for msg in cross_check(sg))
+    return lines

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ __all__ = [
     "decompose",
     "b_table",
     "min_last_generator",
+    "plane_semigroups",
     "random_semigroup",
 ]
 
@@ -250,6 +252,28 @@ def min_last_generator(g: int) -> int:
     The chain with every ``n_i = 2`` reaches it: 4,6,13, then 8,12,26,53, ...
     """
     return (10 * 4 ** (g - 1) - 1) // 3
+
+
+def plane_semigroups(max_last: int) -> Iterator[PlaneSemigroup]:
+    """Every plane semigroup with ``b_g <= max_last``, in lexicographic order of ``gens``.
+
+    Chains are built from the conditions directly: each new generator
+    lowers ``e_i`` and exceeds ``n_i*b_i`` (``b_1`` only exceeds ``b_0``),
+    and while ``e_i > 1`` it leaves room for one more below ``max_last``.
+    Those conditions characterize plane semigroups, so every finished chain
+    passes :func:`build_semigroup`, which adds the digits.
+    """
+
+    def extend(gens: tuple[int, ...], e: int, n: int) -> Iterator[PlaneSemigroup]:
+        for b in range(n * gens[-1] + 1, max_last + 1):
+            f = math.gcd(e, b)
+            if f == 1 and len(gens) > 1:
+                yield build_semigroup(gens + (b,))
+            elif 1 < f < e and e // f * b < max_last:
+                yield from extend(gens + (b,), f, e // f)
+
+    for b0 in range(2, max_last + 1):
+        yield from extend((b0,), b0, 1)
 
 
 def random_semigroup(seed: int, g: int, max_size: int) -> PlaneSemigroup:

@@ -11,17 +11,15 @@ enumeration and no polynomial factorization.  Pipeline verdicts read ``c_q``
 only at the orders they need.  Polynomiality (every ``c_d >= 0``) is checked
 by :func:`negative_cyclotomic_orders` on the gcd-closure of the factor
 exponents alone: ``c_d`` depends only on ``S_d = {a : d | a}``, and
-``gcd(S_d)`` lies in the closure and has the same set.  The full divisor-sum
-vector (:func:`to_cyclotomic`, :func:`zeros_and_poles`) is kept as the
-reference these are tested against; no pipeline path uses it, because it
-enumerates the divisors of every factor exponent by trial division.  A dense
-expansion exists as a separate exact path for the characteristic polynomial.
+``gcd(S_d)`` lies in the closure and has the same set.  A dense expansion
+exists as a separate exact path for the characteristic polynomial; the
+tests compare these exponents with repeated ``Phi_d`` division of the dense
+expansion (:func:`monocurve.oracle.expand_and_verify`).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InternalInconsistency, NotPolynomial
@@ -29,14 +27,11 @@ from .semigroup import PlaneSemigroup
 
 __all__ = [
     "FactorProduct",
-    "CyclotomicVector",
     "CharacteristicPolynomial",
     "zeta_closed_form",
     "characteristic_polynomial",
-    "to_cyclotomic",
     "cyclotomic_exponent",
     "negative_cyclotomic_orders",
-    "zeros_and_poles",
     "milnor_number",
     "resolution_multiplicities",
 ]
@@ -136,75 +131,10 @@ def _canonical(factors: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((a, e) for a, e in factors.items() if e != 0))
 
 
-@dataclass(frozen=True)
-class CyclotomicVector:
-    """Exponents of cyclotomic polynomials: ``sign * prod Phi_d^{c_d}``."""
-
-    entries: tuple[tuple[int, int], ...]
-    sign: int = 1
-
-    @classmethod
-    def from_map(cls, entries: dict[int, int], sign: int = 1) -> "CyclotomicVector":
-        return cls(tuple(sorted((d, c) for d, c in entries.items() if c != 0)), sign)
-
-    def as_map(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    def get(self, d: int) -> int:
-        i = bisect_left(self.entries, (d,))
-        if i < len(self.entries) and self.entries[i][0] == d:
-            return self.entries[i][1]
-        return 0
-
-    def degree(self) -> int:
-        return sum(_euler_phi(d) * c for d, c in self.entries)
-
-
-def _euler_phi(n: int) -> int:
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def to_cyclotomic(fp: FactorProduct) -> CyclotomicVector:
-    """Divisor-sum cyclotomic exponents: ``c_d = sum_{a : d | a} e_a``.
-
-    Uses ``1 - t^a = -prod_{d | a} Phi_d(t)``, so the sign picks up ``(-1)``
-    per factor counted with multiplicity.
-    """
-    entries: dict[int, int] = {}
-    total = 0
-    for a, e in fp.factors:
-        total += e
-        for d in _divisors(a):
-            entries[d] = entries.get(d, 0) + e
-    sign = fp.sign * (-1 if total % 2 else 1)
-    return CyclotomicVector.from_map(entries, sign)
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
 def cyclotomic_exponent(fp: FactorProduct, d: int) -> int:
     """Exponent ``c_d = sum_{a : d | a} e_a`` of ``Phi_d`` in ``fp``.
 
-    Equals ``to_cyclotomic(fp).get(d)`` in O(number of factors).
+    Uses ``1 - t^a = -prod_{d | a} Phi_d(t)``; O(number of factors).
     """
     return sum(e for a, e in fp.factors if a % d == 0)
 
@@ -212,8 +142,8 @@ def cyclotomic_exponent(fp: FactorProduct, d: int) -> int:
 def negative_cyclotomic_orders(fp: FactorProduct) -> list[int]:
     """Sorted orders ``d`` in the gcd-closure of the factor exponents with ``c_d < 0``.
 
-    Empty iff ``fp`` is a polynomial up to sign, i.e. iff every entry of
-    ``to_cyclotomic(fp)`` is nonnegative: each nonzero ``c_d`` equals
+    Empty iff ``fp`` is a polynomial up to sign, i.e. iff ``c_d >= 0`` for
+    every ``d``: each nonzero ``c_d`` equals
     ``c_{gcd(S_d)}`` with ``S_d = {a : d | a}``, and ``gcd(S_d)`` lies in the
     closure.  The closure is a subset of the divisors of the exponents.
     """
@@ -222,15 +152,6 @@ def negative_cyclotomic_orders(fp: FactorProduct) -> list[int]:
         closure |= {math.gcd(a, c) for c in closure}
         closure.add(a)
     return sorted(d for d in closure if cyclotomic_exponent(fp, d) < 0)
-
-
-def zeros_and_poles(fp: FactorProduct) -> dict[int, int]:
-    """Signed multiplicities at primitive d-th roots of unity.
-
-    Positive entries are zeros, negative entries are poles; entries with
-    multiplicity zero are omitted.
-    """
-    return to_cyclotomic(fp).as_map()
 
 
 def resolution_multiplicities(sg: PlaneSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -289,9 +210,6 @@ class CharacteristicPolynomial:
 
     product: FactorProduct
     mu: int
-
-    def cyclotomic(self) -> CyclotomicVector:
-        return to_cyclotomic(self.product)
 
     def expand(self, max_degree: int = DEFAULT_EXPANSION_CAP) -> tuple[int, ...]:
         """Dense coefficients (constant term first), length ``mu + 1``."""

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from monocurve.cli import main
 from monocurve.conjecture import candidate_poles, verify_conjecture
-from monocurve.crosscheck import cross_check
+from monocurve.crosscheck import campaign, cross_check
 from monocurve.oracle import grid_discrepancies
 from monocurve.semigroup import build_semigroup, random_semigroup
 from monocurve.zeta import zeta_closed_form
@@ -79,11 +79,7 @@ def test_criterion_6_property_campaign():
     # closed-form zeta, Delta polynomiality and degree (dense expansion when
     # mu <= 5000), the P_k splitting, the pole verdicts, and digit oracles.
     start = time.perf_counter()
-    failures = []
-    for i in range(1000):
-        sg = random_semigroup(i, 2 + i % 4, 10**6)
-        failures.extend(cross_check(sg))
-    assert failures == []
+    assert campaign(random_semigroup(i, 2 + i % 4, 10**6) for i in range(1000)) == []
     assert time.perf_counter() - start < 300.0
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import monocurve.cli
+import monocurve.crosscheck
 from monocurve.cli import build_parser, main
 from monocurve.errors import InternalInconsistency
 from monocurve.oracle import EnumerationBudget
@@ -143,6 +144,18 @@ class TestFuzz:
         assert code == 2
         assert err == "error: no plane semigroup with g=2 has generators <= 12\n"
 
+    @pytest.mark.parametrize("argv, exit_code, digest", [
+        (("--count", "1000", "--seed", "0"), 0,
+         "7ae9297bf441eadeca35ac2edbaa1c1f2388f79a8f4bbe6505b6b7e8882e2fe6"),
+        # Two g = 5 draws at 853 exhaust the sampler and print sampling lines.
+        (("--count", "8", "--max-g", "5", "--max-size", "853", "--seed", "0"), 1,
+         "0a2b4fd094dc1b5c01a6892312c42a89e399b2b9de7dc18e70d70843575ac5a7"),
+    ], ids=["campaign", "sampling-failures"])
+    def test_pinned_stdout(self, capsys, argv, exit_code, digest):
+        code, out, _ = run(capsys, "fuzz", *argv)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestOracle:
     def test_tiny_budget_clean(self, capsys):
@@ -211,7 +224,7 @@ class TestLibraryError:
         def broken(sg):
             raise InternalInconsistency("check crashed")
 
-        monkeypatch.setattr(monocurve.cli, "cross_check", broken)
+        monkeypatch.setattr(monocurve.crosscheck, "cross_check", broken)
         code, out, err = run(capsys, "fuzz", "--count", "2")
         assert code == 1
         assert out == ""

@@ -4,12 +4,12 @@ import json
 from fractions import Fraction
 
 from monocurve.conjecture import candidate_poles, pk_factorization, verify_conjecture
-from monocurve.semigroup import build_semigroup, random_semigroup
+from monocurve.oracle import expand_and_verify
+from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 from monocurve.zeta import (
     FactorProduct,
     characteristic_polynomial,
     resolution_multiplicities,
-    to_cyclotomic,
     zeta_closed_form,
 )
 
@@ -57,10 +57,12 @@ class TestPkFactorization:
                 assert 1 not in pk.as_map()
 
     def test_factors_are_polynomials(self):
-        for seed in range(40):
-            sg = random_semigroup(seed, 2 + seed % 4, 10**6)
+        # Exact dense division (NotPolynomial on a remainder) on every
+        # semigroup with b_g <= 60.
+        for sg in plane_semigroups(60):
             for pk in pk_factorization(sg):
-                assert all(c >= 0 for _, c in to_cyclotomic(pk).entries)
+                coeffs, _ = expand_and_verify(pk)
+                assert len(coeffs) == pk.degree() + 1
 
 
 class TestVerifyConjecture:

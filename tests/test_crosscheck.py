@@ -1,6 +1,7 @@
 """Tests for the cross-check battery: each quantity built once, failures reported."""
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -8,10 +9,11 @@ import monocurve.conjecture
 import monocurve.crosscheck
 from monocurve import resolution, zeta
 from monocurve.cli import main
-from monocurve.crosscheck import DENSE_MU_CAP, cross_check
-from monocurve.errors import InternalInconsistency
+from monocurve.conjecture import verify_conjecture
+from monocurve.crosscheck import DENSE_MU_CAP, campaign, cross_check
+from monocurve.errors import BudgetExceeded, InternalInconsistency
 from monocurve.resolution import build_resolution, zeta_from_graph
-from monocurve.semigroup import b_table, build_semigroup
+from monocurve.semigroup import b_table, build_semigroup, plane_semigroups
 
 
 def count_calls(monkeypatch, module_name: str, name: str) -> list:
@@ -145,3 +147,31 @@ class TestFailureLines:
             f"gens=(4, 6, 13): digit decomposition at level 2: "
             f"search {(search[0] + 1, *search[1:])} != modular {sg.digits[1]}"
         ]
+
+
+class TestCampaign:
+    def test_lines_carry_the_instance_index(self, monkeypatch):
+        monkeypatch.setattr(monocurve.crosscheck, "cross_check",
+                            lambda sg: [f"gens={sg.gens}: a", "b"] if sg.g == 3 else [])
+        stream = [build_semigroup((4, 6, 13)), BudgetExceeded("nothing drawn"),
+                  build_semigroup((8, 12, 26, 53))]
+        assert campaign(stream) == [
+            "FAIL instance 1: sampling: nothing drawn",
+            "FAIL instance 2: gens=(8, 12, 26, 53): a",
+            "FAIL instance 2: b",
+        ]
+
+    def test_every_semigroup_up_to_120_is_clean(self):
+        stratum = list(plane_semigroups(120))
+        assert campaign(stratum) == []
+        # Coverage: the dense leg runs on every instance, and every pole case
+        # occurs, including integer poles at k >= 1, which the seeded
+        # 1000-instance campaign never draws.
+        cases = Counter()
+        for sg in stratum:
+            report = verify_conjecture(sg)
+            assert report.delta.mu <= DENSE_MU_CAP
+            for pole in report.poles:
+                if pole.k >= 1:
+                    cases["integer" if pole.integer else pole.case] += 1
+        assert cases == {"i": 4614, "ii": 1439, "iii": 303, "iv": 95, "integer": 28}

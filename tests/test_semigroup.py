@@ -17,6 +17,7 @@ from monocurve.semigroup import (
     build_semigroup,
     decompose,
     min_last_generator,
+    plane_semigroups,
     random_semigroup,
 )
 
@@ -185,12 +186,34 @@ class TestMinLastGenerator:
 
     @pytest.mark.parametrize("only", [(4, 6, 13), (8, 12, 26, 53)], ids=["g2", "g3"])
     def test_minimal_by_filtering_every_tuple(self, only):
+        # One filtering pass up to 60 checks both the minimum and the
+        # enumerator's g-term chains.
         g = len(only) - 1
         accepted = []
-        for gens in itertools.combinations(range(1, min_last_generator(g) + 1), g + 1):
+        for gens in itertools.combinations(range(1, 61), g + 1):
             try:
                 build_semigroup(gens)
             except (MonocurveError, ValueError):
                 continue
             accepted.append(gens)
-        assert accepted == [only]
+        assert [gens for gens in accepted if gens[-1] <= min_last_generator(g)] == [only]
+        assert accepted == [sg.gens for sg in plane_semigroups(60) if sg.g == g]
+
+    def test_minimal_g4_by_enumeration(self):
+        assert [sg.gens for sg in plane_semigroups(213) if sg.g == 4] == [(16, 24, 52, 106, 213)]
+
+
+class TestPlaneSemigroups:
+    def test_counts(self):
+        assert sum(1 for _ in plane_semigroups(60)) == 340
+        assert sum(1 for _ in plane_semigroups(120)) == 3086
+
+    def test_lexicographic(self):
+        gens = [sg.gens for sg in plane_semigroups(120)]
+        assert gens == sorted(set(gens))
+        assert gens[0] == (4, 6, 13)
+        assert max(b[-1] for b in gens) <= 120
+
+    def test_too_small_is_empty(self):
+        assert list(plane_semigroups(12)) == []
+        assert [sg.gens for sg in plane_semigroups(13)] == [(4, 6, 13)]

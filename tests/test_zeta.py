@@ -10,7 +10,8 @@ import pytest
 from monocurve.cli import main
 from monocurve.conjecture import pk_factorization
 from monocurve.errors import BudgetExceeded, NotPolynomial
-from monocurve.semigroup import build_semigroup, random_semigroup
+from monocurve.oracle import expand_and_verify
+from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 from monocurve.zeta import (
     FactorProduct,
     characteristic_polynomial,
@@ -18,12 +19,8 @@ from monocurve.zeta import (
     milnor_number,
     negative_cyclotomic_orders,
     resolution_multiplicities,
-    to_cyclotomic,
-    zeros_and_poles,
     zeta_closed_form,
 )
-
-PINNED = ((4, 6, 13), (8, 12, 26, 53), (12, 18, 37))
 
 
 class TestFactorProduct:
@@ -79,70 +76,70 @@ class TestZetaClosedForm:
 
 class TestCyclotomic:
     def test_simple(self):
-        vec = to_cyclotomic(FactorProduct.from_map({2: 1}))
-        assert vec.as_map() == {1: 1, 2: 1}
-        assert vec.sign == -1  # 1 - t^2 = -(t - 1)(t + 1)
+        fp = FactorProduct.from_map({2: 1})
+        assert [cyclotomic_exponent(fp, d) for d in (1, 2, 3)] == [1, 1, 0]
+        # 1 - t^2 = -(t - 1)(t + 1)
+        assert expand_and_verify(fp) == ((1, 0, -1), {1: 1, 2: 1})
 
     def test_delta_exponents(self):
         delta = characteristic_polynomial(build_semigroup((4, 6, 13)))
-        vec = delta.cyclotomic()
-        assert vec.get(2) == 0
-        assert vec.get(6) == 1
-        assert vec.get(26) == 1
+        assert cyclotomic_exponent(delta.product, 2) == 0
+        assert cyclotomic_exponent(delta.product, 6) == 1
+        assert cyclotomic_exponent(delta.product, 26) == 1
 
     def test_zeros_and_poles(self):
-        zp = zeros_and_poles(zeta_closed_form(build_semigroup((4, 6, 13))))
-        assert zp[1] == 1  # zero at t = 1
-        assert zp[26] == -1  # pole at the primitive 26th roots
-        assert 2 not in zp
+        z = zeta_closed_form(build_semigroup((4, 6, 13)))
+        assert cyclotomic_exponent(z, 1) == 1  # zero at t = 1
+        assert cyclotomic_exponent(z, 26) == -1  # pole at the primitive 26th roots
+        assert cyclotomic_exponent(z, 2) == 0
 
     def test_empty(self):
-        assert zeros_and_poles(FactorProduct.one()) == {}
+        assert expand_and_verify(FactorProduct.one()) == ((1,), {})
 
     def test_get_outside_support(self):
-        vec = to_cyclotomic(FactorProduct.from_map({6: 1, 4: -1}))
-        assert vec.as_map() == {3: 1, 4: -1, 6: 1}
-        assert [vec.get(d) for d in (1, 2, 3, 4, 5, 6, 7, 12)] == [0, 0, 1, -1, 0, 1, 0, 0]
+        fp = FactorProduct.from_map({6: 1, 4: -1})
+        exponents = [cyclotomic_exponent(fp, d) for d in (1, 2, 3, 4, 5, 6, 7, 12)]
+        assert exponents == [0, 0, 1, -1, 0, 1, 0, 0]
 
 
-def _products(sg):
-    """Delta, Z and every P_k of ``sg``: the products the pipeline reads c_q from."""
-    return [characteristic_polynomial(sg).product, zeta_closed_form(sg), *pk_factorization(sg)]
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _seeded_semigroups():
-    return [random_semigroup(seed, 2 + seed % 4, 10**6) for seed in range(30)]
+def _negative_orders_by_scan(fp):
+    """Every ``d <= max a`` with ``c_d < 0``: the scan the gcd-closure replaces."""
+    top = max((a for a, _ in fp.factors), default=0)
+    return [d for d in range(1, top + 1) if cyclotomic_exponent(fp, d) < 0]
 
 
 class TestSparseCyclotomic:
-    """The pipeline's sparse ``c_q`` and gcd-closure check against the full vector."""
+    """The pipeline's sparse ``c_q`` and gcd-closure check against independent routes."""
 
-    def _assert_exponents_agree(self, fp):
-        vec = to_cyclotomic(fp)
-        support = [d for d, _ in vec.entries]
-        exponents = [a for a, _ in fp.factors]
-        outside = [max(exponents) + 1, 2 * max(exponents), 7919]
-        outside += [a + 1 for a in exponents if vec.get(a + 1) == 0]
-        for d in support + outside:
-            assert cyclotomic_exponent(fp, d) == vec.get(d), (fp, d)
-
-    def test_exponent_matches_vector_pinned(self):
-        for gens in PINNED:
-            for fp in _products(build_semigroup(gens)):
-                self._assert_exponents_agree(fp)
-
-    def test_exponent_matches_vector_seeded(self):
-        for sg in _seeded_semigroups():
-            for fp in _products(sg):
-                self._assert_exponents_agree(fp)
+    def test_exponents_match_dense_phi_division(self):
+        # Dense multiplication, exact division and repeated Phi_d division
+        # share no formula with the sum over factors; every semigroup with
+        # b_g <= 60 is small enough for them, so none is skipped.
+        checked = 0
+        for sg in plane_semigroups(60):
+            delta = characteristic_polynomial(sg)
+            for i, fp in enumerate([delta.product, *pk_factorization(sg)]):
+                coeffs, mults = expand_and_verify(fp)
+                if i == 0:
+                    assert coeffs == delta.expand(), sg.gens
+                orders = {d for a, _ in fp.factors for d in _divisors(a)}
+                assert set(mults) <= orders
+                for d in orders:
+                    assert mults.get(d, 0) == cyclotomic_exponent(fp, d), (sg.gens, i, d)
+            checked += 1
+        assert checked == 340
 
     def test_pipeline_products_are_polynomials(self):
-        for sg in _seeded_semigroups():
-            delta, z, *pks = _products(sg)
-            assert negative_cyclotomic_orders(delta) == []
-            assert all(negative_cyclotomic_orders(pk) == [] for pk in pks)
+        for seed in range(30):
+            sg = random_semigroup(seed, 2 + seed % 4, 10**6)
+            assert negative_cyclotomic_orders(characteristic_polynomial(sg).product) == []
+            assert all(negative_cyclotomic_orders(pk) == [] for pk in pk_factorization(sg))
             # Z has its poles at the orders where Delta has zeros.
-            assert negative_cyclotomic_orders(z) != []
+            assert negative_cyclotomic_orders(zeta_closed_form(sg)) != []
 
     def test_closure_catches_non_factor_order(self):
         # c_1 = 1 but c_2 = -1, and 2 is not a factor exponent: only the
@@ -152,7 +149,7 @@ class TestSparseCyclotomic:
         assert cyclotomic_exponent(fp, 2) == -1
         assert [a for a, _ in fp.factors if cyclotomic_exponent(fp, a) < 0] == []
         assert negative_cyclotomic_orders(fp) == [2]
-        assert [d for d, c in to_cyclotomic(fp).entries if c < 0] == [2]
+        assert _negative_orders_by_scan(fp) == [2]
 
     def test_closure_agrees_with_full_vector_on_random_products(self):
         rng = random.Random(20191213)
@@ -169,7 +166,7 @@ class TestSparseCyclotomic:
                 a = rng.randint(1, 120)
                 factors[a] = factors.get(a, 0) + rng.choice((-2, -1, 1, 2))
             fp = FactorProduct.from_map(factors)
-            full_negatives = {d for d, c in to_cyclotomic(fp).entries if c < 0}
+            full_negatives = set(_negative_orders_by_scan(fp))
             closure_negatives = negative_cyclotomic_orders(fp)
             assert (closure_negatives == []) == (not full_negatives), fp
             assert set(closure_negatives) <= full_negatives
@@ -224,18 +221,35 @@ class TestCharacteristicPolynomial:
             sg = random_semigroup(seed, 2 + seed % 4, 10**6)
             delta = characteristic_polynomial(sg)
             assert delta.product.degree() == milnor_number(sg)
-            assert delta.cyclotomic().degree() == delta.mu
+
+    def test_gap_count_oracle(self):
+        # mu is the conductor and twice the number of gaps.  Sieve the
+        # semigroup as a bitset up to mu + b_0: mu - 1 is a gap and the b_0
+        # numbers from mu on all lie in it, so every gap is below mu.
+        checked = 0
+        for sg in plane_semigroups(120):
+            mu = milnor_number(sg)
+            size = mu + sg.gens[0]
+            members = 1
+            for b in sg.gens:
+                shift = b
+                while shift < size:
+                    members |= (members << shift) & ((1 << size) - 1)
+                    shift *= 2
+            assert members >> mu == (1 << sg.gens[0]) - 1, sg.gens
+            assert not members >> (mu - 1) & 1, sg.gens
+            gaps = mu - bin(members & ((1 << mu) - 1)).count("1")
+            assert 2 * gaps == mu == characteristic_polynomial(sg).product.degree(), sg.gens
+            checked += 1
+        assert checked == 3086
 
     def test_delta_vs_zeta_convention(self):
-        # At every d > 1 the cyclotomic exponent of Delta is minus that of Z.
+        # Delta = (t - 1) / Z as factor products: at every d > 1 the
+        # cyclotomic exponent of Delta is minus that of Z.
         for seed in range(40):
             sg = random_semigroup(seed, 2 + seed % 4, 10**6)
-            dvec = characteristic_polynomial(sg).cyclotomic().as_map()
-            zvec = to_cyclotomic(zeta_closed_form(sg)).as_map()
-            keys = set(dvec) | set(zvec)
-            for d in keys:
-                if d > 1:
-                    assert dvec.get(d, 0) == -zvec.get(d, 0)
+            product = characteristic_polynomial(sg).product * zeta_closed_form(sg)
+            assert product.as_map() == {1: 1}
 
     def test_dense_division_error(self):
         fp = FactorProduct.from_map({13: 1, 2: -1})
