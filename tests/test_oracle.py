@@ -22,7 +22,13 @@ from monocurve.qspace import (
     count_solutions_total,
 )
 from monocurve.semigroup import build_semigroup, decompose, random_semigroup
-from monocurve.zeta import FactorProduct, characteristic_polynomial, zeta_closed_form
+from monocurve.zeta import (
+    FactorProduct,
+    characteristic_polynomial,
+    cyclotomic_exponent,
+    milnor_number,
+    zeta_closed_form,
+)
 
 
 def one_row(d, *a):
@@ -206,6 +212,20 @@ class TestExpandAndVerify:
         fp = FactorProduct.from_map({5001: 2})
         with pytest.raises(BudgetExceeded):
             expand_and_verify(fp)
+
+    def test_fuzzed_delta_agreement(self):
+        # Seeded draws with b_g up to 200, past the exhaustive b_g <= 60
+        # stratum yet small enough to expand: the Phi_d multiplicities are
+        # the closed form's c_d at every divisor of a factor exponent.
+        for seed in range(60):
+            sg = random_semigroup(seed, 2 + seed % 2, 200)
+            delta = characteristic_polynomial(sg)
+            coeffs, mults = expand_and_verify(delta.product)
+            assert len(coeffs) == milnor_number(sg) + 1
+            assert coeffs == delta.expand()
+            orders = {d for a, _ in delta.product.factors for d in range(1, a + 1) if a % d == 0}
+            expected = {d: cyclotomic_exponent(delta.product, d) for d in orders}
+            assert mults == {d: c for d, c in expected.items() if c}, sg.gens
 
 
 class TestGrid:

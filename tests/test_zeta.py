@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import random
 import time
 
@@ -102,8 +103,21 @@ class TestCyclotomic:
         assert exponents == [0, 0, 1, -1, 0, 1, 0, 0]
 
 
+PINNED = ((4, 6, 13), (8, 12, 26, 53), (12, 18, 37))
+
+
 def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
+
+
+def _divisor_sum_vector(fp):
+    """``{d: c_d}`` with ``c_d != 0``, summing ``e_a`` over every divisor ``d`` of every ``a``."""
+    vec: dict[int, int] = {}
+    for a, e in fp.factors:
+        for d in _divisors(a):
+            vec[d] = vec.get(d, 0) + e
+    return {d: c for d, c in vec.items() if c}
 
 
 def _negative_orders_by_scan(fp):
@@ -114,6 +128,40 @@ def _negative_orders_by_scan(fp):
 
 class TestSparseCyclotomic:
     """The pipeline's sparse ``c_q`` and gcd-closure check against independent routes."""
+
+    def _assert_exponents_agree(self, fp, reference):
+        # ``reference`` holds every nonzero c_d; orders outside it must read 0.
+        exponents = [a for a, _ in fp.factors]
+        outside = [max(exponents) + 1, 2 * max(exponents), 7919]
+        outside += [a + 1 for a in exponents if a + 1 not in reference]
+        for d in [*reference, *outside]:
+            assert cyclotomic_exponent(fp, d) == reference.get(d, 0), (fp, d)
+
+    def test_exponent_matches_vector_pinned(self):
+        # Reference: repeated Phi_d division of the dense expansion.  Z is
+        # read from Delta through Delta * Z = 1 - t.
+        for gens in PINNED:
+            sg = build_semigroup(gens)
+            delta = characteristic_polynomial(sg).product
+            z = zeta_closed_form(sg)
+            assert (delta * z).as_map() == {1: 1}
+            _, delta_mults = expand_and_verify(delta)
+            z_mults = {d: (d == 1) - delta_mults.get(d, 0) for d in {1, *delta_mults}}
+            self._assert_exponents_agree(delta, delta_mults)
+            self._assert_exponents_agree(z, {d: c for d, c in z_mults.items() if c})
+            for pk in pk_factorization(sg):
+                self._assert_exponents_agree(pk, expand_and_verify(pk)[1])
+
+    def test_exponent_matches_vector_seeded(self):
+        # These draws are too large for the dense route.  The reference is
+        # the full divisor-sum vector, which the sparse lookup must match at
+        # every order in its support and read 0 off it.
+        for seed in range(30):
+            sg = random_semigroup(seed, 2 + seed % 4, 10**6)
+            products = [characteristic_polynomial(sg).product, zeta_closed_form(sg),
+                        *pk_factorization(sg)]
+            for fp in products:
+                self._assert_exponents_agree(fp, _divisor_sum_vector(fp))
 
     def test_exponents_match_dense_phi_division(self):
         # Dense multiplication, exact division and repeated Phi_d division
