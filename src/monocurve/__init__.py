@@ -59,9 +59,7 @@ from .resolution import (
     zeta_from_graph,
 )
 from .semigroup import (
-    BRecursionTable,
     PlaneSemigroup,
-    b_table,
     build_semigroup,
     decompose,
     min_last_generator,
@@ -81,7 +79,6 @@ from .zeta import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BRecursionTable",
     "BudgetExceeded",
     "CharacteristicPolynomial",
     "ConjectureReport",
@@ -104,7 +101,6 @@ __all__ = [
     "ResolutionGraph",
     "Stratum",
     "WeightedCurveSpec",
-    "b_table",
     "build_resolution",
     "build_semigroup",
     "candidate_poles",

@@ -241,6 +241,9 @@ def _run(args, sg) -> int:
         except ValueError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
+        if args.draws < 1:
+            sys.stderr.write(f"error: draws must be >= 1, got {args.draws}\n")
+            return 2
         discrepancies = grid_discrepancies(budget, draws=args.draws, seed=args.seed)
         lines = [f"DISCREPANCY {msg}" for msg in discrepancies]
         lines.append(f"oracle grid: {len(discrepancies)} discrepancies")

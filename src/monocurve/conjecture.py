@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, _exact_div
 from .semigroup import PlaneSemigroup
 from .zeta import (
     CharacteristicPolynomial,
@@ -142,19 +142,12 @@ def _pk_factors(sg: PlaneSemigroup, M, N, delta: CharacteristicPolynomial) -> li
     out = []
     for k in range(1, g + 1):
         Nk, Mk, Lk, Lk1 = N[k - 1], M[k], L[k - 1], L[k]
-        if (
-            (sg.n[k] * sg.gens[k]) % Nk
-            or sg.e[k] % Lk1
-            or sg.gens[k] % Mk
-            or sg.e[k - 1] % Lk
-        ):
-            raise InternalInconsistency(f"P_{k} exponents are not integral")
         factors: dict[int, int] = {}
         for a, e in (
-            (Nk, sg.n[k] * sg.gens[k] // Nk),
-            (Lk1, sg.e[k] // Lk1),
-            (Mk, -(sg.gens[k] // Mk)),
-            (Lk, -(sg.e[k - 1] // Lk)),
+            (Nk, _exact_div(sg.n[k] * sg.gens[k], Nk, f"P_{k}: n_{k}*b_{k} / N_{k}")),
+            (Lk1, _exact_div(sg.e[k], Lk1, f"P_{k}: e_{k} / L_{k + 1}")),
+            (Mk, -_exact_div(sg.gens[k], Mk, f"P_{k}: b_{k} / M_{k}")),
+            (Lk, -_exact_div(sg.e[k - 1], Lk, f"P_{k}: e_{k - 1} / L_{k}")),
         ):
             factors[a] = factors.get(a, 0) + e
         pk = FactorProduct.from_t_minus_one(factors)

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the monocurve package.
+"""Exception hierarchy for the monocurve package, and its exact-division helper.
 
 Every error raised by the library derives from :class:`MonocurveError` so
 callers (and the CLI) can distinguish bad input from internal failures.
@@ -23,6 +23,14 @@ class NotRepresentable(MonocurveError):
 
 class NotDivisible(MonocurveError):
     """An exact integer division failed."""
+
+
+def _exact_div(num: int, den: int, what: str) -> int:
+    """``num // den``, raising :class:`NotDivisible` naming ``what`` on a remainder."""
+    q, r = divmod(num, den)
+    if r:
+        raise NotDivisible(f"{what}: {num} not divisible by {den}")
+    return q
 
 
 class NotPolynomial(MonocurveError):

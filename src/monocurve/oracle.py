@@ -132,13 +132,12 @@ def _count_orbits(roots, shifts, denom) -> int:
     return orbits
 
 
-def enum_digits(
-    s: int, i: int, sg: PlaneSemigroup, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> tuple[int, ...]:
+def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
     """Exhaustive digit search: ``s = sum_{j<i} c_j*b_j`` with ``0 <= c_j < n_j``.
 
     Returns the unique digit vector; raises :class:`NotRepresentable` when no
-    vector exists and :class:`InternalInconsistency` if more than one does.
+    vector exists, :class:`InternalInconsistency` if more than one does, and
+    :class:`BudgetExceeded` when the search space exceeds ``10**7`` vectors.
     """
     if not 1 <= i <= sg.g:
         raise ValueError(f"index i must be in 1..{sg.g}")
@@ -279,7 +278,12 @@ def grid_discrepancies(
     the fixed-tail mode, by head pair plus tail multiset).
 
     Returns a list of human-readable discrepancy descriptions (empty = pass).
+
+    Raises:
+        ValueError: ``draws < 1``, which would compare nothing.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     rng = random.Random(seed)
     failures: list[str] = []
 

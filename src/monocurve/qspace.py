@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import HypothesisViolated, IllFormed, InternalInconsistency, NotDivisible
+from .errors import HypothesisViolated, IllFormed, InternalInconsistency, _exact_div
 
 __all__ = [
     "CyclicQuotientType",
@@ -33,13 +33,6 @@ __all__ = [
     "curve_axis_intersections",
     "curve_open_euler",
 ]
-
-
-def _exact_div(num: int, den: int, what: str) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise NotDivisible(f"{what}: {num} not divisible by {den}")
-    return q
 
 
 @dataclass(frozen=True)

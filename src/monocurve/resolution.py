@@ -4,7 +4,9 @@ From a plane semigroup this module builds the dual graph of the resolution
 obtained by ``g`` successive weighted blow-ups on a generic embedding
 surface: exceptional divisors ``E_k`` with their component counts ``r_k``,
 multiplicities ``N_k``/``M_k``, blow-up weight vectors, special-point strata
-with local quotient types, and open-stratum Euler characteristics.  Every
+with local quotient types, and open-stratum Euler characteristics.  Of the
+paper's recursion values ``b_i^(k)`` the construction reads only the
+diagonal ``b_k^(k-1) = n_k*b_k - n_{k-1}*b_{k-1}``, in its closed form.  Every
 closed-form count is cross-validated against the general quotient-space
 counting machinery of :mod:`monocurve.qspace`.
 """
@@ -16,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 from . import qspace
-from .errors import InternalInconsistency
-from .qspace import CyclicQuotientType, WeightedCurveSpec, _exact_div
-from .semigroup import PlaneSemigroup, b_table
+from .errors import BudgetExceeded, InternalInconsistency, _exact_div
+from .qspace import CyclicQuotientType, WeightedCurveSpec
+from .semigroup import PlaneSemigroup
 from .zeta import FactorProduct, resolution_multiplicities, zeta_closed_form
 
 __all__ = [
@@ -30,6 +32,11 @@ __all__ = [
     "zeta_from_graph",
     "export_graph",
 ]
+
+# Cap on sum(r_k), the number of exceptional components the graph lists.
+# The all-n_i = 2 chains list 2^(g-1) components, exponential in the bit
+# length of the input; random draws with generators <= 10^6 stay below 150.
+MAX_COMPONENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -97,29 +104,33 @@ def _component_counts(sg: PlaneSemigroup) -> list[int]:
     return r
 
 
-def _weights(sg: PlaneSemigroup, bt, k: int) -> tuple[int, ...]:
+def _b_prev(sg: PlaneSemigroup, k: int) -> int:
+    """``b_k^(k-1) = n_k*b_k - n_{k-1}*b_{k-1}`` (``k >= 2``), the recursion's closed form."""
+    return sg.n[k] * sg.gens[k] - sg.n[k - 1] * sg.gens[k - 1]
+
+
+def _weights(sg: PlaneSemigroup, k: int) -> tuple[int, ...]:
     """Weight vector of the k-th weighted blow-up."""
     n = sg.n
     if k == 1:
         return tuple(_exact_div(sg.order, n[i], "weight") for i in range(sg.g + 1))
-    b_prev = bt.get(k, k - 1)
+    b_prev = _b_prev(sg, k)
     return (1, *(_exact_div(b_prev, n[i], "weight") for i in range(k, sg.g + 1)))
 
 
-def _homogeneous_spec(sg: PlaneSemigroup, bt, level: GraphLevel) -> WeightedCurveSpec:
+def _homogeneous_spec(sg: PlaneSemigroup, level: GraphLevel) -> WeightedCurveSpec:
     """The weighted-homogeneous system cutting out ``E_k``, ``k = level.k < g``."""
     g = sg.g
     n = sg.n
     k, p = level.k, level.weights
     if k == 1:
         return WeightedCurveSpec(d=1, a=(0,) * (g + 1), p=p, m=tuple(n))
-    b_prev = bt.get(k, k - 1)
     prev = n[k - 1] * sg.gens[k - 1]
     return WeightedCurveSpec(
         d=sg.e[k - 1],
         a=(-1, *(prev // n[i] for i in range(k, g + 1))),
         p=p,
-        m=(b_prev, *(n[i] for i in range(k, g + 1))),
+        m=(_b_prev(sg, k), *(n[i] for i in range(k, g + 1))),
     )
 
 
@@ -132,15 +143,20 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
     reproducibility choice).
 
     Raises:
+        BudgetExceeded: the divisors have more than ``MAX_COMPONENTS``
+            components in total, checked before any node is listed.
         NotDivisible: a count, weight or Euler characteristic is not exact.
         InternalInconsistency: any other divisibility or cross-validation
             check fails.  Either indicates a formula transcription bug.
     """
     g = sg.g
     n, gens = sg.n, sg.gens
-    bt = b_table(sg)
     M, N = resolution_multiplicities(sg)
     r = _component_counts(sg)
+    if sum(r) > MAX_COMPONENTS:
+        raise BudgetExceeded(
+            f"{sum(r)} exceptional components exceed the cap {MAX_COMPONENTS}"
+        )
 
     levels = []
     for k in range(1, g + 1):
@@ -153,7 +169,7 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
         chi_per = _exact_div(chi, rk, f"per-component chi(E_{k})")
         levels.append(
             GraphLevel(
-                k=k, r=rk, N=Nk, M=Mk, weights=_weights(sg, bt, k),
+                k=k, r=rk, N=Nk, M=Mk, weights=_weights(sg, k),
                 chi_open=chi, chi_open_per_component=chi_per,
             )
         )
@@ -188,7 +204,7 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
                 edges.append((f"E_{k}_{j}", f"E_{k + 1}_{j_next}"))
     edges.append((f"E_{g}_1", "Yhat"))
 
-    local_types = _local_types(sg, bt)
+    local_types = _local_types(sg)
     graph = ResolutionGraph(
         gens=gens,
         m0=M[0],
@@ -200,11 +216,11 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
         semigroup=sg,
     )
     _check_tree(graph)
-    _cross_validate(sg, bt, graph)
+    _cross_validate(sg, graph)
     return graph
 
 
-def _local_types(sg: PlaneSemigroup, bt) -> list[LocalType]:
+def _local_types(sg: PlaneSemigroup) -> list[LocalType]:
     g = sg.g
     n, e, gens = sg.n, sg.e, sg.gens
     order = sg.order
@@ -224,7 +240,7 @@ def _local_types(sg: PlaneSemigroup, bt) -> list[LocalType]:
         d_gen = math.gcd(e[k - 1], *(m // n[i] for i in range(k, g + 1)))
         types.append(LocalType(f"Egen{k}", CyclicQuotientType((d_gen,), ((-1,),))))
     for k in range(2, g + 1):
-        diff = n[k] * gens[k] - n[k - 1] * gens[k - 1]
+        diff = _b_prev(sg, k)
         d1 = _exact_div(diff, math.lcm(*n[k:]), "two-row order")
         types.append(
             LocalType(
@@ -262,7 +278,7 @@ def _check_tree(graph: ResolutionGraph) -> None:
         raise InternalInconsistency("dual graph not connected on exceptional part")
 
 
-def _cross_validate(sg: PlaneSemigroup, bt, graph: ResolutionGraph) -> None:
+def _cross_validate(sg: PlaneSemigroup, graph: ResolutionGraph) -> None:
     """Verify the closed-form counts against the quotient-space machinery."""
     g = sg.g
     n, gens = sg.n, sg.gens
@@ -282,7 +298,7 @@ def _cross_validate(sg: PlaneSemigroup, bt, graph: ResolutionGraph) -> None:
 
     # Counting formulas on the homogeneous systems cutting out E_k (k < g).
     for k in range(1, g):
-        spec = _homogeneous_spec(sg, bt, graph.levels[k - 1])
+        spec = _homogeneous_spec(sg, graph.levels[k - 1])
         if qspace.curve_component_count(spec) != r[k - 1]:
             raise InternalInconsistency(f"component count of E_{k} disagrees")
         _, tot0 = qspace.curve_axis_intersections(spec, 0)

@@ -11,7 +11,7 @@ A plane branch semigroup is given by its minimal generators
   ``0 <= c_j < n_j`` for ``j >= 1``.
 
 This module validates those properties, computes digit decompositions and
-the auxiliary recursion table used by the resolution construction.
+enumerates or samples plane semigroups.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BudgetExceeded,
@@ -32,10 +31,8 @@ from .errors import (
 
 __all__ = [
     "PlaneSemigroup",
-    "BRecursionTable",
     "build_semigroup",
     "decompose",
-    "b_table",
     "min_last_generator",
     "plane_semigroups",
     "random_semigroup",
@@ -75,26 +72,6 @@ class PlaneSemigroup:
         from .zeta import milnor_number
 
         return milnor_number(self)
-
-
-@dataclass(frozen=True)
-class BRecursionTable:
-    """Table of the recursion values ``b_i^(k)`` for ``0 <= k < i <= G``.
-
-    ``b_i^(0) = c_{i0} * n1 * ... * nG`` (with ``c_{i0}`` the leading digit of
-    ``n_i*b_i``) and for ``k >= 1``::
-
-        b_i^(k) = b_i^(k-1) + (c_{ik}/n_k + ... + c_{i,i-1}/n_{i-1} - 1) * b_k^(k-1)
-
-    All entries are positive integers; entries with ``k >= 1`` exceed 1, and
-    ``b_k^(k-1)`` is divisible by ``e_{k-1}``.
-    """
-
-    entries: dict[tuple[int, int], int]
-
-    def get(self, i: int, k: int) -> int:
-        """Return ``b_i^(k)``; requires ``0 <= k < i``."""
-        return self.entries[(i, k)]
 
 
 def build_semigroup(gens) -> PlaneSemigroup:
@@ -189,61 +166,6 @@ def decompose(sg: PlaneSemigroup, s: int, i: int) -> tuple[int, ...]:
         raise NotRepresentable(f"remainder {s} is not a multiple of b0")
     digits[0] = c0
     return tuple(digits)
-
-
-def b_table(sg: PlaneSemigroup) -> BRecursionTable:
-    """Compute all ``b_i^(k)`` by the rational recursion.
-
-    Each entry is cross-checked against the closed form
-
-        b_i^(k) = (n_i*b_i - n_k*b_k)
-                  - sum_{j=k+1}^{i-1} (c_{ij}/n_j) * (n_j*b_j - n_k*b_k)
-
-    (valid for ``k >= 1``), checked to be an integer, and checked positive
-    (``> 1`` for ``k >= 1``).  ``b_k^(k-1)`` must be divisible by ``e_{k-1}``.
-
-    Raises:
-        InternalInconsistency: the two routes disagree or an entry fails a
-            positivity/integrality/divisibility check.
-    """
-    g = sg.g
-    entries: dict[tuple[int, int], Fraction] = {}
-    for i in range(1, g + 1):
-        row = sg.digits[i - 1]
-        entries[(i, 0)] = Fraction(row[0] * sg.order, sg.n[0])
-        for k in range(1, i):
-            slack = sum(Fraction(row[j], sg.n[j]) for j in range(k, i)) - 1
-            entries[(i, k)] = entries[(i, k - 1)] + slack * entries[(k, k - 1)]
-
-    out: dict[tuple[int, int], int] = {}
-    for (i, k), val in entries.items():
-        if val.denominator != 1:
-            raise InternalInconsistency(f"b_{i}^({k}) = {val} is not an integer")
-        out[(i, k)] = int(val)
-
-    for i in range(1, g + 1):
-        row = sg.digits[i - 1]
-        for k in range(1, i):
-            closed = Fraction(sg.n[i] * sg.gens[i] - sg.n[k] * sg.gens[k])
-            for j in range(k + 1, i):
-                closed -= Fraction(row[j], sg.n[j]) * (
-                    sg.n[j] * sg.gens[j] - sg.n[k] * sg.gens[k]
-                )
-            if closed != out[(i, k)]:
-                raise InternalInconsistency(
-                    f"b_{i}^({k}): recursion {out[(i, k)]} != closed form {closed}"
-                )
-            if out[(i, k)] <= 1:
-                raise InternalInconsistency(f"b_{i}^({k}) = {out[(i, k)]} <= 1")
-        if out[(i, 0)] <= 0:
-            raise InternalInconsistency(f"b_{i}^(0) = {out[(i, 0)]} <= 0")
-        if out[(i, i - 1)] % sg.e[i - 1]:
-            raise InternalInconsistency(
-                f"b_{i}^({i - 1}) = {out[(i, i - 1)]} not divisible by e_{i - 1}"
-            )
-    if out[(1, 0)] != sg.order:
-        raise InternalInconsistency("b_1^(0) != n0*n1*...*nG")
-    return BRecursionTable(entries=out)
 
 
 def min_last_generator(g: int) -> int:

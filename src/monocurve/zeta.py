@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InternalInconsistency, NotPolynomial
+from .errors import BudgetExceeded, InternalInconsistency, NotPolynomial, _exact_div
 from .semigroup import PlaneSemigroup
 
 __all__ = [
@@ -179,14 +179,10 @@ def zeta_closed_form(sg: PlaneSemigroup) -> FactorProduct:
     M, N = resolution_multiplicities(sg)
     factors: dict[int, int] = {}
     for k in range(sg.g + 1):
-        q, r = divmod(sg.gens[k], M[k])
-        if r:
-            raise InternalInconsistency(f"M_{k} = {M[k]} does not divide b_{k}")
+        q = _exact_div(sg.gens[k], M[k], f"b_{k} / M_{k}")
         factors[M[k]] = factors.get(M[k], 0) + q
     for k in range(1, sg.g + 1):
-        q, r = divmod(sg.n[k] * sg.gens[k], N[k - 1])
-        if r:
-            raise InternalInconsistency(f"N_{k} = {N[k - 1]} does not divide n_{k}*b_{k}")
+        q = _exact_div(sg.n[k] * sg.gens[k], N[k - 1], f"n_{k}*b_{k} / N_{k}")
         factors[N[k - 1]] = factors.get(N[k - 1], 0) - q
     return FactorProduct.from_map(factors)
 
@@ -273,9 +269,10 @@ def characteristic_polynomial(sg: PlaneSemigroup) -> CharacteristicPolynomial:
     M, N = resolution_multiplicities(sg)
     factors: dict[int, int] = {1: 1}
     for k in range(1, sg.g + 1):
-        factors[N[k - 1]] = factors.get(N[k - 1], 0) + sg.n[k] * sg.gens[k] // N[k - 1]
+        q = _exact_div(sg.n[k] * sg.gens[k], N[k - 1], f"n_{k}*b_{k} / N_{k}")
+        factors[N[k - 1]] = factors.get(N[k - 1], 0) + q
     for k in range(sg.g + 1):
-        factors[M[k]] = factors.get(M[k], 0) - sg.gens[k] // M[k]
+        factors[M[k]] = factors.get(M[k], 0) - _exact_div(sg.gens[k], M[k], f"b_{k} / M_{k}")
     fp = FactorProduct.from_t_minus_one(factors)
     mu = milnor_number(sg)
     if fp.degree() != mu:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,13 @@ class TestOracle:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("draws", ["0", "-1"])
+    def test_no_draws_exit_2(self, capsys, draws):
+        code, out, err = run(capsys, "oracle", "--draws", draws)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: draws must be >= 1, got {draws}\n"
+
     def test_poly_degree_flag_rejected_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--max-poly-degree", "10"])
@@ -229,6 +237,29 @@ class TestLibraryError:
         assert code == 1
         assert out == ""
         assert err == "error: InternalInconsistency: check crashed\n"
+
+
+class TestComponentCap:
+    # The g = 24 chain with every n_i = 2 (48-bit b_g) has 2^23 components.
+    GENS = ",".join(str(b) for b in [
+        16777216, 25165824, 54525952, 111149056, 223346688, 447217664,
+        894697472, 1789526016, 3579117568, 7158267904, 14316552192,
+        28633112576, 57266229248, 114532460544, 229064922112, 458129844736,
+        916259689728, 1832519379584, 3665038759232, 7330077518496,
+        14660155037008, 29320310074024, 58640620148052, 117281240296106,
+        234562480592213,
+    ])
+
+    @pytest.mark.parametrize("argv", [["graph"], ["analyze", "--format", "json"]])
+    def test_too_many_components_exit_1_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--gens", self.GENS)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: BudgetExceeded: 8388608 exceptional components exceed the cap 65536\n"
+        )
 
 
 class TestParser:

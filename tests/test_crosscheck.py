@@ -13,7 +13,7 @@ from monocurve.conjecture import verify_conjecture
 from monocurve.crosscheck import DENSE_MU_CAP, campaign, cross_check
 from monocurve.errors import BudgetExceeded, InternalInconsistency
 from monocurve.resolution import build_resolution, zeta_from_graph
-from monocurve.semigroup import b_table, build_semigroup, plane_semigroups
+from monocurve.semigroup import build_semigroup, plane_semigroups
 
 
 def count_calls(monkeypatch, module_name: str, name: str) -> list:
@@ -94,7 +94,7 @@ class TestComputedOnce:
         sg = build_semigroup(gens)
         graph = build_resolution(sg)
         calls = count_calls(monkeypatch, "monocurve.resolution", "_weights")
-        resolution._cross_validate(sg, b_table(sg), graph)
+        resolution._cross_validate(sg, graph)
         assert calls == []
 
     def test_graph_zeta_does_not_revalidate(self, monkeypatch):

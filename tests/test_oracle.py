@@ -238,3 +238,8 @@ class TestGrid:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             EnumerationBudget(max_group_order=0)
+
+    @pytest.mark.parametrize("draws", [0, -1])
+    def test_no_draws_rejected(self, draws):
+        with pytest.raises(ValueError, match="draws must be >= 1"):
+            grid_discrepancies(draws=draws)

@@ -17,7 +17,7 @@ from monocurve.qspace import (
     l_factor,
 )
 from monocurve.resolution import _homogeneous_spec, build_resolution
-from monocurve.semigroup import b_table, build_semigroup, random_semigroup
+from monocurve.semigroup import build_semigroup, random_semigroup
 
 
 def one_row(d, *a):
@@ -74,7 +74,7 @@ class TestCountSolutions:
 
 def _e1_spec(gens):
     sg = build_semigroup(gens)
-    return _homogeneous_spec(sg, b_table(sg), build_resolution(sg).levels[0])
+    return _homogeneous_spec(sg, build_resolution(sg).levels[0])
 
 
 class TestCurveCounts:
@@ -121,9 +121,8 @@ class TestChartIndependence:
     def test_fuzzed_specs(self):
         for seed in range(60):
             sg = random_semigroup(seed, 3 + seed % 3, 10**6)
-            bt = b_table(sg)
             for level in build_resolution(sg).levels[:-1]:
-                spec = _homogeneous_spec(sg, bt, level)
+                spec = _homogeneous_spec(sg, level)
                 # Internal chart checks (x2 != 0 vs x3 != 0) raise on mismatch.
                 n_comp = curve_component_count(spec)
                 for axis in (0, 1):

@@ -1,11 +1,18 @@
 """Tests for the resolution dual graph and its exports."""
 
+import hashlib
 import json
 
 import pytest
 
-from monocurve.resolution import build_resolution, export_graph, zeta_from_graph
-from monocurve.semigroup import build_semigroup, random_semigroup
+from monocurve.errors import BudgetExceeded
+from monocurve.resolution import (
+    MAX_COMPONENTS,
+    build_resolution,
+    export_graph,
+    zeta_from_graph,
+)
+from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 from monocurve.zeta import zeta_closed_form
 
 
@@ -127,3 +134,40 @@ class TestFuzzedConsistency:
             # chi of the exceptional locus minus the strict transform points.
             for lvl, rk in zip(graph.levels, (l.r for l in graph.levels)):
                 assert lvl.chi_open == lvl.chi_open_per_component * rk
+
+
+def all_two_chain(g):
+    """The plane semigroup with every ``n_i = 2``: 4,6,13, then 8,12,26,53, ..."""
+    gens = [2**g, 3 * 2 ** (g - 1)]
+    for k in range(2, g + 1):
+        gens.append(2 * gens[-1] + 2 ** (g - k))
+    return tuple(gens)
+
+
+class TestPinnedExports:
+    def test_graph_texts_pinned(self):
+        """sha256 of both exports over the b_g <= 120 stratum and 200 seeded draws."""
+        sgs = [*plane_semigroups(120),
+               *(random_semigroup(i, 2 + i % 4, 10**6) for i in range(200))]
+        digest = hashlib.sha256()
+        for sg in sgs:
+            graph = build_resolution(sg)
+            for fmt in ("json", "dot"):
+                digest.update(export_graph(graph, fmt).encode())
+        assert len(sgs) == 3286
+        assert digest.hexdigest() == (
+            "7337a78eab21b8724561d7e1e697b9224ff54afff980dca533f481f149891d27"
+        )
+
+
+class TestComponentCap:
+    def test_all_two_chains_have_2_to_the_g_minus_1_components(self):
+        for g in (2, 3, 4, 6):
+            sg = build_semigroup(all_two_chain(g))
+            assert sum(lvl.r for lvl in build_resolution(sg).levels) == 2 ** (g - 1)
+
+    def test_first_chain_past_the_cap(self):
+        # g = 17 lists exactly MAX_COMPONENTS = 2^16 components; g = 18 twice that.
+        assert MAX_COMPONENTS == 2**16
+        with pytest.raises(BudgetExceeded, match="131072 exceptional components"):
+            build_resolution(build_semigroup(all_two_chain(18)))

@@ -1,7 +1,9 @@
 """Tests for semigroup validation, digit decomposition and the b-recursion."""
 
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -12,8 +14,8 @@ from monocurve.errors import (
     MonocurveError,
     NotRepresentable,
 )
+from monocurve.resolution import _b_prev
 from monocurve.semigroup import (
-    b_table,
     build_semigroup,
     decompose,
     min_last_generator,
@@ -122,30 +124,74 @@ def _digit_tails(sg, i):
     return itertools.product(*(range(sg.n[j]) for j in range(1, i)))
 
 
+def _recursion(sg):
+    """The paper's recursion for every ``b_i^(k)``, ``0 <= k < i <= g``, in rationals.
+
+    ``b_i^(0) = c_{i0} * n_1 * ... * n_g`` and, for ``k >= 1``,
+    ``b_i^(k) = b_i^(k-1) + (c_{ik}/n_k + ... + c_{i,i-1}/n_{i-1} - 1) * b_k^(k-1)``.
+    """
+    b = {}
+    for i in range(1, sg.g + 1):
+        row = sg.digits[i - 1]
+        b[i, 0] = Fraction(row[0] * sg.order, sg.n[0])
+        for k in range(1, i):
+            slack = sum(Fraction(row[j], sg.n[j]) for j in range(k, i)) - 1
+            b[i, k] = b[i, k - 1] + slack * b[k, k - 1]
+    return b
+
+
+def _closed_form(sg, i, k):
+    """``b_i^(k) = (n_i b_i - n_k b_k) - sum_{k<j<i} (c_ij/n_j) (n_j b_j - n_k b_k)``, ``k >= 1``."""
+    nb = [n * b for n, b in zip(sg.n, sg.gens)]
+    row = sg.digits[i - 1]
+    return nb[i] - nb[k] - sum(
+        Fraction(row[j], sg.n[j]) * (nb[j] - nb[k]) for j in range(k + 1, i)
+    )
+
+
+@functools.cache
+def _reference_semigroups():
+    return (*plane_semigroups(120),
+            *(random_semigroup(i, 2 + i % 4, 10**6) for i in range(200)))
+
+
 class TestBTable:
+    """The recursion is the reference for the diagonal the resolution reads."""
+
     def test_closed_form_g2(self):
         sg = build_semigroup((4, 6, 13))
-        bt = b_table(sg)
-        assert bt.get(2, 1) == 26 - 12  # n_2*b_2 - n_1*b_1
+        assert _recursion(sg)[2, 1] == 26 - 12 == _b_prev(sg, 2)  # n_2*b_2 - n_1*b_1
 
     def test_closed_form_g3(self):
         sg = build_semigroup((8, 12, 26, 53))
-        bt = b_table(sg)
-        assert bt.get(3, 2) == 106 - 52
+        assert _recursion(sg)[3, 2] == 106 - 52 == _b_prev(sg, 3)
 
     def test_base_case(self):
-        for gens in ((4, 6, 13), (8, 12, 26, 53), (12, 18, 37)):
-            sg = build_semigroup(gens)
-            assert b_table(sg).get(1, 0) == sg.order
+        for sg in _reference_semigroups():
+            assert _recursion(sg)[1, 0] == sg.order
 
     def test_entries_positive(self):
-        for seed in range(25):
-            sg = random_semigroup(seed, 2 + seed % 4, 10**6)
-            bt = b_table(sg)
-            for (i, k), val in bt.entries.items():
+        for sg in _reference_semigroups():
+            for (i, k), val in _recursion(sg).items():
+                assert val.denominator == 1
                 assert val > (1 if k >= 1 else 0)
                 if k == i - 1:
                     assert val % sg.e[i - 1] == 0
+
+    def test_entries_equal_closed_form(self):
+        for sg in _reference_semigroups():
+            for (i, k), val in _recursion(sg).items():
+                if k >= 1:
+                    assert val == _closed_form(sg, i, k), (sg.gens, i, k)
+
+    def test_diagonal_is_the_resolution_value(self):
+        levels = 0
+        for sg in _reference_semigroups():
+            b = _recursion(sg)
+            for k in range(2, sg.g + 1):
+                assert b[k, k - 1] == _b_prev(sg, k), (sg.gens, k)
+                levels += 1
+        assert levels > 3286
 
 
 class TestRandomSemigroup:
