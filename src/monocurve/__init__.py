@@ -15,7 +15,6 @@ from .conjecture import (
     ConjectureReport,
     PoleEntry,
     candidate_poles,
-    pk_factorization,
     verify_conjecture,
 )
 from .crosscheck import cross_check
@@ -123,7 +122,6 @@ __all__ = [
     "milnor_number",
     "min_last_generator",
     "negative_cyclotomic_orders",
-    "pk_factorization",
     "random_semigroup",
     "resolution_multiplicities",
     "verify_conjecture",

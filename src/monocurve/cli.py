@@ -94,32 +94,36 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _analyze_doc(sg) -> tuple[dict, bool]:
-    graph = build_resolution(sg)
-    report = verify_conjecture(sg)
-    z, delta = report.zeta, report.delta
-    doc = {
-        "gens": list(sg.gens),
-        "g": sg.g,
-        "e": list(sg.e),
-        "n": list(sg.n),
-        "digits": [list(row) for row in sg.digits],
-        "mu": delta.mu,
+def _zeta_delta_doc(z, delta) -> dict:
+    """The ``zeta`` and ``delta`` entries of the ``analyze`` and ``zeta`` JSON."""
+    return {
         "zeta": {"factors": z.to_json(), "rendered": z.render()},
         "delta": {
             "factors": delta.product.to_json(),
             "rendered": delta.product.render("t_minus_one"),
         },
-        "resolution": _graph_doc(graph),
-        "poles": [p.to_json() for p in report.poles],
-        "conjecture_pass": report.passed,
     }
-    return doc, report.passed
 
 
-def _analyze_text(sg) -> tuple[str, bool]:
+def _analyze(sg, fmt: str) -> tuple[str, bool]:
+    """The ``analyze`` report in ``fmt``; both formats build the graph and the report."""
+    graph = build_resolution(sg)
     report = verify_conjecture(sg)
     z, delta = report.zeta, report.delta
+    if fmt == "json":
+        doc = {
+            "gens": list(sg.gens),
+            "g": sg.g,
+            "e": list(sg.e),
+            "n": list(sg.n),
+            "digits": [list(row) for row in sg.digits],
+            "mu": delta.mu,
+            **_zeta_delta_doc(z, delta),
+            "resolution": _graph_doc(graph),
+            "poles": [p.to_json() for p in report.poles],
+            "conjecture_pass": report.passed,
+        }
+        return json.dumps(doc, indent=2), report.passed
     lines = [
         "gens = " + ", ".join(str(x) for x in sg.gens),
         f"g = {sg.g}",
@@ -168,26 +172,15 @@ def _draws(args):
 def _run(args, sg) -> int:
     """Execute the parsed command on the validated semigroup ``sg``, if any."""
     if args.command == "analyze":
-        if args.format == "json":
-            doc, passed = _analyze_doc(sg)
-            _emit(json.dumps(doc, indent=2), args.output)
-        else:
-            text, passed = _analyze_text(sg)
-            _emit(text, args.output)
+        text, passed = _analyze(sg, args.format)
+        _emit(text, args.output)
         return 0 if passed else 1
 
     if args.command == "zeta":
         z = zeta_closed_form(sg)
         delta = characteristic_polynomial(sg)
         if args.format == "json":
-            doc = {
-                "zeta": {"factors": z.to_json(), "rendered": z.render()},
-                "delta": {
-                    "factors": delta.product.to_json(),
-                    "rendered": delta.product.render("t_minus_one"),
-                },
-                "mu": delta.mu,
-            }
+            doc = {**_zeta_delta_doc(z, delta), "mu": delta.mu}
             _emit(json.dumps(doc, indent=2), args.output)
         else:
             _emit(

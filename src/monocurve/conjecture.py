@@ -32,7 +32,7 @@ from .zeta import (
     zeta_closed_form,
 )
 
-__all__ = ["PoleEntry", "ConjectureReport", "candidate_poles", "pk_factorization", "verify_conjecture"]
+__all__ = ["PoleEntry", "ConjectureReport", "candidate_poles", "verify_conjecture"]
 
 
 @dataclass(frozen=True)
@@ -122,21 +122,16 @@ def candidate_poles(sg: PlaneSemigroup) -> list[Fraction]:
     return poles
 
 
-def pk_factorization(sg: PlaneSemigroup) -> list[FactorProduct]:
+def _pk_factors(sg: PlaneSemigroup, M, N, delta: CharacteristicPolynomial) -> list[FactorProduct]:
     """Split ``Delta`` as an exact product of per-level factors
 
         P_k = (t^{N_k} - 1)^{n_k*b_k/N_k} (t^{L_{k+1}} - 1)^{e_k/L_{k+1}}
             / ((t^{M_k} - 1)^{b_k/M_k} (t^{L_k} - 1)^{e_{k-1}/L_k})
 
-    with ``L_k = lcm(n_k, ..., n_g)`` and ``L_{g+1} = 1``.  Asserts that the
-    product equals ``Delta`` and every ``P_k`` is a polynomial.
+    with ``L_k = lcm(n_k, ..., n_g)`` and ``L_{g+1} = 1``, from already built
+    ``(M, N)`` and ``Delta``.  Asserts that the product equals ``Delta`` and
+    every ``P_k`` is a polynomial.
     """
-    M, N = resolution_multiplicities(sg)
-    return _pk_factors(sg, M, N, characteristic_polynomial(sg))
-
-
-def _pk_factors(sg: PlaneSemigroup, M, N, delta: CharacteristicPolynomial) -> list[FactorProduct]:
-    """:func:`pk_factorization` from already built ``(M, N)`` and ``Delta``."""
     g = sg.g
     L = [math.lcm(*sg.n[k:]) if k <= g else 1 for k in range(1, g + 2)]  # L[k-1] = L_k
     out = []

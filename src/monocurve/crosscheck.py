@@ -2,6 +2,8 @@
 :func:`campaign` over a stream of them, as the ``fuzz`` CLI command and the
 property-based tests run it.  Failures are collected as human-readable
 strings instead of raising, so a campaign reports every offending instance.
+It is the one place where the two routes to Z meet: the closed form in the
+conjecture report and A'Campo's stratum product over the resolution graph.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from collections.abc import Iterable
 from .conjecture import verify_conjecture
 from .errors import BudgetExceeded, MonocurveError
 from .oracle import enum_digits
-from .resolution import _stratum_product, build_resolution
+from .resolution import build_resolution, zeta_from_graph
 from .semigroup import PlaneSemigroup
 
 __all__ = ["cross_check", "campaign", "DENSE_MU_CAP"]
@@ -26,10 +28,10 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
     tree shape, quotient-space cross-validation), :func:`verify_conjecture`
     (which checks Delta for nonnegative cyclotomic exponents and degree mu,
     and the exact per-level factor splitting, once each) with a passing pole
-    verdict, the stratum-product zeta of the graph equal to the closed form
-    in that report (Z is built once, so this check is skipped when either
-    call fails), the dense expansion of that same Delta when mu is at most
-    :data:`DENSE_MU_CAP`, and agreement of the modular digits stored in
+    verdict, :func:`zeta_from_graph` (A'Campo's stratum product) equal to
+    the closed-form Z in that report (Z is built once, so this check is
+    skipped when either call fails), the dense expansion of that same Delta
+    when mu is at most :data:`DENSE_MU_CAP`, and agreement of the modular digits stored in
     ``sg.digits`` with exhaustive search where the search space is small.
     A stage that fails adds one line.
     """
@@ -47,7 +49,7 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
     except MonocurveError as exc:
         failures.append(f"{tag}: Delta, P_k and pole verification: {exc}")
     else:
-        if graph is not None and _stratum_product(graph) != report.zeta:
+        if graph is not None and zeta_from_graph(graph) != report.zeta:
             failures.append(f"{tag}: resolution graph: graph zeta differs from closed form")
         if not report.passed:
             bad = [p.display for p in report.poles if not p.verdict]

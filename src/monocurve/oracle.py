@@ -35,16 +35,14 @@ class EnumerationBudget:
     max_group_order: int = 12
     max_exponent: int = 6
     max_rank: int = 3
-    max_poly_degree: int = 5000
 
     def __post_init__(self):
-        if min(
-            self.max_group_order, self.max_exponent, self.max_rank, self.max_poly_degree
-        ) < 1:
+        if min(self.max_group_order, self.max_exponent, self.max_rank) < 1:
             raise ValueError("all budget bounds must be positive")
 
 
 DEFAULT_BUDGET = EnumerationBudget()
+MAX_EXPAND_DEGREE = 5000  # numerator degree cap of expand_and_verify
 
 
 def enum_count_solutions(
@@ -95,19 +93,10 @@ def enum_count_solutions(
         if len(a) < 2:
             raise InternalInconsistency("fixed_tail needs at least two coordinates")
         # Fix the concrete tail (first root of each tail constant); x_0 classes
-        # are orbits under the subgroup stabilizing that tail pointwise.
-        stab = [
-            u for u in range(d) if all(u * s % denom == 0 for s in shifts[1:])
-        ]
-        seen: set[int] = set()
-        orbits = 0
-        for v in roots[0]:
-            if v in seen:
-                continue
-            orbits += 1
-            for u in stab:
-                seen.add((v + u * shifts[0]) % denom)
-        return orbits
+        # are orbits under the subgroup stabilizing that tail pointwise, which
+        # the least u >= 1 fixing every tail root generates.
+        h = next(u for u in range(1, d + 1) if all(u * s % denom == 0 for s in shifts[1:]))
+        return _count_orbits([roots[0]], [h * shifts[0] % denom], denom)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -205,21 +194,21 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     return result
 
 
-def expand_and_verify(
-    fp: FactorProduct, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> tuple[tuple[int, ...], dict[int, int]]:
+def expand_and_verify(fp: FactorProduct) -> tuple[tuple[int, ...], dict[int, int]]:
     """Expand a factor product densely and extract cyclotomic multiplicities.
 
     Multiplies the numerator factors as dense integer polynomials, exactly
     divides by the denominator factors (:class:`NotPolynomial` on a nonzero
     remainder), then for each candidate ``d`` (divisor of a stored factor
     exponent) repeatedly divides by ``Phi_d`` to find its multiplicity.
+    :class:`BudgetExceeded` when the numerator degree exceeds
+    :data:`MAX_EXPAND_DEGREE`.
 
     Returns ``(coefficients, {d: multiplicity})``.
     """
     degree = sum(a * e for a, e in fp.numerator_factors())
-    if degree > budget.max_poly_degree:
-        raise BudgetExceeded(f"numerator degree {degree} exceeds budget")
+    if degree > MAX_EXPAND_DEGREE:
+        raise BudgetExceeded(f"numerator degree {degree} exceeds {MAX_EXPAND_DEGREE}")
     poly = [fp.sign]
     for a, e in fp.numerator_factors():
         factor = [1] + [0] * (a - 1) + [-1]

@@ -8,7 +8,9 @@ with local quotient types, and open-stratum Euler characteristics.  Of the
 paper's recursion values ``b_i^(k)`` the construction reads only the
 diagonal ``b_k^(k-1) = n_k*b_k - n_{k-1}*b_{k-1}``, in its closed form.  Every
 closed-form count is cross-validated against the general quotient-space
-counting machinery of :mod:`monocurve.qspace`.
+counting machinery of :mod:`monocurve.qspace`.  :func:`zeta_from_graph` is
+A'Campo's route to Z, which :func:`monocurve.crosscheck.cross_check` compares
+with the closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import qspace
 from .errors import BudgetExceeded, InternalInconsistency, _exact_div
 from .qspace import CyclicQuotientType, WeightedCurveSpec
 from .semigroup import PlaneSemigroup
-from .zeta import FactorProduct, resolution_multiplicities, zeta_closed_form
+from .zeta import FactorProduct, resolution_multiplicities
 
 __all__ = [
     "GraphLevel",
@@ -84,7 +86,6 @@ class ResolutionGraph:
     edges: tuple[tuple[str, str], ...]
     strata: tuple[Stratum, ...]
     local_types: tuple[LocalType, ...]
-    semigroup: PlaneSemigroup  # the validated input the graph was built from
 
     def stratum(self, kind: str, k: int) -> Stratum:
         for s in self.strata:
@@ -213,7 +214,6 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
         edges=tuple(edges),
         strata=tuple(strata),
         local_types=tuple(local_types),
-        semigroup=sg,
     )
     _check_tree(graph)
     _cross_validate(sg, graph)
@@ -315,21 +315,13 @@ def _cross_validate(sg: PlaneSemigroup, graph: ResolutionGraph) -> None:
 
 
 def zeta_from_graph(graph: ResolutionGraph) -> FactorProduct:
-    """Zeta function via the stratum product.
+    """Zeta function via A'Campo's stratum product.
 
     Point strata ``Q_k`` (on a single divisor) contribute
     ``(1 - t^{M_k})^{count}``; open strata contribute
     ``(1 - t^{N_k})^{chi}``; strata on two or more divisors contribute
-    nothing.  The result is checked against the closed form.
+    nothing.
     """
-    result = _stratum_product(graph)
-    if result != zeta_closed_form(graph.semigroup):
-        raise InternalInconsistency("graph zeta differs from closed form")
-    return result
-
-
-def _stratum_product(graph: ResolutionGraph) -> FactorProduct:
-    """The stratum product of :func:`zeta_from_graph`, without the comparison."""
     factors: dict[int, int] = {}
     for s in graph.strata:
         if s.multiplicity is None:

@@ -207,11 +207,12 @@ class CharacteristicPolynomial:
     product: FactorProduct
     mu: int
 
-    def expand(self, max_degree: int = DEFAULT_EXPANSION_CAP) -> tuple[int, ...]:
-        """Dense coefficients (constant term first), length ``mu + 1``."""
-        if self.mu > max_degree:
+    def expand(self) -> tuple[int, ...]:
+        """Dense coefficients (constant term first), length ``mu + 1``; at most
+        :data:`DEFAULT_EXPANSION_CAP` (:class:`BudgetExceeded` beyond)."""
+        if self.mu > DEFAULT_EXPANSION_CAP:
             raise BudgetExceeded(
-                f"dense expansion of degree {self.mu} exceeds cap {max_degree}"
+                f"dense expansion of degree {self.mu} exceeds cap {DEFAULT_EXPANSION_CAP}"
             )
         coeffs = [self.product.sign]
         for a, e in self.product.numerator_factors():

@@ -250,7 +250,7 @@ class TestComponentCap:
         234562480592213,
     ])
 
-    @pytest.mark.parametrize("argv", [["graph"], ["analyze", "--format", "json"]])
+    @pytest.mark.parametrize("argv", [["graph"], ["analyze", "--format", "json"], ["analyze"]])
     def test_too_many_components_exit_1_fast(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv, "--gens", self.GENS)

@@ -1,9 +1,11 @@
 """Tests for candidate poles, the P_k splitting and the verification report."""
 
 import json
+import math
+from collections import Counter
 from fractions import Fraction
 
-from monocurve.conjecture import candidate_poles, pk_factorization, verify_conjecture
+from monocurve.conjecture import candidate_poles, verify_conjecture
 from monocurve.oracle import expand_and_verify
 from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 from monocurve.zeta import (
@@ -36,7 +38,7 @@ class TestCandidatePoles:
 class TestPkFactorization:
     def test_example_g2(self):
         sg = build_semigroup((4, 6, 13))
-        p1, p2 = pk_factorization(sg)
+        p1, p2 = verify_conjecture(sg).pk
         assert p1.as_map() == {6: 1, 2: -1}
         assert p2.as_map() == {26: 1, 1: 1, 13: -1, 2: -1}
 
@@ -44,14 +46,14 @@ class TestPkFactorization:
         for seed in range(40):
             sg = random_semigroup(seed, 2 + seed % 4, 10**6)
             product = FactorProduct.one()
-            for pk in pk_factorization(sg):
+            for pk in verify_conjecture(sg).pk:
                 product = product * pk
             assert product == characteristic_polynomial(sg).product
 
     def test_last_factor_carries_t_minus_one(self):
         # The (t - 1) factor of Delta sits in P_g via the L_{g+1} = 1 term.
         for gens in ((4, 6, 13), (8, 12, 26, 53), (12, 18, 37)):
-            pks = pk_factorization(build_semigroup(gens))
+            pks = verify_conjecture(build_semigroup(gens)).pk
             assert pks[-1].as_map().get(1) == 1
             for pk in pks[:-1]:
                 assert 1 not in pk.as_map()
@@ -60,7 +62,7 @@ class TestPkFactorization:
         # Exact dense division (NotPolynomial on a remainder) on every
         # semigroup with b_g <= 60.
         for sg in plane_semigroups(60):
-            for pk in pk_factorization(sg):
+            for pk in verify_conjecture(sg).pk:
                 coeffs, _ = expand_and_verify(pk)
                 assert len(coeffs) == pk.degree() + 1
 
@@ -121,8 +123,24 @@ class TestVerifyConjecture:
         assert entry["verdict"] is True
 
 
+def _pk_formula(sg):
+    """P_1..P_g read straight off the paper's formula, with L_k = lcm(n_k..n_g)."""
+    M, N = resolution_multiplicities(sg)
+    L = [math.lcm(*sg.n[k:]) for k in range(1, sg.g + 1)] + [1]
+    out = []
+    for k in range(1, sg.g + 1):
+        exps = Counter()
+        exps[N[k - 1]] += sg.n[k] * sg.gens[k] // N[k - 1]
+        exps[L[k]] += sg.e[k] // L[k]
+        exps[M[k]] -= sg.gens[k] // M[k]
+        exps[L[k - 1]] -= sg.e[k - 1] // L[k - 1]
+        out.append(FactorProduct.from_t_minus_one(dict(exps)))
+    return out
+
+
 class TestReportCarriesQuantities:
-    """The report's Z, Delta and P_k equal what the stand-alone functions build."""
+    """The report's Z and Delta equal what the stand-alone functions build, and
+    its P_k what the paper's formula gives."""
 
     @staticmethod
     def semigroups():
@@ -135,4 +153,4 @@ class TestReportCarriesQuantities:
             report = verify_conjecture(sg)
             assert report.zeta == zeta_closed_form(sg)
             assert report.delta == characteristic_polynomial(sg)
-            assert list(report.pk) == pk_factorization(sg)
+            assert list(report.pk) == _pk_formula(sg)

@@ -98,10 +98,16 @@ class TestComputedOnce:
         assert calls == []
 
     def test_graph_zeta_does_not_revalidate(self, monkeypatch):
-        graph = build_resolution(build_semigroup((8, 12, 26, 53)))
-        calls = count_calls(monkeypatch, "monocurve.semigroup", "build_semigroup")
-        assert zeta_from_graph(graph) == zeta.zeta_closed_form(graph.semigroup)
-        assert calls == []
+        # The stratum product is the second route to Z: it neither rebuilds
+        # the semigroup nor reads the closed form it is compared with.
+        sg = build_semigroup((8, 12, 26, 53))
+        graph = build_resolution(sg)
+        expected = zeta.zeta_closed_form(sg)
+        rebuilt = count_calls(monkeypatch, "monocurve.semigroup", "build_semigroup")
+        closed = count_calls(monkeypatch, "monocurve.zeta", "zeta_closed_form")
+        assert zeta_from_graph(graph) == expected
+        assert rebuilt == []
+        assert closed == []
 
 
 class TestFailureLines:
@@ -115,7 +121,7 @@ class TestFailureLines:
         assert "Delta, P_k and pole verification: P_1 is not a polynomial" in failures[0]
 
     def test_dense_expansion_failure_is_one_line(self, monkeypatch):
-        def broken(self, max_degree=None):
+        def broken(self):
             raise InternalInconsistency("expansion degree 15 != mu = 16")
 
         monkeypatch.setattr(zeta.CharacteristicPolynomial, "expand", broken)
@@ -126,7 +132,7 @@ class TestFailureLines:
 
     def test_graph_zeta_mismatch_is_one_line(self, monkeypatch):
         wrong = zeta.FactorProduct.from_map({1: 1})
-        monkeypatch.setattr(monocurve.crosscheck, "_stratum_product", lambda graph: wrong)
+        monkeypatch.setattr(monocurve.crosscheck, "zeta_from_graph", lambda graph: wrong)
         failures = cross_check(build_semigroup((4, 6, 13)))
         assert failures == [
             "gens=(4, 6, 13): resolution graph: graph zeta differs from closed form"

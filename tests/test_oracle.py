@@ -230,9 +230,7 @@ class TestExpandAndVerify:
 
 class TestGrid:
     def test_tiny_grid_clean(self):
-        budget = EnumerationBudget(
-            max_group_order=4, max_exponent=3, max_rank=2, max_poly_degree=100
-        )
+        budget = EnumerationBudget(max_group_order=4, max_exponent=3, max_rank=2)
         assert grid_discrepancies(budget, draws=2, seed=1) == []
 
     def test_bad_budget(self):
