@@ -219,6 +219,11 @@ def _run(args, sg) -> int:
             sys.stderr.write(f"error: no plane semigroup with g={top_g} "
                              f"has generators <= {args.max_size}\n")
             return 2
+        try:  # the sampler's size cap is a float root of max-size
+            float(args.max_size)
+        except OverflowError:
+            sys.stderr.write("error: max-size is too large for the sampler\n")
+            return 2
         failures = campaign(_draws(args))
         summary = f"fuzz: {args.count} instances, {len(failures)} failures"
         _emit("\n".join([*failures, summary]), args.output)

@@ -16,7 +16,6 @@ cyclotomic exponent at ``q_k``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,8 +41,9 @@ class PoleEntry:
     ``k`` is 0 for the trivial global pole exponent ``g``.  ``order`` is the
     denominator of the reduced value (the order of the attached root of
     unity), ``case`` one of ``trivial, i, ii, iii, iv`` (classifying which of
-    ``M_k`` and ``L_k = lcm(n_k, ..., n_g)`` the order divides), and
-    ``delta_mult`` the cyclotomic exponent of ``Phi_order`` in ``Delta``.
+    ``M_k`` and ``L_k = lcm(n_k, ..., n_g)`` the order divides, with ``L_k``
+    read from ``sg.L``), and ``delta_mult`` the cyclotomic exponent of
+    ``Phi_order`` in ``Delta``.
     """
 
     k: int
@@ -128,15 +128,13 @@ def _pk_factors(sg: PlaneSemigroup, M, N, delta: CharacteristicPolynomial) -> li
         P_k = (t^{N_k} - 1)^{n_k*b_k/N_k} (t^{L_{k+1}} - 1)^{e_k/L_{k+1}}
             / ((t^{M_k} - 1)^{b_k/M_k} (t^{L_k} - 1)^{e_{k-1}/L_k})
 
-    with ``L_k = lcm(n_k, ..., n_g)`` and ``L_{g+1} = 1``, from already built
-    ``(M, N)`` and ``Delta``.  Asserts that the product equals ``Delta`` and
-    every ``P_k`` is a polynomial.
+    with ``L_k = lcm(n_k, ..., n_g)`` and ``L_{g+1} = 1`` read from ``sg.L``,
+    from already built ``(M, N)`` and ``Delta``.  Asserts that the product
+    equals ``Delta`` and every ``P_k`` is a polynomial.
     """
-    g = sg.g
-    L = [math.lcm(*sg.n[k:]) if k <= g else 1 for k in range(1, g + 2)]  # L[k-1] = L_k
     out = []
-    for k in range(1, g + 1):
-        Nk, Mk, Lk, Lk1 = N[k - 1], M[k], L[k - 1], L[k]
+    for k in range(1, sg.g + 1):
+        Nk, Mk, Lk, Lk1 = N[k - 1], M[k], sg.L[k], sg.L[k + 1]
         factors: dict[int, int] = {}
         for a, e in (
             (Nk, _exact_div(sg.n[k] * sg.gens[k], Nk, f"P_{k}: n_{k}*b_{k} / N_{k}")),
@@ -166,65 +164,34 @@ def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
     ``Delta`` check is double-checked against the pole multiplicities of the
     zeta function.  A false verdict is reported, never silently dropped.
     """
-    g = sg.g
     M, N = resolution_multiplicities(sg)
-    L = [math.lcm(*sg.n[k:]) for k in range(1, g + 1)]
-    poles = candidate_poles(sg)
     delta = characteristic_polynomial(sg)
     pks = _pk_factors(sg, M, N, delta)
     z = zeta_closed_form(sg)
     delta_at_one = cyclotomic_exponent(delta.product, 1)
 
-    entries = [
-        PoleEntry(
-            k=0,
-            value=poles[0],
-            display=str(g),
-            integer=True,
-            order=1,
-            case="trivial",
-            delta_mult=delta_at_one,
-            verdict=True,
-        )
-    ]
-    for k in range(1, g + 1):
-        value = poles[k]
-        nu = value * (sg.n[k] * sg.gens[k])
-        if nu.denominator != 1:
-            raise InternalInconsistency(f"nu_{k} is not an integer")
-        display = _display(value, N[k - 1], k)
+    entries = []
+    for k, value in enumerate(candidate_poles(sg)):
+        # N_k | n_k*b_k (checked in _pk_factors), so an integral nu_k = value*N_k
+        # also makes value*n_k*b_k integral.
+        display = _display(value, N[k - 1], k) if k else str(sg.g)
         q = value.denominator
         if q == 1:
             entries.append(
                 PoleEntry(k, value, display, True, 1, "trivial", delta_at_one, True)
             )
             continue
-        div_m = M[k] % q == 0
-        div_l = L[k - 1] % q == 0
-        case = {(False, False): "i", (True, False): "ii", (False, True): "iii", (True, True): "iv"}[
-            (div_m, div_l)
-        ]
+        # i: q divides neither M_k nor L_k, ii: M_k only, iii: L_k only, iv: both.
+        case = ("i", "ii", "iii", "iv")[(M[k] % q == 0) + 2 * (sg.L[k] % q == 0)]
         mult_pk = cyclotomic_exponent(pks[k - 1], q)
         mult_delta = cyclotomic_exponent(delta.product, q)
         if cyclotomic_exponent(z, q) != -mult_delta:
             raise InternalInconsistency(
                 f"Delta multiplicity at order {q} inconsistent with zeta poles"
             )
-        entries.append(
-            PoleEntry(
-                k=k,
-                value=value,
-                display=display,
-                integer=False,
-                order=q,
-                case=case,
-                delta_mult=mult_delta,
-                verdict=mult_pk >= 1 and mult_delta >= 1,
-            )
-        )
-    return ConjectureReport(
-        gens=sg.gens, poles=tuple(entries), pk=tuple(pks), delta=delta, zeta=z
-    )
+        verdict = mult_pk >= 1 and mult_delta >= 1
+        entries.append(PoleEntry(k, value, display, False, q, case, mult_delta, verdict))
+    return ConjectureReport(sg.gens, tuple(entries), tuple(pks), delta, z)
 
 
 def _display(value: Fraction, Nk: int, k: int) -> str:

@@ -9,6 +9,7 @@ listing under the explicit cyclic action, one orbit per cycle of its generator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -175,13 +176,9 @@ def _poly_divmod(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
     return quot, p
 
 
-_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@functools.cache
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """Dense coefficients of ``Phi_d(t)`` via exact division of ``t^d - 1``."""
-    if d in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[d]
     poly = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
@@ -189,9 +186,7 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
             if rem != [0]:
                 raise InternalInconsistency(f"Phi_{e} does not divide t^{d} - 1")
             poly = q
-    result = tuple(poly)
-    _CYCLOTOMIC_CACHE[d] = result
-    return result
+    return tuple(poly)
 
 
 def expand_and_verify(fp: FactorProduct) -> tuple[tuple[int, ...], dict[int, int]]:

@@ -51,7 +51,6 @@ class GraphLevel:
     M: int
     weights: tuple[int, ...]
     chi_open: int
-    chi_open_per_component: int
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class LocalType:
 @dataclass(frozen=True)
 class ResolutionGraph:
     gens: tuple[int, ...]
-    m0: int
     levels: tuple[GraphLevel, ...]
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -95,11 +93,9 @@ class ResolutionGraph:
 
 
 def _component_counts(sg: PlaneSemigroup) -> list[int]:
+    """``r_k = e_k / L_{k+1}`` for ``k = 1..g``."""
     g = sg.g
-    r = []
-    for k in range(1, g + 1):
-        lcm_tail = math.lcm(*sg.n[k + 1:]) if k < g else 1
-        r.append(_exact_div(sg.e[k], lcm_tail, f"r_{k}"))
+    r = [_exact_div(sg.e[k], sg.L[k + 1], f"r_{k}") for k in range(1, g + 1)]
     if r[-1] != 1 or (g >= 2 and r[-2] != 1):
         raise InternalInconsistency("r_(g-1) and r_g must both be 1")
     return r
@@ -162,18 +158,11 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
     levels = []
     for k in range(1, g + 1):
         rk, Nk, Mk = r[k - 1], N[k - 1], M[k]
-        if Nk % Mk or Nk % math.lcm(*n[k:]):
+        if Nk % Mk or Nk % sg.L[k]:
             raise InternalInconsistency(f"M_{k} or L_{k} does not divide N_{k}")
-        if k >= 2 and r[k - 1] and r[k - 2] % r[k - 1]:
-            raise InternalInconsistency(f"r_{k} does not divide r_{k - 1}")
         chi = -_exact_div(n[k] * gens[k], Nk, f"chi(E_{k})")
-        chi_per = _exact_div(chi, rk, f"per-component chi(E_{k})")
-        levels.append(
-            GraphLevel(
-                k=k, r=rk, N=Nk, M=Mk, weights=_weights(sg, k),
-                chi_open=chi, chi_open_per_component=chi_per,
-            )
-        )
+        _exact_div(chi, rk, f"per-component chi(E_{k})")
+        levels.append(GraphLevel(k, rk, Nk, Mk, _weights(sg, k), chi))
 
     strata = [Stratum("Q0", 0, _exact_div(gens[0], M[0], "|Q0|"), M[0])]
     for k in range(1, g + 1):
@@ -198,23 +187,15 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
     for k in range(2, g + 1):
         for j in range(1, r[k - 1] + 1):
             edges.append((f"H_{k}", f"E_{k}_{j}"))
-    for k in range(1, g):
+    for k in range(1, g):  # also checks r_{k+1} | r_k
         block = _exact_div(r[k - 1], r[k], "contiguous block size")
         for j_next in range(1, r[k] + 1):
             for j in range((j_next - 1) * block + 1, j_next * block + 1):
                 edges.append((f"E_{k}_{j}", f"E_{k + 1}_{j_next}"))
     edges.append((f"E_{g}_1", "Yhat"))
 
-    local_types = _local_types(sg)
-    graph = ResolutionGraph(
-        gens=gens,
-        m0=M[0],
-        levels=tuple(levels),
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        strata=tuple(strata),
-        local_types=tuple(local_types),
-    )
+    graph = ResolutionGraph(gens, tuple(levels), tuple(nodes), tuple(edges),
+                            tuple(strata), tuple(_local_types(sg)))
     _check_tree(graph)
     _cross_validate(sg, graph)
     return graph
@@ -241,16 +222,9 @@ def _local_types(sg: PlaneSemigroup) -> list[LocalType]:
         types.append(LocalType(f"Egen{k}", CyclicQuotientType((d_gen,), ((-1,),))))
     for k in range(2, g + 1):
         diff = _b_prev(sg, k)
-        d1 = _exact_div(diff, math.lcm(*n[k:]), "two-row order")
-        types.append(
-            LocalType(
-                f"E{k - 1}E{k}",
-                CyclicQuotientType(
-                    (d1, diff * e[k]),
-                    ((1, -1), (-gens[k], n[k - 1] * gens[k - 1] // n[k])),
-                ),
-            )
-        )
+        d1 = _exact_div(diff, sg.L[k], "two-row order")
+        A = ((1, -1), (-gens[k], n[k - 1] * gens[k - 1] // n[k]))
+        types.append(LocalType(f"E{k - 1}E{k}", CyclicQuotientType((d1, diff * e[k]), A)))
     return types
 
 

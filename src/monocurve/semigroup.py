@@ -16,6 +16,7 @@ enumerates or samples plane semigroups.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Iterator
@@ -50,6 +51,9 @@ class PlaneSemigroup:
             ``i >= 1`` and ``n0 = n1*b1/b0`` is the leading digit of ``n1*b1``.
         digits: digit rows; ``digits[i-1]`` is the tuple ``(c_0, ..., c_{i-1})``
             with ``n_i*b_i = sum_j c_j*b_j`` and ``0 <= c_j < n_j`` for ``j>=1``.
+        L: lcm tails ``L[k] = L_k = lcm(n_k, ..., n_g)`` for ``1 <= k <= G+1``,
+            so ``L[G+1] = 1``; ``L[0] = lcm(n_0, ..., n_G)`` only pads the
+            index.  Computed once per semigroup.
     """
 
     gens: tuple[int, ...]
@@ -66,6 +70,11 @@ class PlaneSemigroup:
     def order(self) -> int:
         """The product ``n0*n1*...*nG`` (equals ``n1*b1 = n0*b0``)."""
         return math.prod(self.n)
+
+    @functools.cached_property
+    def L(self) -> tuple[int, ...]:
+        """The lcm tails ``(L_0, L_1, ..., L_{G+1})``; see the class docstring."""
+        return tuple(math.lcm(*self.n[k:]) for k in range(self.g + 2))
 
     def conductor_degree(self) -> int:
         """The Milnor number; an alias of :func:`monocurve.zeta.milnor_number`."""
@@ -208,14 +217,22 @@ def random_semigroup(seed: int, g: int, max_size: int) -> PlaneSemigroup:
     Deterministic for a fixed seed.
 
     Raises:
-        ValueError: ``g < 2``, or ``max_size`` is below
-            :func:`min_last_generator`, so no semigroup exists.
+        ValueError: ``g < 2``; ``max_size`` is below
+            :func:`min_last_generator`, so no semigroup exists; or
+            ``max_size`` does not convert to a float, which the sampler's
+            size cap needs.
         BudgetExceeded: no admissible semigroup found within the attempt budget.
     """
     if g < 2:
         raise ValueError("g must be >= 2")
     if max_size < min_last_generator(g):
         raise ValueError(f"no plane semigroup with g={g} has generators <= {max_size}")
+    try:
+        float(max_size)
+    except OverflowError:
+        raise ValueError(
+            f"max_size of {max_size.bit_length()} bits is too large for the sampler"
+        ) from None
     rng = random.Random(seed)
     for _ in range(500):
         gens = _try_sample(rng, g, max_size)

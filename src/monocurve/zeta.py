@@ -157,16 +157,15 @@ def negative_cyclotomic_orders(fp: FactorProduct) -> list[int]:
 def resolution_multiplicities(sg: PlaneSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Return ``(M, N)``: ``M = (M_0, ..., M_g)`` and ``N = (N_1, ..., N_g)``.
 
-    ``N_k = lcm(b_k/e_k, n_k, ..., n_g)`` and ``M_k = lcm(b_k/e_k, n_{k+1},
-    ..., n_g)`` with ``M_0 = lcm(n_1, ..., n_g)``.
+    ``N_k = lcm(b_k/e_k, L_k)`` and ``M_k = lcm(b_k/e_k, L_{k+1})`` with
+    ``M_0 = L_1``, where ``L_k = lcm(n_k, ..., n_g)`` is read from ``sg.L``.
     """
-    g = sg.g
-    M = [math.lcm(*sg.n[1:])]
+    M = [sg.L[1]]
     N = []
-    for k in range(1, g + 1):
+    for k in range(1, sg.g + 1):
         unit = sg.gens[k] // sg.e[k]
-        N.append(math.lcm(unit, *sg.n[k:]))
-        M.append(math.lcm(unit, *sg.n[k + 1:]) if k < g else unit)
+        N.append(math.lcm(unit, sg.L[k]))
+        M.append(math.lcm(unit, sg.L[k + 1]))
     return tuple(M), tuple(N)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from monocurve.cli import main
 from monocurve.conjecture import candidate_poles, verify_conjecture
-from monocurve.crosscheck import campaign, cross_check
+from monocurve.crosscheck import cross_check
 from monocurve.oracle import grid_discrepancies
 from monocurve.semigroup import build_semigroup, random_semigroup
 from monocurve.zeta import zeta_closed_form
@@ -73,13 +73,16 @@ def test_criterion_5_oracle_grid():
     assert time.perf_counter() - start < 60.0
 
 
-def test_criterion_6_property_campaign():
-    # 10^3 random semigroups with g <= 5 and generators <= 10^6; every
-    # instance runs the full cross-check chain: graph invariants, graph vs
-    # closed-form zeta, Delta polynomiality and degree (dense expansion when
-    # mu <= 5000), the P_k splitting, the pole verdicts, and digit oracles.
+def test_criterion_6_property_campaign(capsys):
+    # 10^3 random semigroups with g <= 5 and generators <= 10^6, drawn as
+    # random_semigroup(i, 2 + i % 4, 10**6) for i < 1000; every instance
+    # runs the full cross-check chain: graph invariants, graph vs closed-form
+    # zeta, Delta polynomiality and degree (dense expansion when mu <= 5000),
+    # the P_k splitting, the pole verdicts, and digit oracles.
     start = time.perf_counter()
-    assert campaign(random_semigroup(i, 2 + i % 4, 10**6) for i in range(1000)) == []
+    code = main(["fuzz", "--count", "1000", "--seed", "0"])
+    assert code == 0
+    assert capsys.readouterr().out == "fuzz: 1000 instances, 0 failures\n"
     assert time.perf_counter() - start < 300.0
 
 

@@ -145,13 +145,18 @@ class TestFuzz:
         assert code == 2
         assert err == "error: no plane semigroup with g=2 has generators <= 12\n"
 
+    def test_size_beyond_float_range_exit_2(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--count", "1", "--max-size", str(10**400))
+        assert code == 2
+        assert out == ""
+        assert err == "error: max-size is too large for the sampler\n"
+
+    # The seed-0, 1000-instance run is criterion 6 of tests/test_acceptance.py.
     @pytest.mark.parametrize("argv, exit_code, digest", [
-        (("--count", "1000", "--seed", "0"), 0,
-         "7ae9297bf441eadeca35ac2edbaa1c1f2388f79a8f4bbe6505b6b7e8882e2fe6"),
         # Two g = 5 draws at 853 exhaust the sampler and print sampling lines.
         (("--count", "8", "--max-g", "5", "--max-size", "853", "--seed", "0"), 1,
          "0a2b4fd094dc1b5c01a6892312c42a89e399b2b9de7dc18e70d70843575ac5a7"),
-    ], ids=["campaign", "sampling-failures"])
+    ], ids=["sampling-failures"])
     def test_pinned_stdout(self, capsys, argv, exit_code, digest):
         code, out, _ = run(capsys, "fuzz", *argv)
         assert code == exit_code

@@ -22,6 +22,7 @@ from monocurve.semigroup import (
     plane_semigroups,
     random_semigroup,
 )
+from monocurve.zeta import resolution_multiplicities
 
 
 class TestBuildSemigroup:
@@ -221,6 +222,11 @@ class TestRandomSemigroup:
         with pytest.raises(ValueError):
             random_semigroup(0, 1, 100)
 
+    def test_size_beyond_float_range_is_value_error(self):
+        # The sampler's size cap is a float root of max_size.
+        with pytest.raises(ValueError, match="too large for the sampler"):
+            random_semigroup(0, 2, 10**400)
+
 
 class TestMinLastGenerator:
     def test_all_two_chains(self):
@@ -263,3 +269,19 @@ class TestPlaneSemigroups:
     def test_too_small_is_empty(self):
         assert list(plane_semigroups(12)) == []
         assert [sg.gens for sg in plane_semigroups(13)] == [(4, 6, 13)]
+
+
+class TestLcmTails:
+    def test_every_semigroup_up_to_120(self):
+        for sg in plane_semigroups(120):
+            g = sg.g
+            assert len(sg.L) == g + 2
+            for k in range(1, g + 2):
+                assert sg.L[k] == math.lcm(*sg.n[k:])
+            assert sg.L[g + 1] == 1
+            assert resolution_multiplicities(sg)[0][0] == sg.L[1]
+
+    def test_computed_once(self):
+        sg = build_semigroup((12, 18, 37))
+        assert sg.L is sg.L
+        assert sg.L[1:] == (6, 6, 1)
