@@ -7,8 +7,10 @@ blow-ups, the monodromy zeta function and characteristic polynomial, the
 candidate poles of the motivic Igusa zeta function, and a certified check
 that every pole induces a monodromy eigenvalue.  The closed forms are
 cross-validated against independent computations or brute-force oracles,
-at run time or in the tests, except the candidate pole values: only a
-regrouping of their own formula checks those.
+at run time or in the tests.  Of the candidate pole values, the first
+level has an independent check in the tests (a monomial valuation on the
+binomial equations of the monomial curve); the levels ``k >= 2`` are
+checked only by a regrouping of their own formula.
 """
 
 from .conjecture import (

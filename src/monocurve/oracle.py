@@ -9,7 +9,6 @@ listing under the explicit cyclic action, one orbit per cycle of its generator.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -19,14 +18,13 @@ from fractions import Fraction
 from .errors import BudgetExceeded, InternalInconsistency, NotPolynomial, NotRepresentable
 from .qspace import CyclicQuotientType, count_solutions_fixed_tail, count_solutions_total
 from .semigroup import PlaneSemigroup
-from .zeta import FactorProduct
+from .zeta import FactorProduct, _sparse_product
 
 __all__ = [
     "EnumerationBudget",
     "enum_count_solutions",
     "enum_digits",
     "expand_and_verify",
-    "cyclotomic_polynomial",
     "grid_discrepancies",
 ]
 
@@ -146,94 +144,57 @@ def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
     return hits[0]
 
 
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-    return out
-
-
-def _poly_divmod(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
-    """Long division over the integers (q must be monic up to sign)."""
-    p = list(p)
-    lead = q[-1]
-    if abs(lead) != 1:
-        raise InternalInconsistency("divisor must have unit leading coefficient")
-    n, m = len(p), len(q)
-    if n < m:
-        return [0], p
-    quot = [0] * (n - m + 1)
-    for i in range(n - m, -1, -1):
-        coef = p[i + m - 1] // lead
-        quot[i] = coef
-        if coef:
-            for j in range(m):
-                p[i + j] -= coef * q[j]
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return quot, p
-
-
-@functools.cache
-def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
-    """Dense coefficients of ``Phi_d(t)`` via exact division of ``t^d - 1``."""
-    poly = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            q, rem = _poly_divmod(poly, list(cyclotomic_polynomial(e)))
-            if rem != [0]:
-                raise InternalInconsistency(f"Phi_{e} does not divide t^{d} - 1")
-            poly = q
-    return tuple(poly)
+def _moebius(n: int) -> int:
+    """Moebius function by trial division; ``n`` stays below the expansion cap."""
+    mu, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
 
 
 def expand_and_verify(fp: FactorProduct) -> tuple[tuple[int, ...], dict[int, int]]:
     """Expand a factor product densely and extract cyclotomic multiplicities.
 
-    Multiplies the numerator factors as dense integer polynomials, exactly
-    divides by the denominator factors (:class:`NotPolynomial` on a nonzero
-    remainder), then for each candidate ``d`` (divisor of a stored factor
-    exponent) repeatedly divides by ``Phi_d`` to find its multiplicity.
+    The coefficients come from sparse ``(1 - t^a)`` multiplications and
+    exact divisions (:class:`NotPolynomial` on a remainder).  Then, for each
+    divisor ``d`` of a factor exponent, largest first, ``Phi_d`` is divided
+    out as often as it goes, through ``Phi_d = prod_{e | d} (t^e -
+    1)^{mu(d/e)}`` with ``mu`` the Moebius function: a multiplication by
+    ``(1 - t^e)`` where ``mu(d/e) = -1`` and an exact division where it is
+    ``+1``.  The cofactor left must be ``+-1`` (:class:`InternalInconsistency`
+    otherwise), so the expansion is ``+-prod Phi_d^{m_d}``.
     :class:`BudgetExceeded` when the numerator degree exceeds
     :data:`MAX_EXPAND_DEGREE`.
 
-    Returns ``(coefficients, {d: multiplicity})``.
+    Returns ``(coefficients, {d: m_d})`` with every ``m_d >= 1``.
     """
     degree = sum(a * e for a, e in fp.numerator_factors())
     if degree > MAX_EXPAND_DEGREE:
         raise BudgetExceeded(f"numerator degree {degree} exceeds {MAX_EXPAND_DEGREE}")
-    poly = [fp.sign]
-    for a, e in fp.numerator_factors():
-        factor = [1] + [0] * (a - 1) + [-1]
-        for _ in range(e):
-            poly = _poly_mul(poly, factor)
-    for a, e in fp.denominator_factors():
-        factor = [1] + [0] * (a - 1) + [-1]
-        for _ in range(e):
-            poly, rem = _poly_divmod(poly, factor)
-            if rem != [0]:
-                raise NotPolynomial(f"(1 - t^{a}) does not divide the numerator")
-    candidates: set[int] = set()
-    for a, _ in fp.factors:
-        for d in range(1, a + 1):
-            if a % d == 0:
-                candidates.add(d)
+    coeffs = _sparse_product([1], fp)
+    orders = {d for a, _ in fp.factors for d in range(1, a + 1) if a % d == 0}
     mults: dict[int, int] = {}
-    for d in sorted(candidates):
-        phi = list(cyclotomic_polynomial(d))
-        count = 0
-        current = poly
-        while len(current) >= len(phi):
-            q, rem = _poly_divmod(current, phi)
-            if rem != [0]:
+    cofactor = coeffs
+    for d in sorted(orders, reverse=True):
+        phi_inverse = FactorProduct.from_t_minus_one(
+            {e: -_moebius(d // e) for e in range(1, d + 1) if d % e == 0}
+        )
+        while True:
+            try:
+                cofactor = _sparse_product(cofactor, phi_inverse)
+            except NotPolynomial:
                 break
-            count += 1
-            current = q
-        if count:
-            mults[d] = count
-    return tuple(poly), mults
+            mults[d] = mults.get(d, 0) + 1
+    if cofactor not in ([1], [-1]):
+        raise InternalInconsistency(
+            f"cyclotomic cofactor of degree {len(cofactor) - 1} is not a unit"
+        )
+    return tuple(coeffs), mults
 
 
 def _admissible_pairs(d: int, budget: EnumerationBudget) -> list[tuple[int, int]]:

@@ -11,10 +11,12 @@ enumeration and no polynomial factorization.  Pipeline verdicts read ``c_q``
 only at the orders they need.  Polynomiality (every ``c_d >= 0``) is checked
 by :func:`negative_cyclotomic_orders` on the gcd-closure of the factor
 exponents alone: ``c_d`` depends only on ``S_d = {a : d | a}``, and
-``gcd(S_d)`` lies in the closure and has the same set.  A dense expansion
-exists as a separate exact path for the characteristic polynomial; the
-tests compare these exponents with repeated ``Phi_d`` division of the dense
-expansion (:func:`monocurve.oracle.expand_and_verify`).
+``gcd(S_d)`` lies in the closure and has the same set.  A dense expansion,
+one run of sparse ``(1 - t^a)`` multiplications and exact divisions, exists
+as a separate exact path for the characteristic polynomial; the tests
+compare these exponents with the Moebius-product ``Phi_d`` deflation of
+that expansion to a unit cofactor
+(:func:`monocurve.oracle.expand_and_verify`).
 """
 
 from __future__ import annotations
@@ -213,13 +215,7 @@ class CharacteristicPolynomial:
             raise BudgetExceeded(
                 f"dense expansion of degree {self.mu} exceeds cap {DEFAULT_EXPANSION_CAP}"
             )
-        coeffs = [self.product.sign]
-        for a, e in self.product.numerator_factors():
-            for _ in range(e):
-                coeffs = _mul_one_minus_ta(coeffs, a)
-        for a, e in self.product.denominator_factors():
-            for _ in range(e):
-                coeffs = _div_one_minus_ta(coeffs, a)
+        coeffs = _sparse_product([1], self.product)
         if len(coeffs) != self.mu + 1:
             raise InternalInconsistency(
                 f"expansion degree {len(coeffs) - 1} != mu = {self.mu}"
@@ -229,6 +225,20 @@ class CharacteristicPolynomial:
         if coeffs[0] not in (1, -1):
             raise InternalInconsistency("constant term of Delta is not a unit")
         return tuple(coeffs)
+
+
+def _sparse_product(p: list[int], fp: FactorProduct) -> list[int]:
+    """Coefficients of ``p * fp``: one sparse step per ``(1 - t^a)`` factor,
+    multiplications first, then exact divisions (:class:`NotPolynomial` when
+    one leaves a remainder)."""
+    coeffs = [fp.sign * c for c in p]
+    for a, e in fp.numerator_factors():
+        for _ in range(e):
+            coeffs = _mul_one_minus_ta(coeffs, a)
+    for a, e in fp.denominator_factors():
+        for _ in range(e):
+            coeffs = _div_one_minus_ta(coeffs, a)
+    return coeffs
 
 
 def _mul_one_minus_ta(p: list[int], a: int) -> list[int]:
@@ -249,7 +259,7 @@ def _div_one_minus_ta(p: list[int], a: int) -> list[int]:
     for i in range(len(q)):
         q[i] = p[i] + (q[i - a] if i >= a else 0)
     for i in range(len(q), len(p)):
-        expected = -q[i - a] if i - a < len(q) else 0
+        expected = -q[i - a] if i >= a else 0
         if p[i] != expected:
             raise NotPolynomial(f"(1 - t^{a}) does not divide the numerator")
     return q

@@ -6,7 +6,6 @@ from collections import Counter
 from fractions import Fraction
 
 from monocurve.conjecture import candidate_poles, verify_conjecture
-from monocurve.oracle import expand_and_verify
 from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 from monocurve.zeta import (
     FactorProduct,
@@ -34,6 +33,24 @@ class TestCandidatePoles:
         sg = build_semigroup((12, 18, 37))
         assert candidate_poles(sg)[1] == 1
 
+    def test_first_level_is_a_monomial_valuation(self):
+        # Second route to nu_1/N_1, read from n, order and digits alone: the
+        # monomial valuation v(x_j) = order/n_j on the binomials
+        # f_j = x_j^{n_j} - prod_i x_i^{c_i} of the monomial curve.  It is
+        # also the least candidate, the bound sum_j 1/n_j on the lct.
+        checked = 0
+        for sg in plane_semigroups(120):
+            v = [sg.order // nj for nj in sg.n]
+            v_f = [
+                min(sg.n[j] * v[j], sum(c * vi for c, vi in zip(sg.digits[j - 1], v)))
+                for j in range(1, len(sg.n))
+            ]
+            assert min(v_f) == sg.order, sg.gens
+            poles = candidate_poles(sg)
+            assert Fraction(sum(v), min(v_f)) == poles[1] == min(poles), sg.gens
+            checked += 1
+        assert checked == 3086
+
 
 class TestPkFactorization:
     def test_example_g2(self):
@@ -57,14 +74,6 @@ class TestPkFactorization:
             assert pks[-1].as_map().get(1) == 1
             for pk in pks[:-1]:
                 assert 1 not in pk.as_map()
-
-    def test_factors_are_polynomials(self):
-        # Exact dense division (NotPolynomial on a remainder) on every
-        # semigroup with b_g <= 60.
-        for sg in plane_semigroups(60):
-            for pk in verify_conjecture(sg).pk:
-                coeffs, _ = expand_and_verify(pk)
-                assert len(coeffs) == pk.degree() + 1
 
 
 class TestVerifyConjecture:

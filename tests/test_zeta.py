@@ -14,7 +14,9 @@ from monocurve.errors import BudgetExceeded, NotPolynomial
 from monocurve.oracle import expand_and_verify
 from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 from monocurve.zeta import (
+    CharacteristicPolynomial,
     FactorProduct,
+    _div_one_minus_ta,
     characteristic_polynomial,
     cyclotomic_exponent,
     milnor_number,
@@ -164,22 +166,23 @@ class TestSparseCyclotomic:
                 self._assert_exponents_agree(fp, _divisor_sum_vector(fp))
 
     def test_exponents_match_dense_phi_division(self):
-        # Dense multiplication, exact division and repeated Phi_d division
+        # The dense expansion and its Phi_d deflation to a unit cofactor
         # share no formula with the sum over factors; every semigroup with
-        # b_g <= 60 is small enough for them, so none is skipped.
+        # b_g <= 120 is small enough for them, so none is skipped.  Each
+        # product is expanded once: Delta and every P_k are polynomials of
+        # their factor degree.
         checked = 0
-        for sg in plane_semigroups(60):
-            delta = characteristic_polynomial(sg)
-            for i, fp in enumerate([delta.product, *verify_conjecture(sg).pk]):
+        for sg in plane_semigroups(120):
+            report = verify_conjecture(sg)
+            for i, fp in enumerate([report.delta.product, *report.pk]):
                 coeffs, mults = expand_and_verify(fp)
-                if i == 0:
-                    assert coeffs == delta.expand(), sg.gens
+                assert len(coeffs) == fp.degree() + 1, (sg.gens, i)
                 orders = {d for a, _ in fp.factors for d in _divisors(a)}
                 assert set(mults) <= orders
                 for d in orders:
                     assert mults.get(d, 0) == cyclotomic_exponent(fp, d), (sg.gens, i, d)
             checked += 1
-        assert checked == 340
+        assert checked == 3086
 
     def test_pipeline_products_are_polynomials(self):
         for seed in range(30):
@@ -302,7 +305,20 @@ class TestCharacteristicPolynomial:
 
     def test_dense_division_error(self):
         fp = FactorProduct.from_map({13: 1, 2: -1})
-        from monocurve.zeta import CharacteristicPolynomial
-
         with pytest.raises(NotPolynomial):
             CharacteristicPolynomial(product=fp, mu=11).expand()
+
+    @pytest.mark.parametrize("factors, coeffs", [
+        ({12: 1, 2: 1, 4: -1, 6: -1}, (1, 0, -1, 0, 1)),
+        ({30: 1, 15: -1, 10: -1, 6: -1, 5: 1, 3: 1, 2: 1, 1: -1}, (1, 1, 0, -1, -1, -1, 0, 1, 1)),
+    ])
+    def test_expands_cyclotomic_quotients(self, factors, coeffs):
+        # Phi_12 and Phi_30: the dividend is shorter than twice the divisor's
+        # degree, so the remainder check meets indices i < a.
+        delta = CharacteristicPolynomial(FactorProduct.from_map(factors), len(coeffs) - 1)
+        assert delta.expand() == coeffs
+
+    @pytest.mark.parametrize("p, a", [([1, -1, -1], 2), ([1] + [0] * 7 + [1], 7)])
+    def test_short_inexact_division_is_not_polynomial(self, p, a):
+        with pytest.raises(NotPolynomial):
+            _div_one_minus_ta(p, a)
