@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 from monocurve.conjecture import candidate_poles, verify_conjecture
+from monocurve.oracle import expand_and_verify
 from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 from monocurve.zeta import (
     FactorProduct,
@@ -74,6 +75,14 @@ class TestPkFactorization:
             assert pks[-1].as_map().get(1) == 1
             for pk in pks[:-1]:
                 assert 1 not in pk.as_map()
+
+    def test_factors_are_polynomials(self):
+        # Exact dense division (NotPolynomial on a remainder) on every
+        # semigroup with b_g <= 60.
+        for sg in plane_semigroups(60):
+            for pk in verify_conjecture(sg).pk:
+                coeffs, _ = expand_and_verify(pk)
+                assert len(coeffs) == pk.degree() + 1
 
 
 class TestVerifyConjecture:
