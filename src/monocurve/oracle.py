@@ -206,9 +206,12 @@ def _admissible_pairs(d: int, budget: EnumerationBudget) -> list[tuple[int, int]
     ]
 
 
+_CONSTANTS = [[Fraction(num, den) for num in range(den)] for den in range(7)]
+
+
 def _random_constant(rng: random.Random) -> Fraction:
     den = rng.randint(1, 6)
-    return Fraction(rng.randrange(den), den)
+    return _CONSTANTS[den][rng.randrange(den)]
 
 
 def grid_discrepancies(

@@ -11,17 +11,20 @@ enumeration and no polynomial factorization.  Pipeline verdicts read ``c_q``
 only at the orders they need.  Polynomiality (every ``c_d >= 0``) is checked
 by :func:`negative_cyclotomic_orders` on the gcd-closure of the factor
 exponents alone: ``c_d`` depends only on ``S_d = {a : d | a}``, and
-``gcd(S_d)`` lies in the closure and has the same set.  A dense expansion,
-one run of sparse ``(1 - t^a)`` multiplications and exact divisions, exists
-as a separate exact path for the characteristic polynomial; the tests
-compare these exponents with the Moebius-product ``Phi_d`` deflation of
-that expansion to a unit cofactor
+``gcd(S_d)`` lies in the closure and has the same set.  The dense expansion
+of the characteristic polynomial is a separate exact path of whole-slice
+list steps: each multiplication by ``(1 - t^b)`` is followed by the exact
+division by a pending ``(1 - t^a)`` with ``a | b``, and the unpaired
+divisions run last, largest ``a`` first.  The tests compare these exponents
+with its Moebius-product ``Phi_d`` deflation to a unit cofactor
 (:func:`monocurve.oracle.expand_and_verify`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InternalInconsistency, NotPolynomial, _exact_div
@@ -228,40 +231,48 @@ class CharacteristicPolynomial:
 
 
 def _sparse_product(p: list[int], fp: FactorProduct) -> list[int]:
-    """Coefficients of ``p * fp``: one sparse step per ``(1 - t^a)`` factor,
-    multiplications first, then exact divisions (:class:`NotPolynomial` when
-    one leaves a remainder)."""
+    """Coefficients of ``p * fp`` (``p`` with a nonzero leading coefficient).
+
+    After each multiplication by ``(1 - t^b)``, b ascending, divide by the
+    largest pending ``(1 - t^a)`` with ``a | b``: always exact, and it keeps
+    the running product short.  The unpaired divisions run last, largest
+    ``a`` first; :class:`NotPolynomial` when one leaves a remainder."""
     coeffs = [fp.sign * c for c in p]
-    for a, e in fp.numerator_factors():
+    pending = [a for a, e in fp.denominator_factors() for _ in range(e)]
+    for b, e in fp.numerator_factors():
         for _ in range(e):
-            coeffs = _mul_one_minus_ta(coeffs, a)
-    for a, e in fp.denominator_factors():
-        for _ in range(e):
-            coeffs = _div_one_minus_ta(coeffs, a)
+            coeffs = _mul_one_minus_ta(coeffs, b)
+            a = next((a for a in reversed(pending) if b % a == 0), 0)
+            if a:
+                pending.remove(a)
+                coeffs = _div_one_minus_ta(coeffs, a)
+    for a in reversed(pending):
+        coeffs = _div_one_minus_ta(coeffs, a)
     return coeffs
 
 
 def _mul_one_minus_ta(p: list[int], a: int) -> list[int]:
     out = p + [0] * a
-    for i in range(len(p)):
-        out[i + a] -= p[i]
-    while out and out[-1] == 0:
-        out.pop()
+    out[a:] = map(operator.sub, out[a:], p)
     return out
 
 
 def _div_one_minus_ta(p: list[int], a: int) -> list[int]:
-    # q * (1 - t^a) = p  =>  q_i = p_i + q_{i-a}; trailing identities must
-    # close exactly or p was not divisible.
-    if len(p) <= a:
-        raise NotPolynomial(f"cannot divide degree {len(p) - 1} by (1 - t^{a})")
-    q = [0] * (len(p) - a)
-    for i in range(len(q)):
-        q[i] = p[i] + (q[i - a] if i >= a else 0)
-    for i in range(len(q), len(p)):
-        expected = -q[i - a] if i >= a else 0
-        if p[i] != expected:
-            raise NotPolynomial(f"(1 - t^{a}) does not divide the numerator")
+    # q_i = p_i + q_{i-a}: running sums per residue mod a over all of p; the
+    # last a are the remainder.  Loop over a residues or n/a blocks, the fewer.
+    n = len(p)
+    if n <= a:
+        raise NotPolynomial(f"cannot divide degree {n - 1} by (1 - t^{a})")
+    q = p.copy()
+    if a * a < n:
+        for r in range(a):
+            q[r::a] = itertools.accumulate(q[r::a])
+    else:
+        for i in range(a, n, a):
+            q[i:i + a] = map(operator.add, q[i:i + a], q[i - a:i])
+    if q[n - a:] != [0] * a:
+        raise NotPolynomial(f"(1 - t^{a}) does not divide the numerator")
+    del q[n - a:]
     return q
 
 

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from monocurve import zeta
 from monocurve.cli import main
 from monocurve.conjecture import verify_conjecture
 from monocurve.errors import BudgetExceeded, NotPolynomial
@@ -17,6 +18,7 @@ from monocurve.zeta import (
     CharacteristicPolynomial,
     FactorProduct,
     _div_one_minus_ta,
+    _sparse_product,
     characteristic_polynomial,
     cyclotomic_exponent,
     milnor_number,
@@ -313,8 +315,8 @@ class TestCharacteristicPolynomial:
         ({30: 1, 15: -1, 10: -1, 6: -1, 5: 1, 3: 1, 2: 1, 1: -1}, (1, 1, 0, -1, -1, -1, 0, 1, 1)),
     ])
     def test_expands_cyclotomic_quotients(self, factors, coeffs):
-        # Phi_12 and Phi_30: the dividend is shorter than twice the divisor's
-        # degree, so the remainder check meets indices i < a.
+        # Phi_12 and Phi_30: the last dividend is shorter than a*a, so the
+        # block-wise division runs and its last block is partial.
         delta = CharacteristicPolynomial(FactorProduct.from_map(factors), len(coeffs) - 1)
         assert delta.expand() == coeffs
 
@@ -322,3 +324,86 @@ class TestCharacteristicPolynomial:
     def test_short_inexact_division_is_not_polynomial(self, p, a):
         with pytest.raises(NotPolynomial):
             _div_one_minus_ta(p, a)
+
+
+def _scalar_product(p, fp):
+    """The scalar recurrences the slice kernels replaced: every
+    multiplication, then every division, in ascending order of ``a``."""
+    coeffs = [fp.sign * c for c in p]
+    for a, e in fp.numerator_factors():
+        for _ in range(e):
+            out = coeffs + [0] * a
+            for i, c in enumerate(coeffs):
+                out[i + a] -= c
+            coeffs = out
+    for a, e in fp.denominator_factors():
+        for _ in range(e):
+            if len(coeffs) <= a:
+                raise NotPolynomial(a)
+            q = [0] * (len(coeffs) - a)
+            for i in range(len(q)):
+                q[i] = coeffs[i] + (q[i - a] if i >= a else 0)
+            for i in range(len(q), len(coeffs)):
+                if coeffs[i] != (-q[i - a] if i >= a else 0):
+                    raise NotPolynomial(a)
+            coeffs = q
+    return coeffs
+
+
+class TestSparseKernels:
+    """The slice kernels and the paired division order against the scalar recurrences."""
+
+    @staticmethod
+    def _random_case(rng):
+        factors: dict[int, int] = {}
+        # (1 - t^b)/(1 - t^a) with a | b is a polynomial; signed extra
+        # factors may break that, or be cancelled by a factor of p.
+        for _ in range(rng.randint(0, 4)):
+            a = rng.randint(1, 12)
+            b = a * rng.randint(1, 5)
+            factors[b] = factors.get(b, 0) + 1
+            factors[a] = factors.get(a, 0) - 1
+        for _ in range(rng.randint(0, 2)):
+            a = rng.randint(1, 40)
+            factors[a] = factors.get(a, 0) + rng.choice((-1, 1))
+        fp = FactorProduct.from_map(factors, rng.choice((1, -1)))
+        p = [rng.randint(-3, 3) for _ in range(rng.randint(0, 5))]
+        p.append(rng.choice((-2, -1, 1, 2)))
+        if fp.denominator_factors() and rng.random() < 0.3:
+            a, _ = rng.choice(fp.denominator_factors())
+            p = _scalar_product(p, FactorProduct.from_map({a: 1}))
+        return p, fp
+
+    def test_matches_scalar_recurrences(self, monkeypatch):
+        divisions = []
+
+        def recorded(p, a):
+            divisions.append((len(p), a))
+            return _div_one_minus_ta(p, a)
+
+        monkeypatch.setattr(zeta, "_div_one_minus_ta", recorded)
+        rng = random.Random(20260418)
+        outcomes = {True: 0, False: 0}
+        for _ in range(600):
+            p, fp = self._random_case(rng)
+            try:
+                expected = _scalar_product(p, fp)
+            except NotPolynomial:
+                expected = None
+            if expected is None:
+                with pytest.raises(NotPolynomial):
+                    _sparse_product(p, fp)
+            else:
+                assert _sparse_product(p, fp) == expected, (p, fp)
+            outcomes[expected is None] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+        # a = 1, a dividend no longer than a, one shorter than 2a, and both
+        # division loops (a*a < n by residue, else by block).
+        cases = {
+            "a = 1": sum(a == 1 for _, a in divisions),
+            "n <= a": sum(n <= a for n, a in divisions),
+            "a < n < 2a": sum(a < n < 2 * a for n, a in divisions),
+            "a*a < n": sum(a * a < n for n, a in divisions),
+            "a*a >= n > a": sum(a < n <= a * a for n, a in divisions),
+        }
+        assert min(cases.values()) >= 20, cases
