@@ -126,22 +126,36 @@ def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
     Returns the unique digit vector; raises :class:`NotRepresentable` when no
     vector exists, :class:`InternalInconsistency` if more than one does, and
     :class:`BudgetExceeded` when the search space exceeds ``10**7`` vectors.
+
+    The search is exhaustive and never reads ``sg.digits``: it lists every
+    tail sum ``sum_{1<=j<i} c_j*b_j`` as one list, in ``itertools.product``
+    order, without the digits ``c_j*b_j > s`` that cannot occur, and tests
+    each sum for a ``c_0``.  At ``s = n_i*b_i`` (the call of
+    :func:`~monocurve.crosscheck.cross_check`), ``b_k > n_{k-1}*b_{k-1}``
+    gives ``s // b_0 >= 2 * prod n_1..n_{i-1}``, so under the budget the list
+    has at most about 2,236 entries.
     """
     if not 1 <= i <= sg.g:
         raise ValueError(f"index i must be in 1..{sg.g}")
-    space = math.prod(sg.n[1:i]) * (s // sg.gens[0] + 1)
+    b0 = sg.gens[0]
+    space = math.prod(sg.n[1:i]) * (s // b0 + 1)
     if space > 10**7:
         raise BudgetExceeded(f"digit search space {space} too large")
-    hits = []
-    for tail in itertools.product(*(range(sg.n[j]) for j in range(1, i))):
-        rest = s - sum(cj * bj for cj, bj in zip(tail, sg.gens[1:i]))
-        if rest >= 0 and rest % sg.gens[0] == 0:
-            hits.append((rest // sg.gens[0], *tail))
+    sums, radices = [0], []
+    for j in range(1, i):
+        steps = range(0, min(sg.n[j] * sg.gens[j], s + 1), sg.gens[j])
+        radices.append(len(steps))
+        sums = [x + c for x in sums for c in steps]
+    hits = [k for k, x in enumerate(sums) if x <= s and (s - x) % b0 == 0]
     if not hits:
         raise NotRepresentable(f"{s} has no digit representation at level {i}")
     if len(hits) > 1:
         raise InternalInconsistency(f"digit representation of {s} is not unique")
-    return hits[0]
+    k = hits[0]
+    digits = [(s - sums[k]) // b0] + [0] * (i - 1)
+    for j in range(i - 1, 0, -1):
+        k, digits[j] = divmod(k, radices[j - 1])
+    return tuple(digits)
 
 
 def _moebius(n: int) -> int:

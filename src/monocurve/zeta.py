@@ -236,8 +236,9 @@ def _sparse_product(p: list[int], fp: FactorProduct) -> list[int]:
     After each multiplication by ``(1 - t^b)``, b ascending, divide by the
     largest pending ``(1 - t^a)`` with ``a | b``: always exact, and it keeps
     the running product short.  The unpaired divisions run last, largest
-    ``a`` first; :class:`NotPolynomial` when one leaves a remainder."""
-    coeffs = [fp.sign * c for c in p]
+    ``a`` first; :class:`NotPolynomial` when one leaves a remainder.  No step
+    mutates a list, so with no factors and sign +1 ``p`` itself comes back."""
+    coeffs = p if fp.sign == 1 else [-c for c in p]
     pending = [a for a, e in fp.denominator_factors() for _ in range(e)]
     for b, e in fp.numerator_factors():
         for _ in range(e):

@@ -13,7 +13,7 @@ from monocurve.conjecture import verify_conjecture
 from monocurve.crosscheck import DENSE_MU_CAP, campaign, cross_check
 from monocurve.errors import BudgetExceeded, InternalInconsistency
 from monocurve.resolution import build_resolution, zeta_from_graph
-from monocurve.semigroup import build_semigroup, plane_semigroups
+from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 
 
 def count_calls(monkeypatch, module_name: str, name: str) -> list:
@@ -181,3 +181,23 @@ class TestCampaign:
                 if pole.k >= 1:
                     cases["integer" if pole.integer else pole.case] += 1
         assert cases == {"i": 4614, "ii": 1439, "iii": 303, "iv": 95, "integer": 28}
+
+    def test_digit_search_runs_at_every_level_of_the_fuzz_draws(self, monkeypatch):
+        # The draws of `fuzz --seed 0`: the digit leg ran, without a budget
+        # skip, at every level of every instance, as recorded by a wrapper.
+        original = monocurve.crosscheck.enum_digits
+        outcomes = Counter()
+
+        def recorded(s, i, sg):
+            try:
+                digits = original(s, i, sg)
+            except BudgetExceeded:
+                outcomes["skipped"] += 1
+                raise
+            outcomes["ran"] += 1
+            return digits
+
+        monkeypatch.setattr(monocurve.crosscheck, "enum_digits", recorded)
+        draws = [random_semigroup(i, 2 + i % 4, 10**6) for i in range(1000)]
+        assert campaign(draws) == []
+        assert outcomes == {"ran": sum(sg.g for sg in draws)} == {"ran": 3500}

@@ -4,10 +4,16 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from monocurve.errors import BudgetExceeded, NotPolynomial, NotRepresentable
+from monocurve.errors import (
+    BudgetExceeded,
+    InternalInconsistency,
+    NotPolynomial,
+    NotRepresentable,
+)
 from monocurve.oracle import (
     EnumerationBudget,
     enum_count_solutions,
@@ -20,7 +26,7 @@ from monocurve.qspace import (
     count_solutions_fixed_tail,
     count_solutions_total,
 )
-from monocurve.semigroup import build_semigroup, decompose, random_semigroup
+from monocurve.semigroup import build_semigroup, decompose, plane_semigroups, random_semigroup
 from monocurve.zeta import (
     FactorProduct,
     characteristic_polynomial,
@@ -176,6 +182,54 @@ class TestEnumDigits:
                     assert enum_digits(s, i, sg) == decompose(sg, s, i) == digits
                 except BudgetExceeded:
                     pass
+
+    def test_matches_the_product_scan(self):
+        # The old scan over itertools.product, kept here as the reference:
+        # equal tuples, or the same exception type and message, at every
+        # level of every semigroup with b_g <= 120.
+        def product_scan(s, i, sg):
+            hits = []
+            for tail in itertools.product(*(range(sg.n[j]) for j in range(1, i))):
+                rest = s - sum(cj * bj for cj, bj in zip(tail, sg.gens[1:i]))
+                if rest >= 0 and rest % sg.gens[0] == 0:
+                    hits.append((rest // sg.gens[0], *tail))
+            if not hits:
+                raise NotRepresentable(f"{s} has no digit representation at level {i}")
+            if len(hits) > 1:
+                raise InternalInconsistency(f"digit representation of {s} is not unique")
+            return hits[0]
+
+        def outcome(search, s, i, sg):
+            try:
+                return search(s, i, sg)
+            except (NotRepresentable, InternalInconsistency) as exc:
+                return type(exc), str(exc)
+
+        rng = random.Random(13)
+        outcomes = {"digits": 0, "raised": 0}
+        for sg in plane_semigroups(120):
+            for i in range(1, sg.g + 1):
+                top = sg.n[i] * sg.gens[i]
+                for s in (top, *(rng.randrange(2 * top) for _ in range(3))):
+                    got = outcome(enum_digits, s, i, sg)
+                    assert got == outcome(product_scan, s, i, sg), (sg.gens, s, i)
+                    outcomes["raised" if isinstance(got[0], type) else "digits"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_non_unique_raises(self):
+        # Not a plane semigroup: with b_0 = 2 and b_1 = 1 < n_1 = 3, the sum
+        # s = 4 = 2*2 + 0*1 = 1*2 + 2*1 has two digit vectors at level 2.
+        stand_in = SimpleNamespace(g=2, n=(1, 3, 2), gens=(2, 1, 5))
+        with pytest.raises(InternalInconsistency, match="not unique"):
+            enum_digits(4, 2, stand_in)
+
+    def test_budget_threshold(self):
+        # At level 1 the space is s // b_0 + 1: 10**7 vectors run, one more raises.
+        sg = build_semigroup((4, 6, 13))
+        b0 = sg.gens[0]
+        assert enum_digits((10**7 - 1) * b0, 1, sg) == (10**7 - 1,)
+        with pytest.raises(BudgetExceeded, match="10000001 too large"):
+            enum_digits(10**7 * b0, 1, sg)
 
 
 MOEBIUS = {1: 1, 2: -1, 3: -1, 4: 0, 6: 1, 12: 0}
