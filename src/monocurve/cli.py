@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .conjecture import verify_conjecture
 from .crosscheck import campaign
-from .errors import MonocurveError
+from .errors import MonocurveError, _int_text, _json_text
 from .oracle import EnumerationBudget, grid_discrepancies
 from .resolution import _graph_doc, build_resolution, export_graph
 from .semigroup import build_semigroup, min_last_generator, random_semigroup
@@ -34,12 +33,24 @@ __all__ = ["main", "build_parser"]
 
 
 def _parse_gens(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        )
+    gens = []
+    for i, part in enumerate(text.split(",")):
+        try:
+            gens.append(int(part))
+        except ValueError:
+            # A signed run of decimal digits fails int() only past the digit limit.
+            digits = part.strip()
+            if digits[:1] in ("+", "-"):
+                digits = digits[1:]
+            if digits.isdecimal():
+                raise argparse.ArgumentTypeError(
+                    f"b_{i} has {len(digits)} digits, more than the int-to-str "
+                    f"digit limit of {sys.get_int_max_str_digits()}"
+                )
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated integers, got {text!r}"
+            )
+    return tuple(gens)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,13 +134,13 @@ def _analyze(sg, fmt: str) -> tuple[str, bool]:
             "poles": [p.to_json() for p in report.poles],
             "conjecture_pass": report.passed,
         }
-        return json.dumps(doc, indent=2), report.passed
+        return _json_text(doc), report.passed
     lines = [
         "gens = " + ", ".join(str(x) for x in sg.gens),
         f"g = {sg.g}",
         "e = " + ", ".join(str(x) for x in sg.e),
         "n = " + ", ".join(str(x) for x in sg.n),
-        f"mu = {delta.mu}",
+        f"mu = {_int_text(delta.mu)}",
         f"Z = {z.render()}",
         f"Delta = {delta.product.render('t_minus_one')}",
         "poles:",
@@ -181,12 +192,12 @@ def _run(args, sg) -> int:
         delta = characteristic_polynomial(sg)
         if args.format == "json":
             doc = {**_zeta_delta_doc(z, delta), "mu": delta.mu}
-            _emit(json.dumps(doc, indent=2), args.output)
+            _emit(_json_text(doc), args.output)
         else:
             _emit(
                 f"Z = {z.render()}\n"
                 f"Delta = {delta.product.render('t_minus_one')}\n"
-                f"mu = {delta.mu}",
+                f"mu = {_int_text(delta.mu)}",
                 args.output,
             )
         return 0

@@ -15,11 +15,10 @@ cyclotomic exponent at ``q_k``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistency, _exact_div
+from .errors import InternalInconsistency, _exact_div, _int_text, _json_text
 from .semigroup import PlaneSemigroup
 from .zeta import (
     CharacteristicPolynomial,
@@ -90,7 +89,9 @@ class ConjectureReport:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        """:meth:`to_json` as text: 2-space indent, keys in the order above,
+        non-ASCII escaped; the same bytes as ``json.dumps(..., indent=2)``."""
+        return _json_text(self.to_json())
 
 
 def candidate_poles(sg: PlaneSemigroup) -> list[Fraction]:
@@ -199,4 +200,4 @@ def _display(value: Fraction, Nk: int, k: int) -> str:
     nu = value * Nk
     if nu.denominator != 1:
         raise InternalInconsistency(f"nu_{k} = {nu} is not an integer")
-    return f"{int(nu)}/{Nk}"
+    return f"{_int_text(int(nu))}/{_int_text(Nk)}"

@@ -1,8 +1,12 @@
-"""Exception hierarchy for the monocurve package, and its exact-division helper.
+"""Exception hierarchy for the monocurve package, its exact-division helper
+and its two text writers for integers and JSON documents.
 
 Every error raised by the library derives from :class:`MonocurveError` so
 callers (and the CLI) can distinguish bad input from internal failures.
 """
+
+import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 
 class MonocurveError(Exception):
@@ -46,7 +50,67 @@ class HypothesisViolated(MonocurveError):
 
 
 class BudgetExceeded(MonocurveError):
-    """An enumeration or expansion exceeded its configured budget."""
+    """An enumeration or expansion exceeded its configured budget, or an
+    integer to be written has more digits than ``int`` converts to text."""
+
+
+def _digit_limit_error() -> BudgetExceeded:
+    return BudgetExceeded(
+        f"an output integer has more than {sys.get_int_max_str_digits()} digits, "
+        "the int-to-str digit limit"
+    )
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``, raising :class:`BudgetExceeded` past the int-to-str digit limit."""
+    try:
+        return int.__repr__(n)
+    except ValueError as exc:  # the only ValueError int.__repr__ raises
+        raise _digit_limit_error() from exc
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for the package's documents.
+
+    ``doc`` may hold dicts with str keys (written in insertion order), lists,
+    tuples, str (ASCII-escaped), int, ``True``, ``False`` and ``None``; any
+    other value raises :class:`TypeError`.  The json module writes indented
+    text through a chain of pure-Python generators; this builds each
+    container with one ``join`` and takes about half the time.  An integer
+    past the int-to-str digit limit raises :class:`BudgetExceeded`.
+    """
+    try:
+        return _json_value(doc, "\n")
+    except ValueError as exc:  # raised only by int.__repr__
+        raise _digit_limit_error() from exc
+
+
+def _json_value(o, indent: str) -> str:
+    t = type(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is str:
+        return _quote(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join(
+            [_json_value(item, inner) for item in o]) + indent + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + _json_value(item, inner) for key, item in o.items()]
+        ) + indent + "}"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 class InternalInconsistency(MonocurveError):

@@ -15,12 +15,11 @@ with the closed form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from . import qspace
-from .errors import BudgetExceeded, InternalInconsistency, _exact_div
+from .errors import BudgetExceeded, InternalInconsistency, _exact_div, _int_text, _json_text
 from .qspace import CyclicQuotientType, WeightedCurveSpec
 from .semigroup import PlaneSemigroup
 from .zeta import FactorProduct, resolution_multiplicities
@@ -339,16 +338,20 @@ def _graph_doc(graph: ResolutionGraph) -> dict:
 
 
 def export_graph(graph: ResolutionGraph, format: str = "json") -> str:
-    """Serialize the graph deterministically as ``"json"`` or ``"dot"``."""
+    """Serialize the graph deterministically as ``"json"`` or ``"dot"``.
+
+    The JSON has a 2-space indent, keys in the order of :func:`_graph_doc` and
+    non-ASCII escaped: the same bytes as ``json.dumps(..., indent=2)``.
+    """
     if format == "json":
-        return json.dumps(_graph_doc(graph), indent=2, sort_keys=False)
+        return _json_text(_graph_doc(graph))
     if format == "dot":
         mult = {f"E_{lvl.k}": lvl.N for lvl in graph.levels}
         lines = ["graph resolution {"]
         for v in graph.nodes:
             if v.startswith("E_"):
                 k, j = v.split("_")[1:]
-                label = f"E_{{{k},{j}}} [{mult[f'E_{k}']}]"
+                label = f"E_{{{k},{j}}} [{_int_text(mult[f'E_{k}'])}]"
                 lines.append(f'  "{v}" [label="{label}"];')
             elif v == "Yhat":
                 lines.append(f'  "{v}" [label="Ŷ", shape=rarrow];')
@@ -357,7 +360,7 @@ def export_graph(graph: ResolutionGraph, format: str = "json") -> str:
         counts = _incidence_counts(graph)
         for u, v in graph.edges:
             note = counts.get((u, v))
-            attr = f' [label="{note}"]' if note else ""
+            attr = f' [label="{_int_text(note)}"]' if note else ""
             lines.append(f'  "{u}" -- "{v}"{attr};')
         lines.append("}")
         return "\n".join(lines)

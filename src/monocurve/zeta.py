@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InternalInconsistency, NotPolynomial, _exact_div
+from .errors import BudgetExceeded, InternalInconsistency, NotPolynomial, _exact_div, _int_text
 from .semigroup import PlaneSemigroup
 
 __all__ = [
@@ -111,9 +111,9 @@ class FactorProduct:
             parts = []
             for a, e in pairs:
                 base = "(1-t)" if (a == 1 and fmt.startswith("(1")) else (
-                    "(t-1)" if a == 1 else fmt.format(a=a)
+                    "(t-1)" if a == 1 else fmt.format(a=_int_text(a))
                 )
-                parts.append(base if e == 1 else f"{base}^{e}")
+                parts.append(base if e == 1 else f"{base}^{_int_text(e)}")
             return " ".join(parts)
 
         num = side(self.numerator_factors()) or "1"

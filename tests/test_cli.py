@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -73,6 +74,17 @@ class TestZeta:
         assert doc["mu"] == 16
         assert doc["delta"]["rendered"].startswith("(t-1)")
 
+    # Captured with json.dumps(indent=2), before the package had its own writer.
+    @pytest.mark.parametrize("gens, digest", [
+        ("4,6,13", "94903754a8a54d321c6fc59b89081138865b390ebe7c2b73625eac4a4c8f2dd7"),
+        ("8,12,26,53", "52bdf4174e84350f40e85ffe351467481b7452edddba0938683b36ff9ec5c357"),
+        ("12,18,37", "5bcc7e620f28f4dbdb4297c8554c3024a7312514382ed5fe688e0977984662b6"),
+    ])
+    def test_pinned_json_bytes(self, capsys, gens, digest):
+        code, out, _ = run(capsys, "zeta", "--gens", gens, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestGraph:
     def test_json(self, capsys):
@@ -108,6 +120,18 @@ class TestConjecture:
         code, out, _ = run(capsys, "conjecture", "--gens", "4,6,13", "--format", "text")
         assert code == 0
         assert out.strip().endswith("pass")
+
+    # Captured with json.dumps(indent=2), before the package had its own writer;
+    # 12,18,37 has an integer pole at k = 1.
+    @pytest.mark.parametrize("gens, digest", [
+        ("4,6,13", "d4092e5ac1033795213bbaf0050d90d148e5f93a0b940c99beae446e364e074b"),
+        ("8,12,26,53", "12caa6c432d5aa4281e7b484038a6026975a65280f0876a0c7ba8e06f8152aa6"),
+        ("12,18,37", "4d0751928c7f14dbe0ecb09a634df7ab37dfa164144030e4a8d7f15d6df4f92d"),
+    ])
+    def test_pinned_json_bytes(self, capsys, gens, digest):
+        code, out, _ = run(capsys, "conjecture", "--gens", gens, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestFuzz:
@@ -264,6 +288,47 @@ class TestComponentCap:
         assert out == ""
         assert err == (
             "error: BudgetExceeded: 8388608 exceptional components exceed the cap 65536\n"
+        )
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int-to-str digit limit")
+class TestDigitLimit:
+    OUTPUTS = [
+        ["analyze"], ["analyze", "--format", "json"], ["zeta"], ["zeta", "--format", "json"],
+        ["graph"], ["graph", "--format", "dot"], ["conjecture"], ["conjecture", "--format", "text"],
+    ]
+
+    @pytest.mark.parametrize("argv", OUTPUTS, ids=[" ".join(a) for a in OUTPUTS])
+    def test_output_past_the_limit_exit_1(self, capsys, argv):
+        # b_2 has exactly the limit's digits; N_2 = 2*b_2 has one more.
+        b2 = 10 ** sys.get_int_max_str_digits() - 1
+        code, out, err = run(capsys, *argv, "--gens", f"4,6,{b2}")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: BudgetExceeded: an output integer has more than "
+            f"{sys.get_int_max_str_digits()} digits, the int-to-str digit limit\n"
+        )
+
+    def test_output_at_the_limit(self, capsys):
+        b2 = 10 ** (sys.get_int_max_str_digits() - 1) - 1
+        code, out, _ = run(capsys, "zeta", "--gens", f"4,6,{b2}")
+        assert code == 0
+        assert f"(1-t^{2 * b2})" in out
+
+    def test_generator_past_the_limit_exit_2(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--gens", "4,6," + "9" * (limit + 1)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.count("error:") == 1
+        assert captured.err.endswith(
+            f"error: argument --gens: b_2 has {limit + 1} digits, "
+            f"more than the int-to-str digit limit of {limit}\n"
         )
 
 
