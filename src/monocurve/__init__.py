@@ -9,8 +9,9 @@ that every pole induces a monodromy eigenvalue.  The closed forms are
 cross-validated against independent computations or brute-force oracles,
 at run time or in the tests.  Of the candidate pole values, the first
 level has an independent check in the tests (a monomial valuation on the
-binomial equations of the monomial curve); the levels ``k >= 2`` are
-checked only by a regrouping of their own formula.
+binomial equations of the monomial curve); at the levels ``k >= 2`` only
+the integer numerator of the formula is compared with that of a regrouped
+form.
 """
 
 from .conjecture import (

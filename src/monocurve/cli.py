@@ -47,9 +47,10 @@ def _parse_gens(text: str) -> tuple[int, ...]:
                     f"b_{i} has {len(digits)} digits, more than the int-to-str "
                     f"digit limit of {sys.get_int_max_str_digits()}"
                 )
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated integers, got {text!r}"
-            )
+            shown = repr(part)
+            if len(part) > 20:
+                shown = f"{part[:20]!r}... ({len(part)} characters)"
+            raise argparse.ArgumentTypeError(f"b_{i} is not an integer: {shown}")
     return tuple(gens)
 
 

@@ -5,7 +5,10 @@ For each ``k = 1..g`` the candidate pole exponent is the exact rational
     nu_k/N_k = (sum_{l<=k} b_l - sum_{1<=l<k} n_l*b_l) / (n_k*b_k)
                + (k - 1) + sum_{l>k} 1/n_l,
 
-plus the trivial pole exponent ``g``.  The verification splits the
+plus the trivial pole exponent ``g``.  Each level is summed on ints over
+the common denominator ``n_k*b_k*e_k`` and reduced once; a transcription
+check compares its numerator over ``n_k*b_k`` with that of a regrouped
+formula, as two ints.  The verification splits the
 characteristic polynomial as a product of exact factors ``P_k`` and checks
 that the eigenvalue attached to every non-integer pole (a primitive root of
 unity of order ``q_k``, the reduced denominator) is a zero of ``P_k`` and of
@@ -97,29 +100,24 @@ class ConjectureReport:
 def candidate_poles(sg: PlaneSemigroup) -> list[Fraction]:
     """Exact candidate pole exponents ``[g, nu_1/N_1, ..., nu_g/N_g]``.
 
-    Each value is recomputed through an alternate algebraic grouping and the
-    two must agree (guards formula transcription).
+    Level ``k`` is summed on ints over the common denominator
+    ``n_k*b_k*e_k``, with ``sum_{l>k} 1/n_l = (sum_{l>k} e_k/n_l)/e_k`` since
+    ``e_k = n_{k+1}*...*n_g``; one ``Fraction`` per level reduces it.  The
+    numerator over ``n_k*b_k`` is also summed in an alternate algebraic
+    grouping, and the two integers must agree (guards formula transcription).
     """
-    g = sg.g
+    g, b, n, e = sg.g, sg.gens, sg.n, sg.e
     poles = [Fraction(g)]
     for k in range(1, g + 1):
-        nk_bk = sg.n[k] * sg.gens[k]
-        head = sum(sg.gens[: k + 1]) - sum(sg.n[l] * sg.gens[l] for l in range(1, k))
-        value = Fraction(head, nk_bk) + (k - 1) + sum(
-            Fraction(1, sg.n[l]) for l in range(k + 1, g + 1)
-        )
-        alt = (
-            Fraction(
-                sg.gens[k] + sg.gens[0]
-                + sum(sg.gens[l] - sg.n[l] * sg.gens[l] for l in range(1, k)),
-                nk_bk,
-            )
-            + (k - 1)
-            + sum(Fraction(1, sg.n[l]) for l in range(k + 1, g + 1))
-        )
-        if value != alt:
+        nk_bk = n[k] * b[k]
+        head = sum(b[: k + 1]) - sum(n[l] * b[l] for l in range(1, k))
+        alt = b[k] + b[0] + sum(b[l] - n[l] * b[l] for l in range(1, k))
+        if head != alt:
             raise InternalInconsistency(f"pole value regrouping mismatch at k={k}")
-        poles.append(value)
+        tail = sum(e[k] // n[l] for l in range(k + 1, g + 1))
+        poles.append(
+            Fraction((head + (k - 1) * nk_bk) * e[k] + tail * nk_bk, nk_bk * e[k])
+        )
     return poles
 
 
@@ -130,10 +128,13 @@ def _pk_factors(sg: PlaneSemigroup, M, N, delta: CharacteristicPolynomial) -> li
             / ((t^{M_k} - 1)^{b_k/M_k} (t^{L_k} - 1)^{e_{k-1}/L_k})
 
     with ``L_k = lcm(n_k, ..., n_g)`` and ``L_{g+1} = 1`` read from ``sg.L``,
-    from already built ``(M, N)`` and ``Delta``.  Asserts that the product
-    equals ``Delta`` and every ``P_k`` is a polynomial.
+    from already built ``(M, N)`` and ``Delta``.  Asserts that every ``P_k``
+    is a polynomial and that their product (the summed exponent maps, the
+    signs multiplied) equals ``Delta``.
     """
     out = []
+    total: dict[int, int] = {}
+    sign = 1
     for k in range(1, sg.g + 1):
         Nk, Mk, Lk, Lk1 = N[k - 1], M[k], sg.L[k], sg.L[k + 1]
         factors: dict[int, int] = {}
@@ -144,14 +145,13 @@ def _pk_factors(sg: PlaneSemigroup, M, N, delta: CharacteristicPolynomial) -> li
             (Lk, -_exact_div(sg.e[k - 1], Lk, f"P_{k}: e_{k - 1} / L_{k}")),
         ):
             factors[a] = factors.get(a, 0) + e
+            total[a] = total.get(a, 0) + e
         pk = FactorProduct.from_t_minus_one(factors)
         if negative_cyclotomic_orders(pk):
             raise InternalInconsistency(f"P_{k} is not a polynomial")
         out.append(pk)
-    product = FactorProduct.one()
-    for pk in out:
-        product = product * pk
-    if product != delta.product:
+        sign *= pk.sign
+    if FactorProduct.from_map(total, sign) != delta.product:
         raise InternalInconsistency("product of P_k factors differs from Delta")
     return out
 
@@ -197,7 +197,7 @@ def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
 
 def _display(value: Fraction, Nk: int, k: int) -> str:
     """Render the pole as ``nu_k/N_k`` (possibly unreduced, e.g. ``8/6``)."""
-    nu = value * Nk
-    if nu.denominator != 1:
-        raise InternalInconsistency(f"nu_{k} = {nu} is not an integer")
-    return f"{_int_text(int(nu))}/{_int_text(Nk)}"
+    nu, rem = divmod(value.numerator * Nk, value.denominator)
+    if rem:
+        raise InternalInconsistency(f"nu_{k} = {value * Nk} is not an integer")
+    return f"{_int_text(nu)}/{_int_text(Nk)}"

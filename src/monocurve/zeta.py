@@ -140,7 +140,12 @@ def cyclotomic_exponent(fp: FactorProduct, d: int) -> int:
     """Exponent ``c_d = sum_{a : d | a} e_a`` of ``Phi_d`` in ``fp``.
 
     Uses ``1 - t^a = -prod_{d | a} Phi_d(t)``; O(number of factors).
+
+    Raises:
+        ValueError: ``d < 1``.
     """
+    if d < 1:
+        raise ValueError(f"cyclotomic order must be positive, got {d}")
     return sum(e for a, e in fp.factors if a % d == 0)
 
 

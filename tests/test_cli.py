@@ -341,6 +341,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["analyze", "--gens", "4,six,13"])
 
+    @pytest.mark.parametrize("part, shown", [
+        ("six", "'six'"),
+        ("x" * 5000, f"'{'x' * 20}'... (5000 characters)"),
+    ])
+    def test_unparsable_part_named_by_index(self, capsys, part, shown):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--gens", f"4,{part},13"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        (line,) = [line for line in captured.err.splitlines() if "error:" in line]
+        assert line.endswith(f"error: argument --gens: b_1 is not an integer: {shown}")
+        assert len(line) < 200
+
     def test_parser_reused_without_leaking_options(self, capsys, tmp_path):
         target = tmp_path / "graph.json"
         assert run(capsys, "graph", "--gens", "4,6,13", "--output", str(target))[0] == 0

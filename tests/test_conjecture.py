@@ -5,10 +5,14 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from monocurve.conjecture import candidate_poles, verify_conjecture
+import pytest
+
+from monocurve.conjecture import _pk_factors, candidate_poles, verify_conjecture
+from monocurve.errors import InternalInconsistency
 from monocurve.oracle import expand_and_verify
 from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 from monocurve.zeta import (
+    CharacteristicPolynomial,
     FactorProduct,
     characteristic_polynomial,
     resolution_multiplicities,
@@ -53,6 +57,46 @@ class TestCandidatePoles:
         assert checked == 3086
 
 
+def _poles_formula(sg):
+    """[g, nu_1/N_1, ..., nu_g/N_g] as the paper writes them, one Fraction per term."""
+    g, b, n = sg.g, sg.gens, sg.n
+    return [Fraction(g)] + [
+        Fraction(sum(b[: k + 1]) - sum(n[l] * b[l] for l in range(1, k)), n[k] * b[k])
+        + (k - 1)
+        + sum(Fraction(1, n[l]) for l in range(k + 1, g + 1))
+        for k in range(1, g + 1)
+    ]
+
+
+class TestPolesAgainstFormula:
+    """The integer-numerator poles equal the paper's Fraction sum, and each
+    display ``nu/N_k`` is that value over the level's ``N_k``."""
+
+    @staticmethod
+    def check(sg):
+        assert candidate_poles(sg) == _poles_formula(sg), sg.gens
+        _, N = resolution_multiplicities(sg)
+        for p in verify_conjecture(sg).poles[1:]:
+            nu, Nk = p.display.split("/")
+            assert int(Nk) == N[p.k - 1], sg.gens
+            assert Fraction(int(nu), int(Nk)) == p.value, sg.gens
+
+    def test_all_small(self):
+        checked = 0
+        for sg in plane_semigroups(120):
+            self.check(sg)
+            checked += 1
+        assert checked == 3086
+
+    def test_random_draws(self):
+        gs = Counter()
+        for seed in range(200):
+            sg = random_semigroup(seed, 2 + seed % 4, 10**6)
+            self.check(sg)
+            gs[sg.g] += 1
+        assert gs == {2: 50, 3: 50, 4: 50, 5: 50}
+
+
 class TestPkFactorization:
     def test_example_g2(self):
         sg = build_semigroup((4, 6, 13))
@@ -67,6 +111,25 @@ class TestPkFactorization:
             for pk in verify_conjecture(sg).pk:
                 product = product * pk
             assert product == characteristic_polynomial(sg).product
+
+    @pytest.mark.parametrize("alter", ["extra factor", "sign"])
+    def test_product_check_rejects_a_wrong_delta(self, alter):
+        sg = build_semigroup((8, 12, 26, 53))
+        M, N = resolution_multiplicities(sg)
+        delta = characteristic_polynomial(sg)
+        _pk_factors(sg, M, N, delta)
+        if alter == "extra factor":
+            wrong = CharacteristicPolynomial(
+                delta.product * FactorProduct.from_map({7: 1}), delta.mu + 7
+            )
+        else:
+            wrong = CharacteristicPolynomial(
+                FactorProduct(delta.product.factors, -delta.product.sign), delta.mu
+            )
+        with pytest.raises(
+            InternalInconsistency, match=r"^product of P_k factors differs from Delta$"
+        ):
+            _pk_factors(sg, M, N, wrong)
 
     def test_last_factor_carries_t_minus_one(self):
         # The (t - 1) factor of Delta sits in P_g via the L_{g+1} = 1 term.

@@ -106,6 +106,12 @@ class TestCyclotomic:
         exponents = [cyclotomic_exponent(fp, d) for d in (1, 2, 3, 4, 5, 6, 7, 12)]
         assert exponents == [0, 0, 1, -1, 0, 1, 0, 0]
 
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_order_below_one_rejected(self, d):
+        fp = FactorProduct.from_map({6: 1, 3: -1})
+        with pytest.raises(ValueError, match=f"got {d}$"):
+            cyclotomic_exponent(fp, d)
+
 
 PINNED = ((4, 6, 13), (8, 12, 26, 53), (12, 18, 37))
 
