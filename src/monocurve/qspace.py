@@ -12,6 +12,13 @@ axis intersections and Euler characteristics for chained systems of the shape
 
     x_0^{m_0} + x_1^{m_1} + x_2^{m_2} = 0,  x_i^{m_i} + x_{i+1}^{m_{i+1}} = 0.
 
+For ``r >= 3`` each curve count is also computed on the charts ``x_2 != 0``
+and ``x_3 != 0`` and checked against its symmetric form.  The chart checks
+of the component count run in :func:`curve_component_count` alone; the
+total of :func:`curve_axis_intersections` is its per-component count times
+the symmetric component count, so a caller that runs both on one spec runs
+each check once.
+
 All counts are exact integers; failed divisibility raises structured errors.
 """
 
@@ -47,26 +54,22 @@ class CyclicQuotientType:
     A: tuple[tuple[int, ...], ...]
 
     def __init__(self, d, A):
-        d = tuple(int(x) for x in d)
-        A = tuple(tuple(int(x) for x in row) for row in A)
+        d = tuple(map(int, d))
+        A = tuple(A)
         if len(d) != len(A):
             raise IllFormed("one order per weight row required")
-        if any(x < 1 for x in d):
+        if min(d, default=1) < 1:
             raise IllFormed(f"row orders must be >= 1: {d}")
+        A = tuple([tuple([a % dt for a in map(int, row)]) for dt, row in zip(d, A)])
         if len({len(row) for row in A}) > 1:
             raise IllFormed("weight rows must have equal length")
-        A = tuple(tuple(a % dt for a in row) for dt, row in zip(d, A))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "A", A)
-
-    def column(self, i: int) -> tuple[int, ...]:
-        return tuple(row[i] for row in self.A)
 
 
 def l_factor(t: CyclicQuotientType, i: int) -> int:
     """Smallest ``l`` with ``x_i^l`` invariant: ``lcm_t d_t / gcd(d_t, a_ti)``."""
-    col = t.column(i)
-    return math.lcm(*(dt // math.gcd(dt, a) for dt, a in zip(t.d, col)))
+    return math.lcm(*[dt // math.gcd(dt, row[i]) for dt, row in zip(t.d, t.A)])
 
 
 def divisor_multiplicity(m: int, t: CyclicQuotientType, i: int) -> int:
@@ -163,30 +166,31 @@ class WeightedCurveSpec:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "p", tuple(int(x) for x in self.p))
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
-        r = len(self.p) - 1
+        d = self.d
+        a, p, m = tuple(map(int, self.a)), tuple(map(int, self.p)), tuple(map(int, self.m))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
+        r = len(p) - 1
         if r < 2:
             raise IllFormed("curve specs need at least three coordinates")
-        if not (len(self.a) == len(self.p) == len(self.m)):
+        if not (len(a) == len(p) == len(m)):
             raise IllFormed("a, p, m must have equal length")
-        if self.d < 1 or any(x < 1 for x in self.p) or any(x < 1 for x in self.m):
+        if d < 1 or min(p) < 1 or min(m) < 1:
             raise IllFormed("orders, weights and exponents must be positive")
-        for i in range(r + 1):
-            if (self.a[i] * self.m[i]) % self.d:
-                raise IllFormed(
-                    f"d={self.d} does not divide a_{i}*m_{i}={self.a[i] * self.m[i]}"
-                )
-        K = self.p[0] * self.m[0]
-        if any(self.p[i] * self.m[i] != K for i in range(1, r + 1)):
+        for i, am in enumerate([ai * mi for ai, mi in zip(a, m)]):
+            if am % d:
+                raise IllFormed(f"d={d} does not divide a_{i}*m_{i}={am}")
+        if len({pi * mi for pi, mi in zip(p, m)}) > 1:
             raise IllFormed("curve is not weighted homogeneous: p_i*m_i differ")
-        for i in range(1, r + 1):
-            for j in range(i + 1, r + 1):
-                if self.a[i] * self.p[j] != self.a[j] * self.p[i]:
-                    raise HypothesisViolated(
-                        f"commutation a_{i}*p_{j} = a_{j}*p_{i} fails exactly"
-                    )
+        # With every p_i > 0, a_i*p_j = a_j*p_i for all i, j >= 1 holds iff it
+        # holds for i = 1, and the first failing pair (i, j) has i = 1.
+        a1, p1 = a[1], p[1]
+        for j in range(2, r + 1):
+            if a1 * p[j] != a[j] * p1:
+                raise HypothesisViolated(
+                    f"commutation a_1*p_{j} = a_{j}*p_1 fails exactly"
+                )
 
     @property
     def r(self) -> int:
@@ -198,10 +202,10 @@ def curve_component_count(spec: WeightedCurveSpec) -> int:
 
     Returns 1 when ``r = 2``.  For ``r >= 3`` the chart-local computation is
     repeated on charts ``x_2 != 0`` and ``x_3 != 0`` and checked against the
-    symmetric formula.
+    symmetric formula.  These chart checks run here and nowhere else:
+    :func:`curve_axis_intersections` takes the symmetric count without them.
     """
-    m = spec.m
-    symmetric = _exact_div(math.prod(m[2:]), math.lcm(*m[2:]), "component count")
+    symmetric = _symmetric_component_count(spec)
     if spec.r >= 3:
         for c in (2, 3):
             local = _chart_component_count(spec, c)
@@ -212,12 +216,17 @@ def curve_component_count(spec: WeightedCurveSpec) -> int:
     return symmetric
 
 
+def _symmetric_component_count(spec: WeightedCurveSpec) -> int:
+    m = spec.m
+    return _exact_div(math.prod(m[2:]), math.lcm(*m[2:]), "component count")
+
+
 def _chart_component_count(spec: WeightedCurveSpec, c: int) -> int:
     # On the chart x_c != 0 the tail system lives in X(p_c; p_2, ..., p_r)
     # (coordinate c omitted) and the class count is
     # prod(m_i, i != c) * gcd(p_2, ..., p_r) / p_c.
-    m, p, r = spec.m, spec.p, spec.r
-    num = math.prod(m[i] for i in range(2, r + 1) if i != c) * math.gcd(*p[2:])
+    m, p = spec.m, spec.p
+    num = math.prod(m[2:c] + m[c + 1:]) * math.gcd(*p[2:])
     return _exact_div(num, p[c], f"chart-{c} component count")
 
 
@@ -230,8 +239,11 @@ def curve_axis_intersections(spec: WeightedCurveSpec, axis: int) -> tuple[int, i
             / (d*P*gcd(p_2, ..., p_r))
 
     with ``w = 1 - axis``, ``P = p_2*...*p_r`` and ``Q = a_i*prod_{j>=2, j!=i}
-    p_j``; the total is per-component times the component count.  For
-    ``r >= 3`` the chart-local values on two charts must agree.
+    p_j``.  For ``r >= 3`` the chart-local values of this per-component
+    count on two charts must agree.  The total is per-component times the
+    symmetric component count ``m_2*...*m_r / lcm(m_2, ..., m_r)``; the chart
+    checks of that count run in :func:`curve_component_count`, which a
+    caller that wants them calls on the same spec.
     """
     if axis not in (0, 1):
         raise IllFormed("axis must be 0 or 1")
@@ -256,7 +268,7 @@ def curve_axis_intersections(spec: WeightedCurveSpec, axis: int) -> tuple[int, i
                 raise InternalInconsistency(
                     f"axis-{axis} count differs on chart {c}: {local} != {per}"
                 )
-    return per, per * curve_component_count(spec)
+    return per, per * _symmetric_component_count(spec)
 
 
 def _axis_count_chart(spec: WeightedCurveSpec, axis: int, c: int) -> int:

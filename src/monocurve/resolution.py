@@ -174,24 +174,25 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
     for k in range(1, g + 1):
         _exact_div(strata[k].count, r[k - 1], f"Q_{k} share per E_{k} component")
 
+    labels = [[f"E_{k}_{j}" for j in range(1, r[k - 1] + 1)] for k in range(1, g + 1)]
     nodes = [f"H_{i}" for i in range(g + 1)]
-    for k in range(1, g + 1):
-        nodes.extend(f"E_{k}_{j}" for j in range(1, r[k - 1] + 1))
+    for level_labels in labels:
+        nodes.extend(level_labels)
     nodes.append("Yhat")
 
     edges: list[tuple[str, str]] = []
-    for j in range(1, r[0] + 1):
-        edges.append(("H_0", f"E_1_{j}"))
-        edges.append(("H_1", f"E_1_{j}"))
+    for e1 in labels[0]:
+        edges.append(("H_0", e1))
+        edges.append(("H_1", e1))
     for k in range(2, g + 1):
-        for j in range(1, r[k - 1] + 1):
-            edges.append((f"H_{k}", f"E_{k}_{j}"))
+        h = f"H_{k}"
+        edges.extend([(h, ek) for ek in labels[k - 1]])
     for k in range(1, g):  # also checks r_{k+1} | r_k
         block = _exact_div(r[k - 1], r[k], "contiguous block size")
-        for j_next in range(1, r[k] + 1):
-            for j in range((j_next - 1) * block + 1, j_next * block + 1):
-                edges.append((f"E_{k}_{j}", f"E_{k + 1}_{j_next}"))
-    edges.append((f"E_{g}_1", "Yhat"))
+        here = labels[k - 1]
+        for j, target in enumerate(labels[k]):
+            edges.extend([(ek, target) for ek in here[j * block:(j + 1) * block]])
+    edges.append((labels[g - 1][0], "Yhat"))
 
     graph = ResolutionGraph(gens, tuple(levels), tuple(nodes), tuple(edges),
                             tuple(strata), tuple(_local_types(sg)))
@@ -208,16 +209,16 @@ def _local_types(sg: PlaneSemigroup) -> list[LocalType]:
         LocalType(
             "Q0",
             CyclicQuotientType(
-                (math.gcd(*(order // n[i] for i in range(1, g + 1))),),
+                (math.gcd(*[order // n[i] for i in range(1, g + 1)]),),
                 ((order // n[0], -1),),
             ),
         )
     ]
     for k in range(1, g + 1):
         m = n[k] * gens[k]
-        d_q = math.gcd(e[k - 1], *(m // n[i] for i in range(k + 1, g + 1)))
+        d_q = math.gcd(e[k - 1], *[m // n[i] for i in range(k + 1, g + 1)])
         types.append(LocalType(f"Q{k}", CyclicQuotientType((d_q,), ((-1, gens[k]),))))
-        d_gen = math.gcd(e[k - 1], *(m // n[i] for i in range(k, g + 1)))
+        d_gen = math.gcd(e[k - 1], *[m // n[i] for i in range(k, g + 1)])
         types.append(LocalType(f"Egen{k}", CyclicQuotientType((d_gen,), ((-1,),))))
     for k in range(2, g + 1):
         diff = _b_prev(sg, k)

@@ -130,23 +130,33 @@ class FactorProduct:
 
 
 def _canonical(factors: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    for a in factors:
+    canon = []
+    for a, e in factors.items():
         if a < 1:
             raise ValueError(f"factor exponent of t must be positive, got {a}")
-    return tuple(sorted((a, e) for a, e in factors.items() if e != 0))
+        if e:
+            canon.append((a, e))
+    canon.sort()
+    return tuple(canon)
 
 
 def cyclotomic_exponent(fp: FactorProduct, d: int) -> int:
     """Exponent ``c_d = sum_{a : d | a} e_a`` of ``Phi_d`` in ``fp``.
 
-    Uses ``1 - t^a = -prod_{d | a} Phi_d(t)``; O(number of factors).
+    Uses ``1 - t^a = -prod_{d | a} Phi_d(t)``; one loop over the factors,
+    O(number of factors).  It is the one place that sums ``c_d``:
+    :func:`negative_cyclotomic_orders` and the pole verdicts call it.
 
     Raises:
         ValueError: ``d < 1``.
     """
     if d < 1:
         raise ValueError(f"cyclotomic order must be positive, got {d}")
-    return sum(e for a, e in fp.factors if a % d == 0)
+    c = 0
+    for a, e in fp.factors:
+        if a % d == 0:
+            c += e
+    return c
 
 
 def negative_cyclotomic_orders(fp: FactorProduct) -> list[int]:

@@ -17,11 +17,80 @@ from monocurve.qspace import (
     l_factor,
 )
 from monocurve.resolution import _homogeneous_spec, build_resolution
-from monocurve.semigroup import build_semigroup, random_semigroup
+from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 
 
 def one_row(d, *a):
     return CyclicQuotientType((d,), (tuple(a),))
+
+
+class TestValidation:
+    """Each malformed type or spec raises one exception class with one message."""
+
+    @pytest.mark.parametrize("d, A, message", [
+        ((2, 3), ((1, 0),), "one order per weight row required"),
+        ((2,), ((1,), (1,)), "one order per weight row required"),
+        ((0,), ((1,),), "row orders must be >= 1: (0,)"),
+        ((4, -2), ((1,), (1,)), "row orders must be >= 1: (4, -2)"),
+        ((2, 3), ((1, 0), (1,)), "weight rows must have equal length"),
+        ((2, 3, 5), ((1,), (1,), ()), "weight rows must have equal length"),
+    ], ids=["fewer rows", "fewer orders", "order 0", "negative order",
+            "short second row", "empty third row"])
+    def test_malformed_type(self, d, A, message):
+        with pytest.raises(IllFormed) as info:
+            CyclicQuotientType(d, A)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("d, a, p, m, error, message", [
+        (1, (0, 0), (1, 1), (1, 1), IllFormed,
+         "curve specs need at least three coordinates"),
+        (1, (0, 0), (1, 1, 1), (2, 2, 2), IllFormed, "a, p, m must have equal length"),
+        (1, (0, 0, 0), (1, 1, 1), (2, 2), IllFormed, "a, p, m must have equal length"),
+        (0, (0, 0, 0), (1, 1, 1), (2, 2, 2), IllFormed,
+         "orders, weights and exponents must be positive"),
+        (1, (0, 0, 0), (1, 0, 1), (2, 2, 2), IllFormed,
+         "orders, weights and exponents must be positive"),
+        (1, (0, 0, 0), (1, 1, 1), (2, -2, 2), IllFormed,
+         "orders, weights and exponents must be positive"),
+        (4, (0, 1, 2), (1, 1, 1), (2, 2, 2), IllFormed,
+         "d=4 does not divide a_1*m_1=2"),
+        (3, (0, 3, 3, -1), (1, 1, 1, 1), (3, 3, 3, 2), IllFormed,
+         "d=3 does not divide a_3*m_3=-2"),
+        (1, (0, 0, 0), (1, 1, 1), (2, 2, 3), IllFormed,
+         "curve is not weighted homogeneous: p_i*m_i differ"),
+        (2, (0, 1, 0), (1, 1, 1), (2, 2, 2), HypothesisViolated,
+         "commutation a_1*p_2 = a_2*p_1 fails exactly"),
+        (1, (0, 1, 1, 2), (1, 1, 1, 1), (1, 1, 1, 1), HypothesisViolated,
+         "commutation a_1*p_3 = a_3*p_1 fails exactly"),
+    ], ids=["r=1", "short a", "short m", "d=0", "weight 0", "negative exponent",
+            "d does not divide a_1*m_1", "d does not divide a_3*m_3",
+            "not homogeneous", "commutation at j=2", "commutation at j=3"])
+    def test_malformed_spec(self, d, a, p, m, error, message):
+        with pytest.raises(error) as info:
+            WeightedCurveSpec(d=d, a=a, p=p, m=m)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("d, A, reduced", [
+        ((4,), ((-1, 5, 4, 0),), ((3, 1, 0, 0),)),
+        ([2, 3], [[-1, 7], [-1, 7]], ((1, 1), (2, 1))),
+        ((1,), ((-5, 9),), ((0, 0),)),
+        ((), (), ()),
+    ], ids=["negative and out of range", "two rows as lists", "trivial group", "empty type"])
+    def test_type_weights_reduced_mod_row_order(self, d, A, reduced):
+        t = CyclicQuotientType(d, A)
+        assert t.d == tuple(d)
+        assert t.A == reduced
+        assert all(type(x) is tuple for x in (t.d, t.A, *t.A))
+
+    def test_empty_type_is_trivial(self):
+        assert CyclicQuotientType((), ()) == CyclicQuotientType([], [])
+        assert l_factor(CyclicQuotientType((), ()), 0) == 1
+
+    def test_spec_keeps_action_weights_unreduced(self):
+        spec = WeightedCurveSpec(d=2, a=[-1, 4, 4], p=[1, 1, 1], m=[2, 2, 2])
+        assert (spec.a, spec.p, spec.m) == ((-1, 4, 4), (1, 1, 1), (2, 2, 2))
+        assert spec.r == 2
 
 
 class TestLFactorAndMultiplicity:
@@ -35,6 +104,11 @@ class TestLFactorAndMultiplicity:
     def test_two_rows(self):
         t = CyclicQuotientType((2, 3), ((1, 0), (1, 0)))
         assert l_factor(t, 0) == 6
+        # Each row's entry is read against its own order.
+        t = CyclicQuotientType((4, 6), ((2, 0), (0, 3)))
+        assert (l_factor(t, 0), l_factor(t, 1)) == (2, 2)
+        t = CyclicQuotientType((4, 6), ((1, 2), (2, 3)))
+        assert (l_factor(t, 0), l_factor(t, 1)) == (12, 2)
 
     def test_multiplicity(self):
         assert divisor_multiplicity(12, one_row(4, 1, 2), 0) == 3
@@ -118,13 +192,26 @@ class TestEulerCharacteristics:
 
 
 class TestChartIndependence:
+    # curve_component_count runs the chart checks (x2 != 0 vs x3 != 0) of
+    # the component count and raises on a mismatch; curve_axis_intersections
+    # runs those of its per-component count and multiplies by the symmetric
+    # component count, so both are called on each spec.
+    @staticmethod
+    def _check_levels(sg):
+        levels = build_resolution(sg).levels[:-1]
+        for level in levels:
+            spec = _homogeneous_spec(sg, level)
+            n_comp = curve_component_count(spec)
+            assert n_comp == level.r
+            for axis in (0, 1):
+                per, total = curve_axis_intersections(spec, axis)
+                assert total == per * n_comp
+        return len(levels)
+
     def test_fuzzed_specs(self):
         for seed in range(60):
-            sg = random_semigroup(seed, 3 + seed % 3, 10**6)
-            for level in build_resolution(sg).levels[:-1]:
-                spec = _homogeneous_spec(sg, level)
-                # Internal chart checks (x2 != 0 vs x3 != 0) raise on mismatch.
-                n_comp = curve_component_count(spec)
-                for axis in (0, 1):
-                    per, total = curve_axis_intersections(spec, axis)
-                    assert total == per * n_comp
+            self._check_levels(random_semigroup(seed, 3 + seed % 3, 10**6))
+
+    def test_every_level_of_the_small_stratum(self):
+        # Every level k < g of the 3086 semigroups with b_g <= 120.
+        assert sum(self._check_levels(sg) for sg in plane_semigroups(120)) == 3393

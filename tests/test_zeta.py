@@ -262,6 +262,22 @@ class TestCharacteristicPolynomial:
         assert delta.product.as_map() == {1: 1, 6: 1, 26: 1, 2: -2, 13: -1}
         assert delta.mu == 16
 
+    def test_not_the_plane_branch_alexander_polynomial(self):
+        # Delta belongs to the curve as a Cartier divisor on a generic
+        # embedding surface.  The classical Alexander polynomial of the plane
+        # branch 4,6,13, (1-t)(1-t^12)(1-t^26) / (1-t^4)(1-t^6)(1-t^13), has
+        # the same degree mu but other cyclotomic factors, and the candidate
+        # pole 8/6 needs the Phi_3 that only Delta has.
+        sg = build_semigroup((4, 6, 13))
+        delta = characteristic_polynomial(sg)
+        alexander = FactorProduct.from_map({1: 1, 12: 1, 26: 1, 4: -1, 6: -1, 13: -1})
+        assert _divisor_sum_vector(delta.product) == {3: 1, 6: 1, 26: 1}
+        assert _divisor_sum_vector(alexander) == {12: 1, 26: 1}
+        assert delta.product.degree() == alexander.degree() == delta.mu == 16
+        pole = verify_conjecture(sg).poles[1]
+        assert (pole.k, pole.display, pole.order, pole.delta_mult) == (1, "8/6", 3, 1)
+        assert cyclotomic_exponent(alexander, 3) == 0
+
     def test_expansion_well_formed(self):
         delta = characteristic_polynomial(build_semigroup((4, 6, 13)))
         coeffs = delta.expand()
