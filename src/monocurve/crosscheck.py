@@ -25,7 +25,8 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
     """Run every cross-check on ``sg``; return failure descriptions (empty = pass).
 
     Checks: resolution-graph invariants (divisibility, component counts,
-    tree shape, quotient-space cross-validation), :func:`verify_conjecture`
+    the tree shape from those counts, quotient-space cross-validation; no
+    component is listed, so this runs at any g), :func:`verify_conjecture`
     (which checks Delta for nonnegative cyclotomic exponents and degree mu,
     and the exact per-level factor splitting, once each) with a passing pole
     verdict, :func:`zeta_from_graph` (A'Campo's stratum product) equal to

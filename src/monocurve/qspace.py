@@ -223,11 +223,11 @@ def _symmetric_component_count(spec: WeightedCurveSpec) -> int:
 
 def _chart_component_count(spec: WeightedCurveSpec, c: int) -> int:
     # On the chart x_c != 0 the tail system lives in X(p_c; p_2, ..., p_r)
-    # (coordinate c omitted) and the class count is
-    # prod(m_i, i != c) * gcd(p_2, ..., p_r) / p_c.
+    # (coordinate c omitted) with exponents m_i, i != c.
     m, p = spec.m, spec.p
-    num = math.prod(m[2:c] + m[c + 1:]) * math.gcd(*p[2:])
-    return _exact_div(num, p[c], f"chart-{c} component count")
+    return count_solutions_total(
+        CyclicQuotientType((p[c],), (p[2:c] + p[c + 1:],)), m[2:c] + m[c + 1:]
+    )
 
 
 def curve_axis_intersections(spec: WeightedCurveSpec, axis: int) -> tuple[int, int]:
@@ -251,10 +251,7 @@ def curve_axis_intersections(spec: WeightedCurveSpec, axis: int) -> tuple[int, i
     w = 1 - axis  # index of the coordinate whose power sweeps the axis points
     P = math.prod(p[2:])
     Q = a[2] * math.prod(p[3:])
-    if axis == 0:
-        head_gcd = math.gcd(p[1], *p[2:])
-    else:
-        head_gcd = math.gcd(p[0], *p[2:])
+    head_gcd = math.gcd(p[w], *p[2:])
     tail_gcd = math.gcd(*p[2:])
     per = _exact_div(
         m[w] * math.gcd(d * P * head_gcd, abs(a[w] * P - p[w] * Q) * tail_gcd),

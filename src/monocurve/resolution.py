@@ -11,6 +11,9 @@ closed-form count is cross-validated against the general quotient-space
 counting machinery of :mod:`monocurve.qspace`.  :func:`zeta_from_graph` is
 A'Campo's route to Z, which :func:`monocurve.crosscheck.cross_check` compares
 with the closed form.
+
+The graph holds counts only, and its tree shape is checked from them; only
+the exporters list the ``sum(r_k)`` labelled components.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ __all__ = [
     "export_graph",
 ]
 
-# Cap on sum(r_k), the number of exceptional components the graph lists.
+# Cap on sum(r_k), the number of exceptional components the exporters list.
 # The all-n_i = 2 chains list 2^(g-1) components, exponential in the bit
 # length of the input; random draws with generators <= 10^6 stay below 150.
 MAX_COMPONENTS = 2**16
@@ -79,8 +82,6 @@ class LocalType:
 class ResolutionGraph:
     gens: tuple[int, ...]
     levels: tuple[GraphLevel, ...]
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
     strata: tuple[Stratum, ...]
     local_types: tuple[LocalType, ...]
 
@@ -133,14 +134,10 @@ def _homogeneous_spec(sg: PlaneSemigroup, level: GraphLevel) -> WeightedCurveSpe
 def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
     """Assemble the resolution dual graph with all invariants verified.
 
-    Component labeling and the assignment of ``E_{k+1}`` components to
-    ``E_k`` components use deterministic contiguous blocks of size
-    ``r_k / r_{k+1}`` (only the counts are canonical; the labeling is a
-    reproducibility choice).
+    The graph keeps counts only; the tree shape follows from
+    ``r_g = r_{g-1} = 1`` and ``r_{k+1} | r_k``, both checked here.
 
     Raises:
-        BudgetExceeded: the divisors have more than ``MAX_COMPONENTS``
-            components in total, checked before any node is listed.
         NotDivisible: a count, weight or Euler characteristic is not exact.
         InternalInconsistency: any other divisibility or cross-validation
             check fails.  Either indicates a formula transcription bug.
@@ -149,10 +146,6 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
     n, gens = sg.n, sg.gens
     M, N = resolution_multiplicities(sg)
     r = _component_counts(sg)
-    if sum(r) > MAX_COMPONENTS:
-        raise BudgetExceeded(
-            f"{sum(r)} exceptional components exceed the cap {MAX_COMPONENTS}"
-        )
 
     levels = []
     for k in range(1, g + 1):
@@ -173,30 +166,10 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
     _exact_div(strata[0].count, r[0], "Q0 share per E_1 component")
     for k in range(1, g + 1):
         _exact_div(strata[k].count, r[k - 1], f"Q_{k} share per E_{k} component")
+    for k in range(1, g):
+        _exact_div(r[k - 1], r[k], "contiguous block size")
 
-    labels = [[f"E_{k}_{j}" for j in range(1, r[k - 1] + 1)] for k in range(1, g + 1)]
-    nodes = [f"H_{i}" for i in range(g + 1)]
-    for level_labels in labels:
-        nodes.extend(level_labels)
-    nodes.append("Yhat")
-
-    edges: list[tuple[str, str]] = []
-    for e1 in labels[0]:
-        edges.append(("H_0", e1))
-        edges.append(("H_1", e1))
-    for k in range(2, g + 1):
-        h = f"H_{k}"
-        edges.extend([(h, ek) for ek in labels[k - 1]])
-    for k in range(1, g):  # also checks r_{k+1} | r_k
-        block = _exact_div(r[k - 1], r[k], "contiguous block size")
-        here = labels[k - 1]
-        for j, target in enumerate(labels[k]):
-            edges.extend([(ek, target) for ek in here[j * block:(j + 1) * block]])
-    edges.append((labels[g - 1][0], "Yhat"))
-
-    graph = ResolutionGraph(gens, tuple(levels), tuple(nodes), tuple(edges),
-                            tuple(strata), tuple(_local_types(sg)))
-    _check_tree(graph)
+    graph = ResolutionGraph(gens, tuple(levels), tuple(strata), tuple(_local_types(sg)))
     _cross_validate(sg, graph)
     return graph
 
@@ -228,10 +201,52 @@ def _local_types(sg: PlaneSemigroup) -> list[LocalType]:
     return types
 
 
-def _check_tree(graph: ResolutionGraph) -> None:
+def _listing(graph: ResolutionGraph) -> tuple[list[str], list[tuple[str, str]]]:
+    """The labelled nodes and edges of the dual graph, for the exporters.
+
+    Component labeling and the assignment of ``E_{k+1}`` components to
+    ``E_k`` components use deterministic contiguous blocks of size
+    ``r_k / r_{k+1}`` (only the counts are canonical; the labeling is a
+    reproducibility choice).
+
+    Raises:
+        BudgetExceeded: the divisors have more than ``MAX_COMPONENTS``
+            components in total, checked before any node is listed.
+        InternalInconsistency: the listing is not a tree.
+    """
+    r = [lvl.r for lvl in graph.levels]
+    if sum(r) > MAX_COMPONENTS:
+        raise BudgetExceeded(
+            f"{sum(r)} exceptional components exceed the cap {MAX_COMPONENTS}"
+        )
+    g = len(r)
+    labels = [[f"E_{k}_{j}" for j in range(1, r[k - 1] + 1)] for k in range(1, g + 1)]
+    nodes = [f"H_{i}" for i in range(g + 1)]
+    for level_labels in labels:
+        nodes.extend(level_labels)
+    nodes.append("Yhat")
+
+    edges: list[tuple[str, str]] = []
+    for e1 in labels[0]:
+        edges.append(("H_0", e1))
+        edges.append(("H_1", e1))
+    for k in range(2, g + 1):
+        h = f"H_{k}"
+        edges.extend([(h, ek) for ek in labels[k - 1]])
+    for k in range(1, g):
+        block = r[k - 1] // r[k]
+        here = labels[k - 1]
+        for j, target in enumerate(labels[k]):
+            edges.extend([(ek, target) for ek in here[j * block:(j + 1) * block]])
+    edges.append((labels[g - 1][0], "Yhat"))
+    _check_tree(nodes, edges)
+    return nodes, edges
+
+
+def _check_tree(nodes: list[str], edges: list[tuple[str, str]]) -> None:
     """The exceptional components plus the strict transform form a tree."""
-    keep = {v for v in graph.nodes if v.startswith("E_") or v == "Yhat"}
-    sub = [ed for ed in graph.edges if ed[0] in keep and ed[1] in keep]
+    keep = {v for v in nodes if v.startswith("E_") or v == "Yhat"}
+    sub = [ed for ed in edges if ed[0] in keep and ed[1] in keep]
     if len(sub) != len(keep) - 1:
         raise InternalInconsistency(
             f"dual graph not a tree: {len(sub)} edges on {len(keep)} nodes"
@@ -308,6 +323,7 @@ def zeta_from_graph(graph: ResolutionGraph) -> FactorProduct:
 
 def _graph_doc(graph: ResolutionGraph) -> dict:
     """The JSON document of :func:`export_graph`, before serialization."""
+    _, edges = _listing(graph)
     return {
         "gens": list(graph.gens),
         "levels": [
@@ -321,7 +337,7 @@ def _graph_doc(graph: ResolutionGraph) -> dict:
             }
             for lvl in graph.levels
         ],
-        "edges": [list(ed) for ed in graph.edges],
+        "edges": [list(ed) for ed in edges],
         "strata": [
             {
                 "kind": s.kind,
@@ -343,13 +359,15 @@ def export_graph(graph: ResolutionGraph, format: str = "json") -> str:
 
     The JSON has a 2-space indent, keys in the order of :func:`_graph_doc` and
     non-ASCII escaped: the same bytes as ``json.dumps(..., indent=2)``.
+    Either format raises ``BudgetExceeded`` past ``MAX_COMPONENTS`` components.
     """
     if format == "json":
         return _json_text(_graph_doc(graph))
     if format == "dot":
+        nodes, edges = _listing(graph)
         mult = {f"E_{lvl.k}": lvl.N for lvl in graph.levels}
         lines = ["graph resolution {"]
-        for v in graph.nodes:
+        for v in nodes:
             if v.startswith("E_"):
                 k, j = v.split("_")[1:]
                 label = f"E_{{{k},{j}}} [{_int_text(mult[f'E_{k}'])}]"
@@ -358,27 +376,14 @@ def export_graph(graph: ResolutionGraph, format: str = "json") -> str:
                 lines.append(f'  "{v}" [label="Ŷ", shape=rarrow];')
             else:
                 lines.append(f'  "{v}" [label="{v}"];')
-        counts = _incidence_counts(graph)
-        for u, v in graph.edges:
-            note = counts.get((u, v))
+        # H_k meets each component of one level in the same number of points.
+        notes = {f"H_{lvl.k}": graph.stratum("Qk", lvl.k).count // lvl.r for lvl in graph.levels}
+        notes["H_0"] = graph.stratum("Q0", 0).count // graph.levels[0].r
+        for u, v in edges:
+            note = notes.get(u)
             attr = f' [label="{_int_text(note)}"]' if note else ""
             lines.append(f'  "{u}" -- "{v}"{attr};')
         lines.append("}")
         return "\n".join(lines)
     raise ValueError(f"unknown format {format!r}")
 
-
-def _incidence_counts(graph: ResolutionGraph) -> dict[tuple[str, str], int]:
-    """Point counts annotating boundary-curve incidences."""
-    out: dict[tuple[str, str], int] = {}
-    r1 = graph.levels[0].r
-    q0 = graph.stratum("Q0", 0).count // r1
-    q1 = graph.stratum("Qk", 1).count // r1
-    for j in range(1, r1 + 1):
-        out[("H_0", f"E_1_{j}")] = q0
-        out[("H_1", f"E_1_{j}")] = q1
-    for lvl in graph.levels[1:]:
-        share = graph.stratum("Qk", lvl.k).count // lvl.r
-        for j in range(1, lvl.r + 1):
-            out[(f"H_{lvl.k}", f"E_{lvl.k}_{j}")] = share
-    return out

@@ -58,10 +58,6 @@ class FactorProduct:
         object.__setattr__(self, "factors", canon)
 
     @classmethod
-    def one(cls) -> "FactorProduct":
-        return cls()
-
-    @classmethod
     def from_map(cls, factors: dict[int, int], sign: int = 1) -> "FactorProduct":
         return cls(tuple(factors.items()), sign)
 
@@ -73,18 +69,6 @@ class FactorProduct:
 
     def as_map(self) -> dict[int, int]:
         return dict(self.factors)
-
-    def __mul__(self, other: "FactorProduct") -> "FactorProduct":
-        merged = self.as_map()
-        for a, e in other.factors:
-            merged[a] = merged.get(a, 0) + e
-        return FactorProduct.from_map(merged, self.sign * other.sign)
-
-    def __truediv__(self, other: "FactorProduct") -> "FactorProduct":
-        merged = self.as_map()
-        for a, e in other.factors:
-            merged[a] = merged.get(a, 0) - e
-        return FactorProduct.from_map(merged, self.sign * other.sign)
 
     def degree(self) -> int:
         """Degree as a rational function: ``sum a * e_a``."""

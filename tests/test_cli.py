@@ -279,7 +279,7 @@ class TestComponentCap:
         234562480592213,
     ])
 
-    @pytest.mark.parametrize("argv", [["graph"], ["analyze", "--format", "json"], ["analyze"]])
+    @pytest.mark.parametrize("argv", [["graph"], ["analyze", "--format", "json"]])
     def test_too_many_components_exit_1_fast(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv, "--gens", self.GENS)
@@ -289,6 +289,14 @@ class TestComponentCap:
         assert err == (
             "error: BudgetExceeded: 8388608 exceptional components exceed the cap 65536\n"
         )
+
+    def test_text_analyze_lists_no_components(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--gens", self.GENS)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert err == ""
+        assert out.endswith("conjecture: pass\n")
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

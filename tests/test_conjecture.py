@@ -107,9 +107,11 @@ class TestPkFactorization:
     def test_product_is_delta(self):
         for seed in range(40):
             sg = random_semigroup(seed, 2 + seed % 4, 10**6)
-            product = FactorProduct.one()
-            for pk in verify_conjecture(sg).pk:
-                product = product * pk
+            pks = verify_conjecture(sg).pk
+            exponents = Counter()
+            for pk in pks:
+                exponents.update(pk.as_map())
+            product = FactorProduct.from_map(exponents, math.prod(pk.sign for pk in pks))
             assert product == characteristic_polynomial(sg).product
 
     @pytest.mark.parametrize("alter", ["extra factor", "sign"])
@@ -119,8 +121,10 @@ class TestPkFactorization:
         delta = characteristic_polynomial(sg)
         _pk_factors(sg, M, N, delta)
         if alter == "extra factor":
+            exponents = Counter(delta.product.as_map())
+            exponents[7] += 1
             wrong = CharacteristicPolynomial(
-                delta.product * FactorProduct.from_map({7: 1}), delta.mu + 7
+                FactorProduct.from_map(exponents, delta.product.sign), delta.mu + 7
             )
         else:
             wrong = CharacteristicPolynomial(

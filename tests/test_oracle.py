@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -262,7 +263,10 @@ class TestExpandAndVerify:
         assert mults == {3: 1, 6: 1, 26: 1}
 
     def test_trivial_quotient(self):
-        fp = FactorProduct.from_map({1: 1}) / FactorProduct.from_map({1: 1})
+        # (1 - t) / (1 - t): the quotient's exponent map is the difference.
+        exponents = Counter(FactorProduct.from_map({1: 1}).as_map())
+        exponents.subtract(FactorProduct.from_map({1: 1}).as_map())
+        fp = FactorProduct.from_map(exponents)
         coeffs, mults = expand_and_verify(fp)
         assert coeffs == (1,)
         assert mults == {}

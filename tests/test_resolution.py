@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
-from monocurve.errors import BudgetExceeded
+from monocurve.crosscheck import cross_check
+from monocurve.errors import BudgetExceeded, InternalInconsistency
 from monocurve.resolution import (
     MAX_COMPONENTS,
+    _check_tree,
+    _listing,
     build_resolution,
     export_graph,
     zeta_from_graph,
@@ -42,14 +46,14 @@ class TestBuildResolutionG2:
         assert self.graph.stratum("Qkk1", 1).multiplicity is None
 
     def test_chain_shape(self):
-        edges = set(self.graph.edges)
-        assert edges == {
-            ("H_0", "E_1_1"),
-            ("H_1", "E_1_1"),
-            ("H_2", "E_2_1"),
-            ("E_1_1", "E_2_1"),
-            ("E_2_1", "Yhat"),
-        }
+        edges = json.loads(export_graph(self.graph))["edges"]
+        assert edges == [
+            ["H_0", "E_1_1"],
+            ["H_1", "E_1_1"],
+            ["H_2", "E_2_1"],
+            ["E_1_1", "E_2_1"],
+            ["E_2_1", "Yhat"],
+        ]
 
     def test_local_types_recorded(self):
         ats = {t.at for t in self.graph.local_types}
@@ -67,9 +71,22 @@ class TestBuildResolutionG3:
         assert self.graph.stratum("Q0", 0).count == 4
 
     def test_e2_meets_both_e1_components(self):
-        edges = set(self.graph.edges)
-        assert ("E_1_1", "E_2_1") in edges
-        assert ("E_1_2", "E_2_1") in edges
+        edges = json.loads(export_graph(self.graph))["edges"]
+        assert ["E_1_1", "E_2_1"] in edges
+        assert ["E_1_2", "E_2_1"] in edges
+
+    def test_listing_is_checked_as_a_tree(self):
+        nodes, edges = _listing(self.graph)
+        block_edges = [ed for ed in edges if ed[0].startswith("E_") and ed[1].startswith("E_")]
+        assert block_edges == [("E_1_1", "E_2_1"), ("E_1_2", "E_2_1"), ("E_2_1", "E_3_1")]
+        with pytest.raises(InternalInconsistency,
+                           match="^dual graph not a tree: 3 edges on 5 nodes$"):
+            _check_tree(nodes, [ed for ed in edges if ed != block_edges[1]])
+        # The count is right, but E_1_2 is cut off by a duplicate edge.
+        duplicated = [block_edges[0] if ed == block_edges[1] else ed for ed in edges]
+        with pytest.raises(InternalInconsistency,
+                           match="^dual graph not connected on exceptional part$"):
+            _check_tree(nodes, duplicated)
 
     def test_axis_counts_split_evenly(self):
         # |E_1 cap H_0| = 4 splits as 2 per component of E_1.
@@ -169,5 +186,20 @@ class TestComponentCap:
     def test_first_chain_past_the_cap(self):
         # g = 17 lists exactly MAX_COMPONENTS = 2^16 components; g = 18 twice that.
         assert MAX_COMPONENTS == 2**16
-        with pytest.raises(BudgetExceeded, match="131072 exceptional components"):
-            build_resolution(build_semigroup(all_two_chain(18)))
+        graph = build_resolution(build_semigroup(all_two_chain(18)))
+        for fmt in ("json", "dot"):
+            with pytest.raises(
+                BudgetExceeded, match="^131072 exceptional components exceed the cap 65536$"
+            ):
+                export_graph(graph, fmt)
+
+    @pytest.mark.parametrize("g", [18, 40])
+    def test_counts_past_the_cap(self, g):
+        # The graph keeps counts only, so every check runs past the listing cap.
+        sg = build_semigroup(all_two_chain(g))
+        graph = build_resolution(sg)
+        assert sum(lvl.r for lvl in graph.levels) == 2 ** (g - 1)
+        assert zeta_from_graph(graph) == zeta_closed_form(sg)
+        start = time.perf_counter()
+        assert cross_check(sg) == []
+        assert time.perf_counter() - start < 1.0
