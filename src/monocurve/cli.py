@@ -118,8 +118,12 @@ def _zeta_delta_doc(z, delta) -> dict:
 
 
 def _analyze(sg, fmt: str) -> tuple[str, bool]:
-    """The ``analyze`` report in ``fmt``; both formats build the graph and the report."""
+    """The ``analyze`` report in ``fmt``; both formats build the graph and the report.
+
+    The JSON graph document comes first, so past the listing cap it refuses
+    before any of the report is built."""
     graph = build_resolution(sg)
+    resolution = _graph_doc(graph) if fmt == "json" else None
     report = verify_conjecture(sg)
     z, delta = report.zeta, report.delta
     if fmt == "json":
@@ -131,7 +135,7 @@ def _analyze(sg, fmt: str) -> tuple[str, bool]:
             "digits": [list(row) for row in sg.digits],
             "mu": delta.mu,
             **_zeta_delta_doc(z, delta),
-            "resolution": _graph_doc(graph),
+            "resolution": resolution,
             "poles": [p.to_json() for p in report.poles],
             "conjecture_pass": report.passed,
         }

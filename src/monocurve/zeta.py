@@ -13,11 +13,14 @@ by :func:`negative_cyclotomic_orders` on the gcd-closure of the factor
 exponents alone: ``c_d`` depends only on ``S_d = {a : d | a}``, and
 ``gcd(S_d)`` lies in the closure and has the same set.  The dense expansion
 of the characteristic polynomial is a separate exact path of whole-slice
-list steps: each multiplication by ``(1 - t^b)`` is followed by the exact
-division by a pending ``(1 - t^a)`` with ``a | b``, and the unpaired
-divisions run last, largest ``a`` first.  The tests compare these exponents
-with its Moebius-product ``Phi_d`` deflation to a unit cofactor
-(:func:`monocurve.oracle.expand_and_verify`).
+list steps: each ``(1 - t^b)`` paired with a pending ``(1 - t^a)``,
+``a | b``, is one multiplication by the comb ``1 + t^a + ... + t^(b-a)``,
+and the unpaired divisions run last, largest ``a`` first.  The comb step
+repeats the running product when its ``b/a`` copies do not overlap, adds
+shifted slices when that touches no more elements than multiplying by
+``(1 - t^b)`` and dividing by ``(1 - t^a)``, and does that pair otherwise.
+The tests compare these exponents with its Moebius-product ``Phi_d``
+deflation to a unit cofactor (:func:`monocurve.oracle.expand_and_verify`).
 """
 
 from __future__ import annotations
@@ -59,7 +62,9 @@ class FactorProduct:
 
     @classmethod
     def from_map(cls, factors: dict[int, int], sign: int = 1) -> "FactorProduct":
-        return cls(tuple(factors.items()), sign)
+        fp = cls(sign=sign)
+        object.__setattr__(fp, "factors", _canonical(factors))
+        return fp
 
     @classmethod
     def from_t_minus_one(cls, factors: dict[int, int]) -> "FactorProduct":
@@ -232,23 +237,46 @@ class CharacteristicPolynomial:
 def _sparse_product(p: list[int], fp: FactorProduct) -> list[int]:
     """Coefficients of ``p * fp`` (``p`` with a nonzero leading coefficient).
 
-    After each multiplication by ``(1 - t^b)``, b ascending, divide by the
-    largest pending ``(1 - t^a)`` with ``a | b``: always exact, and it keeps
-    the running product short.  The unpaired divisions run last, largest
-    ``a`` first; :class:`NotPolynomial` when one leaves a remainder.  No step
-    mutates a list, so with no factors and sign +1 ``p`` itself comes back."""
+    Each ``(1 - t^b)``, b ascending, pairs with the largest pending
+    ``(1 - t^a)`` with ``a | b``, which keeps the running product short.  The
+    pair is one multiplication by the comb ``1 + t^a + ... + t^(b-a)`` of
+    ``m = b/a`` terms: for a running product of length ``n <= a`` its
+    ``m`` shifted copies do not overlap and are one list repetition;
+    otherwise ``m - 1`` shifted slice additions when ``(m - 1) * n <=
+    2 * n + b``, the element count of the multiply-and-divide pair, and that
+    pair when not.  A ``(1 - t^b)`` with no partner is a plain
+    multiplication.  The unpaired divisions run last, largest ``a`` first;
+    :class:`NotPolynomial` when one leaves a remainder.  No step mutates a
+    list, so with no factors and sign +1 ``p`` itself comes back."""
     coeffs = p if fp.sign == 1 else [-c for c in p]
     pending = [a for a, e in fp.denominator_factors() for _ in range(e)]
     for b, e in fp.numerator_factors():
         for _ in range(e):
-            coeffs = _mul_one_minus_ta(coeffs, b)
             a = next((a for a in reversed(pending) if b % a == 0), 0)
             if a:
                 pending.remove(a)
-                coeffs = _div_one_minus_ta(coeffs, a)
+                coeffs = _mul_comb(coeffs, a, b)
+            else:
+                coeffs = _mul_one_minus_ta(coeffs, b)
     for a in reversed(pending):
         coeffs = _div_one_minus_ta(coeffs, a)
     return coeffs
+
+
+def _mul_comb(p: list[int], a: int, b: int) -> list[int]:
+    # p * (1 - t^b)/(1 - t^a) for a | b: the sum of the m = b/a copies of p
+    # shifted by 0, a, ..., b - a.  The path rule is in _sparse_product.
+    n, m = len(p), b // a
+    if n <= a:
+        out = (p + [0] * (a - n)) * m
+        del out[n + b - a:]
+        return out
+    if (m - 1) * n > 2 * n + b:
+        return _div_one_minus_ta(_mul_one_minus_ta(p, b), a)
+    out = p + [0] * (b - a)
+    for s in range(a, b, a):
+        out[s:s + n] = map(operator.add, out[s:s + n], p)
+    return out
 
 
 def _mul_one_minus_ta(p: list[int], a: int) -> list[int]:

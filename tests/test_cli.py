@@ -290,6 +290,17 @@ class TestComponentCap:
             "error: BudgetExceeded: 8388608 exceptional components exceed the cap 65536\n"
         )
 
+    def test_json_analyze_refuses_before_the_report(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(monocurve.cli, "verify_conjecture", calls.append)
+        code, out, err = run(capsys, "analyze", "--format", "json", "--gens", self.GENS)
+        assert calls == []
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: BudgetExceeded: 8388608 exceptional components exceed the cap 65536\n"
+        )
+
     def test_text_analyze_lists_no_components(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "analyze", "--gens", self.GENS)

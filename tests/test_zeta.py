@@ -19,6 +19,7 @@ from monocurve.zeta import (
     CharacteristicPolynomial,
     FactorProduct,
     _div_one_minus_ta,
+    _mul_comb,
     _sparse_product,
     characteristic_polynomial,
     cyclotomic_exponent,
@@ -75,6 +76,28 @@ class TestFactorProduct:
     def test_json(self):
         fp = FactorProduct.from_map({2: 2, 6: -1})
         assert fp.to_json() == {"num": [[2, 2]], "den": [[6, 1]], "sign": 1}
+
+
+class TestFromMap:
+    @pytest.mark.parametrize("factors", [
+        {3: 2, 2: 0, 5: -1}, Counter({7: -1, 1: 3}), {4: 0}, {},
+    ])
+    def test_same_factors_as_the_constructor(self, factors):
+        fp = FactorProduct.from_map(factors, -1)
+        assert fp == FactorProduct(tuple(factors.items()), -1)
+        assert fp.factors == tuple(sorted((a, e) for a, e in factors.items() if e))
+
+    @pytest.mark.parametrize("factors, bad", [({0: 1}, 0), ({3: 1, -2: 0}, -2), ({0: 0}, 0)])
+    def test_rejects_a_nonpositive_key_of_any_exponent(self, factors, bad):
+        message = f"factor exponent of t must be positive, got {bad}"
+        with pytest.raises(ValueError, match=message):
+            FactorProduct.from_map(factors)
+        with pytest.raises(ValueError, match=message):
+            FactorProduct(tuple(factors.items()))
+
+    def test_rejects_a_bad_sign(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            FactorProduct.from_map({2: 1}, 0)
 
 
 class TestZetaClosedForm:
@@ -413,12 +436,23 @@ class TestSparseKernels:
 
     def test_matches_scalar_recurrences(self, monkeypatch):
         divisions = []
+        paths = Counter()
 
         def recorded(p, a):
             divisions.append((len(p), a))
             return _div_one_minus_ta(p, a)
 
+        def recorded_comb(p, a, b):
+            before = len(divisions)
+            out = _mul_comb(p, a, b)
+            n, m = len(p), b // a
+            fallback = len(divisions) > before
+            assert fallback == (n > a and (m - 1) * n > 2 * n + b), (p, a, b)
+            paths["disjoint copies" if n <= a else "fallback" if fallback else "shifted adds"] += 1
+            return out
+
         monkeypatch.setattr(zeta, "_div_one_minus_ta", recorded)
+        monkeypatch.setattr(zeta, "_mul_comb", recorded_comb)
         rng = random.Random(20260418)
         outcomes = {True: 0, False: 0}
         for _ in range(600):
@@ -434,6 +468,9 @@ class TestSparseKernels:
                 assert _sparse_product(p, fp) == expected, (p, fp)
             outcomes[expected is None] += 1
         assert min(outcomes.values()) >= 100, outcomes
+        # Each path of the paired step: copies of p that do not overlap,
+        # shifted adds, and the multiply-and-divide pair.
+        assert len(paths) == 3 and min(paths.values()) >= 20, paths
         # a = 1, a dividend no longer than a, one shorter than 2a, and both
         # division loops (a*a < n by residue, else by block).
         cases = {
@@ -444,3 +481,16 @@ class TestSparseKernels:
             "a*a >= n > a": sum(a < n <= a * a for n, a in divisions),
         }
         assert min(cases.values()) >= 20, cases
+
+    @pytest.mark.parametrize("factors", [
+        {8: 1, 4: -1},  # n = 3 <= a: disjoint copies
+        {2: 1, 1: -1},  # (m-1)*n = 3 <= 2n + b: shifted adds
+        {10: 1, 1: -1},  # (m-1)*n = 27 > 2n + b: multiply and divide
+        {5: 1},
+        {1: -1},
+    ], ids=["disjoint copies", "shifted adds", "fallback", "unpaired mul", "unpaired div"])
+    def test_input_list_unchanged(self, factors):
+        p = [1, 1, -2]
+        fp = FactorProduct.from_map(factors)
+        assert _sparse_product(p, fp) == _scalar_product([1, 1, -2], fp)
+        assert p == [1, 1, -2]
