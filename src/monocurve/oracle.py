@@ -9,6 +9,7 @@ listing under the explicit cyclic action, one orbit per cycle of its generator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -171,6 +172,14 @@ def _moebius(n: int) -> int:
     return mu
 
 
+@functools.cache
+def _phi_inverse(d: int) -> FactorProduct:
+    """``1/Phi_d = prod_{e | d} (t^e - 1)^{-mu(d/e)}``, built once per order ``d``."""
+    return FactorProduct.from_t_minus_one(
+        {e: -_moebius(d // e) for e in range(1, d + 1) if d % e == 0}
+    )
+
+
 def expand_and_verify(fp: FactorProduct) -> tuple[tuple[int, ...], dict[int, int]]:
     """Expand a factor product densely and extract cyclotomic multiplicities.
 
@@ -195,12 +204,9 @@ def expand_and_verify(fp: FactorProduct) -> tuple[tuple[int, ...], dict[int, int
     mults: dict[int, int] = {}
     cofactor = coeffs
     for d in sorted(orders, reverse=True):
-        phi_inverse = FactorProduct.from_t_minus_one(
-            {e: -_moebius(d // e) for e in range(1, d + 1) if d % e == 0}
-        )
         while True:
             try:
-                cofactor = _sparse_product(cofactor, phi_inverse)
+                cofactor = _sparse_product(cofactor, _phi_inverse(d))
             except NotPolynomial:
                 break
             mults[d] = mults.get(d, 0) + 1

@@ -23,7 +23,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceeded,
     InternalInconsistency,
     NotCoprime,
     NotPlane,
@@ -90,7 +89,7 @@ def build_semigroup(gens) -> PlaneSemigroup:
         NotCoprime: the generators have a common factor.
         NotPlane: the generators fail one of the plane-branch conditions.
         ValueError: fewer than three generators, an entry that is not an
-            ``int`` (a ``bool``, float or string is rejected, never
+            ``int`` (a ``bool``, a fraction or a string is rejected, never
             truncated or converted), or a non-positive entry.
     """
     gens = tuple(gens)
@@ -208,72 +207,70 @@ def plane_semigroups(max_last: int) -> Iterator[PlaneSemigroup]:
 
 
 def random_semigroup(seed: int, g: int, max_size: int) -> PlaneSemigroup:
-    """Sample a random plane semigroup with ``g`` characteristic terms.
+    """Draw a random plane semigroup with ``g`` characteristic terms, ``b_g <= max_size``.
 
-    Construction: sample ``n1, ..., ng >= 2``; set ``b0 = n1*...*ng``; pick
-    ``n0 > n1`` coprime to ``n1`` and set ``b1 = n0*b0/n1``; then for each
-    ``k >= 2`` pick ``b_k`` a multiple of ``e_k`` with ``b_k > n_{k-1}*b_{k-1}``
-    and ``gcd(b_k/e_k, n_k) = 1``.  All generators stay ``<= max_size``.
-    Deterministic for a fixed seed.
+    The chain is built in integers.  ``b_g`` grows like ``n^(2g-1)``, so with
+    ``r = floor(max_size^(1/(2g-1)))`` each ``n_i`` is drawn from ``[2, r+1]``
+    and kept only if the *least chain* still fits under ``max_size``
+    (otherwise ``n_i = 2``).  There ``b_0 = n_1*...*n_g`` and every later
+    ``b_k`` is least admissible: ``e_k*m`` with ``m`` the first integer above
+    ``n_{k-1}*b_{k-1}/e_k`` (above ``b_0/e_1`` for ``k = 1``) coprime to
+    ``n_k``.  Each ``b_k`` then takes ``m`` from a window of width ``r`` above
+    that bound, stepped up to the next value coprime to ``n_k``, or the least
+    admissible value if the least completion of the new prefix would pass
+    ``max_size``.  The all-2 chain is the least chain, with
+    ``b_g = min_last_generator(g)``, so "the least completion of the prefix
+    fits" holds from the start, every step keeps it and the draw never
+    fails.  Deterministic for a fixed seed; :func:`build_semigroup` validates.
 
     Raises:
-        ValueError: ``g < 2``; ``max_size`` is below
-            :func:`min_last_generator`, so no semigroup exists; or
-            ``max_size`` does not convert to a float, which the sampler's
-            size cap needs.
-        BudgetExceeded: no admissible semigroup found within the attempt budget.
+        ValueError: ``g < 2``, or ``max_size`` is below
+            :func:`min_last_generator`, so no semigroup exists.
     """
     if g < 2:
         raise ValueError("g must be >= 2")
     if max_size < min_last_generator(g):
         raise ValueError(f"no plane semigroup with g={g} has generators <= {max_size}")
-    try:
-        float(max_size)
-    except OverflowError:
-        raise ValueError(
-            f"max_size of {max_size.bit_length()} bits is too large for the sampler"
-        ) from None
     rng = random.Random(seed)
-    for _ in range(500):
-        gens = _try_sample(rng, g, max_size)
-        if gens is not None:
-            return build_semigroup(gens)
-    raise BudgetExceeded(
-        f"no plane semigroup with g={g} and generators <= {max_size} found"
-    )
+    r = _iroot(max_size, 2 * g - 1)
+    ns = [2] * g
+    for i in range(g):
+        trial = [*ns[:i], rng.randint(2, r + 1), *ns[i + 1:]]
+        if _least_completion(trial, [math.prod(trial)]) <= max_size:
+            ns = trial
+    gens = [math.prod(ns)]
+    for _ in range(g):
+        b = _next_generator(ns, gens, rng.randrange(r))
+        if _least_completion(ns, [*gens, b]) > max_size:
+            b = _next_generator(ns, gens, 0)
+        gens.append(b)
+    return build_semigroup(gens)
 
 
-def _try_sample(rng: random.Random, g: int, max_size: int):
-    n_cap = max(2, round(max_size ** (1.0 / (g + 1))) + 1)
-    ns = [rng.randint(2, n_cap) for _ in range(g)]
-    e = [math.prod(ns[i:]) for i in range(g + 1)]  # e[0] = b0, e[g] = 1
-    b = [e[0]]
-    if b[0] > max_size:
-        return None
-    # b1 = n0 * e1 with n0 > n1 coprime to n1.  Sampling windows are kept
-    # narrow (width ~ n_cap above the smallest admissible value) so later
-    # levels retain room below max_size.
-    width = max(8, n_cap)
-    n0_max = max_size // e[1]
-    if n0_max <= ns[0]:
-        return None
-    for _ in range(64):
-        n0 = rng.randint(ns[0] + 1, min(n0_max, ns[0] + width))
-        if math.gcd(n0, ns[0]) == 1:
-            break
-    else:
-        return None
-    b.append(n0 * e[1])
-    for k in range(2, g + 1):
-        lo = ns[k - 2] * b[k - 1] // e[k] + 1  # smallest admissible b_k/e_k
-        hi = max_size // e[k]
-        if hi < lo:
-            return None
-        for _ in range(64):
-            m = rng.randint(lo, min(hi, lo + width))
-            if math.gcd(m, ns[k - 1]) == 1:
-                break
-        else:
-            return None
-        b.append(m * e[k])
-    return b
+def _iroot(x: int, k: int) -> int:
+    """``floor(x^(1/k))`` for ``x >= 1``, by Newton's iteration on integers."""
+    y = 1 << -(-x.bit_length() // k)  # 2^ceil(bits/k) > x^(1/k)
+    while True:
+        z = ((k - 1) * y + x // y ** (k - 1)) // k
+        if z >= y:
+            return y
+        y = z
+
+
+def _next_generator(ns: list[int], gens: list[int], offset: int) -> int:
+    """``b_k = e_k*m`` for ``k = len(gens)``: the least admissible ``m`` plus
+    ``offset``, stepped up to the next value coprime to ``n_k``."""
+    k = len(gens)
+    e = math.prod(ns[k:])
+    m = gens[-1] * (ns[k - 2] if k > 1 else 1) // e + 1 + offset
+    while math.gcd(m, ns[k - 1]) != 1:
+        m += 1
+    return m * e
+
+
+def _least_completion(ns: list[int], gens: list[int]) -> int:
+    """The ``b_g`` reached when every generator after ``gens`` is least admissible."""
+    gens = list(gens)
+    while len(gens) <= len(ns):
+        gens.append(_next_generator(ns, gens, 0))
+    return gens[-1]

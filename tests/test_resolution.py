@@ -173,7 +173,7 @@ class TestPinnedExports:
                 digest.update(export_graph(graph, fmt).encode())
         assert len(sgs) == 3286
         assert digest.hexdigest() == (
-            "7337a78eab21b8724561d7e1e697b9224ff54afff980dca533f481f149891d27"
+            "ac5f011178806129303a7373ec8247acb7eb724bc6ccc51c1475f592f1cdee22"
         )
 
 

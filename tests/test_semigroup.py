@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from monocurve.errors import (
-    BudgetExceeded,
     NotCoprime,
     NotPlane,
     MonocurveError,
@@ -16,6 +15,7 @@ from monocurve.errors import (
 )
 from monocurve.resolution import _b_prev
 from monocurve.semigroup import (
+    _iroot,
     build_semigroup,
     decompose,
     min_last_generator,
@@ -207,11 +207,10 @@ class TestRandomSemigroup:
         b = random_semigroup(1, 2, 100)
         assert a == b
 
-    def test_budget_exceeded(self):
-        # 853 admits exactly one g = 5 semigroup, 32,48,104,212,426,853, which
-        # the sampler does not draw within its attempt budget.
-        with pytest.raises(BudgetExceeded):
-            random_semigroup(2, 5, 853)
+    def test_draws_the_only_semigroup_at_853(self):
+        # 853 admits exactly one g = 5 semigroup, the all-2 chain.
+        sg = random_semigroup(2, 5, 853)
+        assert sg.gens == (32, 48, 104, 212, 426, 853)
 
     def test_infeasible_size_is_value_error(self):
         # No g = 5 plane semigroup has b_5 <= 500 (the smallest b_5 is 853).
@@ -222,10 +221,23 @@ class TestRandomSemigroup:
         with pytest.raises(ValueError):
             random_semigroup(0, 1, 100)
 
-    def test_size_beyond_float_range_is_value_error(self):
-        # The sampler's size cap is a float root of max_size.
-        with pytest.raises(ValueError, match="too large for the sampler"):
-            random_semigroup(0, 2, 10**400)
+    def test_integer_root(self):
+        for k in (1, 3, 5, 11):
+            for x in (*range(1, 300), 10**30 - 1, 10**30, 10**400, 2**4000 - 1):
+                r = _iroot(x, k)
+                assert r**k <= x < (r + 1) ** k, (x, k)
+
+    def test_never_fails_at_a_feasible_size(self):
+        # From the least size up to 10^400, past the float range, every draw
+        # is a plane semigroup under the size: the least chain of the prefix
+        # always fits.
+        for g in range(2, 7):
+            for size in (min_last_generator(g), 10**6, 10**30, 10**100, 10**300, 10**400):
+                for seed in range(200):
+                    sg = random_semigroup(seed, g, size)
+                    assert sg.g == g
+                    assert build_semigroup(sg.gens) == sg
+                    assert max(sg.gens) <= size, (seed, g, size)
 
 
 class TestMinLastGenerator:
