@@ -139,10 +139,10 @@ def _pk_factors(sg: PlaneSemigroup, M, N, delta: CharacteristicPolynomial) -> li
         Nk, Mk, Lk, Lk1 = N[k - 1], M[k], sg.L[k], sg.L[k + 1]
         factors: dict[int, int] = {}
         for a, e in (
-            (Nk, _exact_div(sg.n[k] * sg.gens[k], Nk, f"P_{k}: n_{k}*b_{k} / N_{k}")),
-            (Lk1, _exact_div(sg.e[k], Lk1, f"P_{k}: e_{k} / L_{k + 1}")),
-            (Mk, -_exact_div(sg.gens[k], Mk, f"P_{k}: b_{k} / M_{k}")),
-            (Lk, -_exact_div(sg.e[k - 1], Lk, f"P_{k}: e_{k - 1} / L_{k}")),
+            (Nk, _exact_div(sg.n[k] * sg.gens[k], Nk, "P_{0}: n_{0}*b_{0} / N_{0}", k)),
+            (Lk1, _exact_div(sg.e[k], Lk1, "P_{0}: e_{0} / L_{1}", k, k + 1)),
+            (Mk, -_exact_div(sg.gens[k], Mk, "P_{0}: b_{0} / M_{0}", k)),
+            (Lk, -_exact_div(sg.e[k - 1], Lk, "P_{0}: e_{1} / L_{0}", k, k - 1)),
         ):
             factors[a] = factors.get(a, 0) + e
             total[a] = total.get(a, 0) + e

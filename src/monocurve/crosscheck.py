@@ -37,29 +37,30 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
     A stage that fails adds one line.
     """
     failures: list[str] = []
-    tag = f"gens={sg.gens}"
 
     graph = None
     try:
         graph = build_resolution(sg)
     except MonocurveError as exc:
-        failures.append(f"{tag}: resolution graph: {exc}")
+        failures.append(f"gens={sg.gens}: resolution graph: {exc}")
 
     try:
         report = verify_conjecture(sg)
     except MonocurveError as exc:
-        failures.append(f"{tag}: Delta, P_k and pole verification: {exc}")
+        failures.append(f"gens={sg.gens}: Delta, P_k and pole verification: {exc}")
     else:
         if graph is not None and zeta_from_graph(graph) != report.zeta:
-            failures.append(f"{tag}: resolution graph: graph zeta differs from closed form")
+            failures.append(
+                f"gens={sg.gens}: resolution graph: graph zeta differs from closed form"
+            )
         if not report.passed:
             bad = [p.display for p in report.poles if not p.verdict]
-            failures.append(f"{tag}: pole verdict false at {bad}")
+            failures.append(f"gens={sg.gens}: pole verdict false at {bad}")
         try:
             if report.delta.mu <= DENSE_MU_CAP:
                 report.delta.expand()
         except MonocurveError as exc:
-            failures.append(f"{tag}: dense expansion of Delta: {exc}")
+            failures.append(f"gens={sg.gens}: dense expansion of Delta: {exc}")
 
     for i in range(1, sg.g + 1):
         s = sg.n[i] * sg.gens[i]
@@ -68,11 +69,11 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
         except BudgetExceeded:
             continue
         except MonocurveError as exc:
-            failures.append(f"{tag}: digit search at level {i}: {exc}")
+            failures.append(f"gens={sg.gens}: digit search at level {i}: {exc}")
             continue
         if brute != sg.digits[i - 1]:
             failures.append(
-                f"{tag}: digit decomposition at level {i}: "
+                f"gens={sg.gens}: digit decomposition at level {i}: "
                 f"search {brute} != modular {sg.digits[i - 1]}"
             )
     return failures

@@ -29,11 +29,14 @@ class NotDivisible(MonocurveError):
     """An exact integer division failed."""
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
-    """``num // den``, raising :class:`NotDivisible` naming ``what`` on a remainder."""
+def _exact_div(num: int, den: int, what: str, *args) -> int:
+    """``num // den``, raising :class:`NotDivisible` naming ``what`` on a remainder.
+
+    ``what`` is a :meth:`str.format` template for ``args``, formatted only on failure.
+    """
     q, r = divmod(num, den)
     if r:
-        raise NotDivisible(f"{what}: {num} not divisible by {den}")
+        raise NotDivisible(f"{what.format(*args)}: {num} not divisible by {den}")
     return q
 
 

@@ -43,6 +43,7 @@ class EnumerationBudget:
 
 DEFAULT_BUDGET = EnumerationBudget()
 MAX_EXPAND_DEGREE = 5000  # numerator degree cap of expand_and_verify
+DIGIT_LIST_CAP = 10**4  # cap on n_1*...*n_{i-1}, the tail sums enum_digits lists
 
 
 def enum_count_solutions(
@@ -126,22 +127,22 @@ def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
 
     Returns the unique digit vector; raises :class:`NotRepresentable` when no
     vector exists, :class:`InternalInconsistency` if more than one does, and
-    :class:`BudgetExceeded` when the search space exceeds ``10**7`` vectors.
+    :class:`BudgetExceeded` when the list would hold more than
+    :data:`DIGIT_LIST_CAP` tail sums, that is when
+    ``n_1*...*n_{i-1} > DIGIT_LIST_CAP``.
 
     The search is exhaustive and never reads ``sg.digits``: it lists every
     tail sum ``sum_{1<=j<i} c_j*b_j`` as one list, in ``itertools.product``
     order, without the digits ``c_j*b_j > s`` that cannot occur, and tests
-    each sum for a ``c_0``.  At ``s = n_i*b_i`` (the call of
-    :func:`~monocurve.crosscheck.cross_check`), ``b_k > n_{k-1}*b_{k-1}``
-    gives ``s // b_0 >= 2 * prod n_1..n_{i-1}``, so under the budget the list
-    has at most about 2,236 entries.
+    each sum for a ``c_0`` with one modulo.  The work is set by the list
+    length alone, whatever the size of ``s`` and of the generators.
     """
     if not 1 <= i <= sg.g:
         raise ValueError(f"index i must be in 1..{sg.g}")
     b0 = sg.gens[0]
-    space = math.prod(sg.n[1:i]) * (s // b0 + 1)
-    if space > 10**7:
-        raise BudgetExceeded(f"digit search space {space} too large")
+    length = math.prod(sg.n[1:i])
+    if length > DIGIT_LIST_CAP:
+        raise BudgetExceeded(f"digit search lists {length} tail sums, over {DIGIT_LIST_CAP}")
     sums, radices = [0], []
     for j in range(1, i):
         steps = range(0, min(sg.n[j] * sg.gens[j], s + 1), sg.gens[j])

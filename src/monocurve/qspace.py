@@ -81,7 +81,7 @@ def divisor_multiplicity(m: int, t: CyclicQuotientType, i: int) -> int:
         NotDivisible: ``l_factor(t, i)`` does not divide ``m`` (inconsistent
             chart description upstream).
     """
-    return _exact_div(m, l_factor(t, i), f"divisor multiplicity at coordinate {i}")
+    return _exact_div(m, l_factor(t, i), "divisor multiplicity at coordinate {0}", i)
 
 
 def _check_one_row_system(t: CyclicQuotientType, k) -> tuple[int, tuple[int, ...]]:
@@ -256,7 +256,7 @@ def curve_axis_intersections(spec: WeightedCurveSpec, axis: int) -> tuple[int, i
     per = _exact_div(
         m[w] * math.gcd(d * P * head_gcd, abs(a[w] * P - p[w] * Q) * tail_gcd),
         d * P * tail_gcd,
-        f"axis-{axis} intersections per component",
+        "axis-{0} intersections per component", axis,
     )
     if r >= 3:
         for c in (2, 3):
@@ -279,7 +279,7 @@ def _axis_count_chart(spec: WeightedCurveSpec, axis: int, c: int) -> int:
         m[w]
         * math.gcd(d * p[c] * head_gcd, abs(a[w] * p[c] - a[c] * p[w]) * tail_gcd),
         d * p[c] * tail_gcd,
-        f"axis-{axis} chart-{c} intersections",
+        "axis-{0} chart-{1} intersections", axis, c,
     )
 
 

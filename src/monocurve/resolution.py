@@ -95,7 +95,7 @@ class ResolutionGraph:
 def _component_counts(sg: PlaneSemigroup) -> list[int]:
     """``r_k = e_k / L_{k+1}`` for ``k = 1..g``."""
     g = sg.g
-    r = [_exact_div(sg.e[k], sg.L[k + 1], f"r_{k}") for k in range(1, g + 1)]
+    r = [_exact_div(sg.e[k], sg.L[k + 1], "r_{0}", k) for k in range(1, g + 1)]
     if r[-1] != 1 or (g >= 2 and r[-2] != 1):
         raise InternalInconsistency("r_(g-1) and r_g must both be 1")
     return r
@@ -152,20 +152,20 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
         rk, Nk, Mk = r[k - 1], N[k - 1], M[k]
         if Nk % Mk or Nk % sg.L[k]:
             raise InternalInconsistency(f"M_{k} or L_{k} does not divide N_{k}")
-        chi = -_exact_div(n[k] * gens[k], Nk, f"chi(E_{k})")
-        _exact_div(chi, rk, f"per-component chi(E_{k})")
+        chi = -_exact_div(n[k] * gens[k], Nk, "chi(E_{0})", k)
+        _exact_div(chi, rk, "per-component chi(E_{0})", k)
         levels.append(GraphLevel(k, rk, Nk, Mk, _weights(sg, k), chi))
 
     strata = [Stratum("Q0", 0, _exact_div(gens[0], M[0], "|Q0|"), M[0])]
     for k in range(1, g + 1):
-        strata.append(Stratum("Qk", k, _exact_div(gens[k], M[k], f"|Q_{k}|"), M[k]))
+        strata.append(Stratum("Qk", k, _exact_div(gens[k], M[k], "|Q_{0}|", k), M[k]))
     for k in range(1, g):
         strata.append(Stratum("Qkk1", k, r[k - 1], None))
 
     # Per-component shares of the boundary incidences must be integral.
     _exact_div(strata[0].count, r[0], "Q0 share per E_1 component")
     for k in range(1, g + 1):
-        _exact_div(strata[k].count, r[k - 1], f"Q_{k} share per E_{k} component")
+        _exact_div(strata[k].count, r[k - 1], "Q_{0} share per E_{0} component", k)
     for k in range(1, g):
         _exact_div(r[k - 1], r[k], "contiguous block size")
 
@@ -273,16 +273,18 @@ def _cross_validate(sg: PlaneSemigroup, graph: ResolutionGraph) -> None:
     n, gens = sg.n, sg.gens
     M, N = resolution_multiplicities(sg)
     r = [lvl.r for lvl in graph.levels]
-    type_map = {t.at: t.qtype for t in graph.local_types}
+    # _local_types lays the types out as Q0, then Q_k and Egen_k for each
+    # k = 1..g, then the E_{k-1}E_k types: Q_k sits at 2k - 1, Egen_k at 2k.
+    types = graph.local_types
 
     # Multiplicity reproduction from the recorded one-row chart types.
     for k in range(1, g + 1):
         m = n[k] * gens[k]
-        if qspace.divisor_multiplicity(m, type_map[f"Egen{k}"], 0) != N[k - 1]:
+        if qspace.divisor_multiplicity(m, types[2 * k].qtype, 0) != N[k - 1]:
             raise InternalInconsistency(f"generic chart type at E_{k} misses N_{k}")
-        if qspace.divisor_multiplicity(m, type_map[f"Q{k}"], 0) != M[k]:
+        if qspace.divisor_multiplicity(m, types[2 * k - 1].qtype, 0) != M[k]:
             raise InternalInconsistency(f"Q_{k} chart type misses M_{k}")
-    if qspace.divisor_multiplicity(sg.order, type_map["Q0"], 1) != M[0]:
+    if qspace.divisor_multiplicity(sg.order, types[0].qtype, 1) != M[0]:
         raise InternalInconsistency("Q0 chart type misses M_0")
 
     # Counting formulas on the homogeneous systems cutting out E_k (k < g).

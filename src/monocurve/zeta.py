@@ -62,8 +62,12 @@ class FactorProduct:
 
     @classmethod
     def from_map(cls, factors: dict[int, int], sign: int = 1) -> "FactorProduct":
-        fp = cls(sign=sign)
+        """As the constructor on ``factors.items()``; canonicalises once, skips ``__init__``."""
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        fp = object.__new__(cls)
         object.__setattr__(fp, "factors", _canonical(factors))
+        object.__setattr__(fp, "sign", sign)
         return fp
 
     @classmethod
@@ -187,10 +191,10 @@ def zeta_closed_form(sg: PlaneSemigroup) -> FactorProduct:
     M, N = resolution_multiplicities(sg)
     factors: dict[int, int] = {}
     for k in range(sg.g + 1):
-        q = _exact_div(sg.gens[k], M[k], f"b_{k} / M_{k}")
+        q = _exact_div(sg.gens[k], M[k], "b_{0} / M_{0}", k)
         factors[M[k]] = factors.get(M[k], 0) + q
     for k in range(1, sg.g + 1):
-        q = _exact_div(sg.n[k] * sg.gens[k], N[k - 1], f"n_{k}*b_{k} / N_{k}")
+        q = _exact_div(sg.n[k] * sg.gens[k], N[k - 1], "n_{0}*b_{0} / N_{0}", k)
         factors[N[k - 1]] = factors.get(N[k - 1], 0) - q
     return FactorProduct.from_map(factors)
 
@@ -318,10 +322,10 @@ def characteristic_polynomial(sg: PlaneSemigroup) -> CharacteristicPolynomial:
     M, N = resolution_multiplicities(sg)
     factors: dict[int, int] = {1: 1}
     for k in range(1, sg.g + 1):
-        q = _exact_div(sg.n[k] * sg.gens[k], N[k - 1], f"n_{k}*b_{k} / N_{k}")
+        q = _exact_div(sg.n[k] * sg.gens[k], N[k - 1], "n_{0}*b_{0} / N_{0}", k)
         factors[N[k - 1]] = factors.get(N[k - 1], 0) + q
     for k in range(sg.g + 1):
-        factors[M[k]] = factors.get(M[k], 0) - _exact_div(sg.gens[k], M[k], f"b_{k} / M_{k}")
+        factors[M[k]] = factors.get(M[k], 0) - _exact_div(sg.gens[k], M[k], "b_{0} / M_{0}", k)
     fp = FactorProduct.from_t_minus_one(factors)
     mu = milnor_number(sg)
     if fp.degree() != mu:

@@ -1,17 +1,24 @@
-"""Tests for the shared text writers in monocurve.errors."""
+"""Tests for the exact-division helper and the shared text writers in monocurve.errors."""
 
+import ast
 import json
+import pathlib
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import monocurve
 import monocurve.cli
 import monocurve.conjecture
 import monocurve.resolution
+from monocurve import zeta
 from monocurve.cli import main
-from monocurve.errors import BudgetExceeded, _int_text, _json_text
-from monocurve.semigroup import plane_semigroups
+from monocurve.crosscheck import cross_check
+from monocurve.errors import BudgetExceeded, NotDivisible, _exact_div, _int_text, _json_text
+from monocurve.qspace import CyclicQuotientType, divisor_multiplicity
+from monocurve.semigroup import build_semigroup, plane_semigroups
 
 EDGE_CASES = [
     {}, [], (), None, True, False, 0, -1, 10**400, -(10**400), "",
@@ -69,3 +76,88 @@ class TestDigitLimit:
         for write in (_int_text, lambda n: _json_text({"n": [n]})):
             with pytest.raises(BudgetExceeded, match="int-to-str digit limit"):
                 write(big)
+
+
+# At 4,6,13: M = (M_0, M_1, M_2) = (2, 6, 13) and N = (N_1, N_2) = (6, 26).
+M_4_6_13, N_4_6_13 = (2, 6, 13), (6, 26)
+
+
+def _patched_multiplicities(monkeypatch, module, M, N):
+    """Make ``module`` see ``(M, N)`` from ``resolution_multiplicities``."""
+    monkeypatch.setattr(module, "resolution_multiplicities", lambda sg: (M, N))
+
+
+class TestExactDiv:
+    def test_template_is_formatted_with_args(self):
+        assert _exact_div(6, 2, "b_{0} / M_{0}", 3) == 3
+        with pytest.raises(NotDivisible) as info:
+            _exact_div(7, 2, "b_{0} / M_{0}", 3)
+        assert str(info.value) == "b_3 / M_3: 7 not divisible by 2"
+
+    def test_constant_without_args_is_unchanged(self):
+        with pytest.raises(NotDivisible) as info:
+            _exact_div(7, 2, "two-row order")
+        assert str(info.value) == "two-row order: 7 not divisible by 2"
+
+    # Each expected text is the message the same failure gave when every
+    # call site passed an f-string.
+    def test_qspace_message(self):
+        with pytest.raises(NotDivisible) as info:
+            divisor_multiplicity(5, CyclicQuotientType((2,), ((1,),)), 0)
+        assert str(info.value) == "divisor multiplicity at coordinate 0: 5 not divisible by 2"
+
+    def test_zeta_messages(self, monkeypatch):
+        sg = build_semigroup((4, 6, 13))
+        _patched_multiplicities(monkeypatch, zeta, (2, 4, 13), N_4_6_13)
+        with pytest.raises(NotDivisible) as info:
+            zeta.zeta_closed_form(sg)
+        assert str(info.value) == "b_1 / M_1: 6 not divisible by 4"
+        _patched_multiplicities(monkeypatch, zeta, M_4_6_13, (6, 4))
+        with pytest.raises(NotDivisible) as info:
+            zeta.characteristic_polynomial(sg)
+        assert str(info.value) == "n_2*b_2 / N_2: 26 not divisible by 4"
+
+    def test_conjecture_messages(self, monkeypatch):
+        sg = build_semigroup((4, 6, 13))
+        delta = zeta.characteristic_polynomial(sg)
+        _patched_multiplicities(monkeypatch, monocurve.conjecture, (2, 6, 5), N_4_6_13)
+        with pytest.raises(NotDivisible) as info:
+            monocurve.conjecture.verify_conjecture(sg)
+        assert str(info.value) == "P_2: b_2 / M_2: 13 not divisible by 5"
+        # The two sites that read L_k and L_{k+1}, through a stand-in with a
+        # wrong lcm tail.
+        for L, text in (((2, 3, 2, 1, 1), "P_1: e_0 / L_1: 4 not divisible by 3"),
+                        ((2, 2, 3, 1, 1), "P_1: e_1 / L_2: 2 not divisible by 3")):
+            stand_in = SimpleNamespace(g=sg.g, n=sg.n, gens=sg.gens, e=sg.e, L=L)
+            with pytest.raises(NotDivisible) as info:
+                monocurve.conjecture._pk_factors(stand_in, M_4_6_13, N_4_6_13, delta)
+            assert str(info.value) == text
+
+    def test_resolution_messages(self, monkeypatch):
+        sg = build_semigroup((4, 6, 13))
+        _patched_multiplicities(monkeypatch, monocurve.resolution, M_4_6_13, (18, 26))
+        with pytest.raises(NotDivisible) as info:
+            monocurve.resolution.build_resolution(sg)
+        assert str(info.value) == "chi(E_1): 12 not divisible by 18"
+        assert cross_check(sg) == [
+            "gens=(4, 6, 13): resolution graph: chi(E_1): 12 not divisible by 18"
+        ]
+        _patched_multiplicities(monkeypatch, monocurve.resolution, (2, 6, 26), N_4_6_13)
+        with pytest.raises(NotDivisible) as info:
+            monocurve.resolution.build_resolution(sg)
+        assert str(info.value) == "|Q_2|: 13 not divisible by 26"
+
+    def test_no_call_site_passes_an_f_string(self):
+        # A passing _exact_div call formats nothing: its name is a template
+        # plus arguments, never an f-string built before the call.
+        calls, offenders = 0, []
+        for path in sorted(pathlib.Path(monocurve.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_exact_div"):
+                    continue
+                calls += 1
+                what = [kw.value for kw in node.keywords if kw.arg == "what"] + node.args[2:3]
+                if any(isinstance(w, ast.JoinedStr) for w in what):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+        assert calls >= 20  # the walk found the call sites

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import monocurve.crosscheck
+from monocurve.crosscheck import cross_check
 from monocurve.errors import (
     BudgetExceeded,
     InternalInconsistency,
@@ -16,6 +18,7 @@ from monocurve.errors import (
     NotRepresentable,
 )
 from monocurve.oracle import (
+    DIGIT_LIST_CAP,
     EnumerationBudget,
     enum_count_solutions,
     enum_digits,
@@ -27,7 +30,13 @@ from monocurve.qspace import (
     count_solutions_fixed_tail,
     count_solutions_total,
 )
-from monocurve.semigroup import build_semigroup, decompose, plane_semigroups, random_semigroup
+from monocurve.semigroup import (
+    _next_generator,
+    build_semigroup,
+    decompose,
+    plane_semigroups,
+    random_semigroup,
+)
 from monocurve.zeta import (
     FactorProduct,
     characteristic_polynomial,
@@ -225,12 +234,42 @@ class TestEnumDigits:
             enum_digits(4, 2, stand_in)
 
     def test_budget_threshold(self):
-        # At level 1 the space is s // b_0 + 1: 10**7 vectors run, one more raises.
-        sg = build_semigroup((4, 6, 13))
-        b0 = sg.gens[0]
-        assert enum_digits((10**7 - 1) * b0, 1, sg) == (10**7 - 1,)
-        with pytest.raises(BudgetExceeded, match="10000001 too large"):
-            enum_digits(10**7 * b0, 1, sg)
+        # The charge is the list length n_1*...*n_{i-1}: with n = (10, 10, 10,
+        # 10, 2, 2), level 5 lists DIGIT_LIST_CAP = 10**4 tail sums and runs,
+        # level 6 would list 2 * 10**4 and raises.
+        sg = least_chain([10, 10, 10, 10, 2, 2])
+        assert math.prod(sg.n[1:5]) == DIGIT_LIST_CAP
+        assert enum_digits(sg.n[5] * sg.gens[5], 5, sg) == sg.digits[4]
+        with pytest.raises(BudgetExceeded, match="lists 20000 tail sums, over 10000$"):
+            enum_digits(sg.n[6] * sg.gens[6], 6, sg)
+
+    def test_runs_every_level_of_a_2000_bit_chain(self, monkeypatch):
+        # Small n_i and b_g of about 2000 bits: the list is short at every
+        # level, so the digit leg of cross_check runs at all of them.
+        ns = [2, 3, 2, 5, 3, 2, 7]
+        gens = [math.prod(ns)]
+        for k in range(1, len(ns) + 1):
+            gens.append(_next_generator(ns, gens, 2 ** (286 * k)))
+        sg = build_semigroup(gens)
+        assert 2000 <= sg.gens[-1].bit_length() <= 2010
+        ran = []
+
+        def recorded(s, i, sg):
+            digits = enum_digits(s, i, sg)
+            ran.append(i)
+            return digits
+
+        monkeypatch.setattr(monocurve.crosscheck, "enum_digits", recorded)
+        assert cross_check(sg) == []
+        assert ran == list(range(1, sg.g + 1))
+
+
+def least_chain(ns):
+    """The plane semigroup with these n_i whose every b_k is least admissible."""
+    gens = [math.prod(ns)]
+    while len(gens) <= len(ns):
+        gens.append(_next_generator(ns, gens, 0))
+    return build_semigroup(gens)
 
 
 MOEBIUS = {1: 1, 2: -1, 3: -1, 4: 0, 6: 1, 12: 0}

@@ -60,6 +60,14 @@ class TestBuildResolutionG2:
         assert ats == {"Q0", "Q1", "Q2", "Egen1", "Egen2", "E1E2"}
 
 
+def test_local_types_in_positional_order():
+    # _cross_validate reads Q0, Q_k and Egen_k by their positions.
+    for sg in plane_semigroups(40):
+        labels = [t.at for t in build_resolution(sg).local_types]
+        per_level = [at for k in range(1, sg.g + 1) for at in (f"Q{k}", f"Egen{k}")]
+        assert labels == ["Q0", *per_level, *(f"E{k - 1}E{k}" for k in range(2, sg.g + 1))]
+
+
 class TestBuildResolutionG3:
     def setup_method(self):
         self.graph = build_resolution(build_semigroup((8, 12, 26, 53)))
