@@ -12,12 +12,12 @@ axis intersections and Euler characteristics for chained systems of the shape
 
     x_0^{m_0} + x_1^{m_1} + x_2^{m_2} = 0,  x_i^{m_i} + x_{i+1}^{m_{i+1}} = 0.
 
-For ``r >= 3`` each curve count is also computed on the charts ``x_2 != 0``
-and ``x_3 != 0`` and checked against its symmetric form.  The chart checks
-of the component count run in :func:`curve_component_count` alone; the
-total of :func:`curve_axis_intersections` is its per-component count times
-the symmetric component count, so a caller that runs both on one spec runs
-each check once.
+For ``r >= 3`` the component count is checked on the charts ``x_2 != 0``
+and ``x_3 != 0`` against its symmetric form, in :func:`curve_component_count`
+alone; the per-component axis count, its chart-2 form, is checked against
+the chart-3 form.  The public constructors and counters reject entries that
+are not an ``int`` or are a ``bool``; the pipeline passes numbers it has
+already checked to private integer cores.
 
 All counts are exact integers; failed divisibility raises structured errors.
 """
@@ -54,17 +54,38 @@ class CyclicQuotientType:
     A: tuple[tuple[int, ...], ...]
 
     def __init__(self, d, A):
-        d = tuple(map(int, d))
+        d = _ints(d, "row orders")
         A = tuple(A)
         if len(d) != len(A):
             raise IllFormed("one order per weight row required")
         if min(d, default=1) < 1:
             raise IllFormed(f"row orders must be >= 1: {d}")
-        A = tuple([tuple([a % dt for a in map(int, row)]) for dt, row in zip(d, A)])
+        A = [_ints(row, "weights") for row in A]
         if len({len(row) for row in A}) > 1:
             raise IllFormed("weight rows must have equal length")
+        self._store(d, A)
+
+    @classmethod
+    def _reduced(cls, d: tuple[int, ...], A) -> CyclicQuotientType:
+        """Core for integer orders ``d_t >= 1`` and rows of equal length; no checks."""
+        t = object.__new__(cls)
+        t._store(d, A)
+        return t
+
+    def _store(self, d, A):
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "A", A)
+        object.__setattr__(
+            self, "A", tuple([tuple([a % dt for a in row]) for dt, row in zip(d, A)])
+        )
+
+
+def _ints(xs, what: str) -> tuple[int, ...]:
+    """``xs`` as a tuple; an entry that is not an ``int``, or is a ``bool``, raises."""
+    xs = tuple(xs)
+    for x in xs:
+        if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+            raise IllFormed(f"{what} must be integers, got {x!r}")
+    return xs
 
 
 def l_factor(t: CyclicQuotientType, i: int) -> int:
@@ -87,9 +108,8 @@ def divisor_multiplicity(m: int, t: CyclicQuotientType, i: int) -> int:
 def _check_one_row_system(t: CyclicQuotientType, k) -> tuple[int, tuple[int, ...]]:
     if len(t.d) != 1:
         raise IllFormed("counting requires a one-row type")
-    d = t.d[0]
-    a = t.A[0]
-    k = tuple(int(x) for x in k)
+    d, a = t.d[0], t.A[0]
+    k = _ints(k, "exponents")
     if len(k) != len(a):
         raise IllFormed("one exponent per coordinate required")
     if any(x < 1 for x in k):
@@ -109,9 +129,12 @@ def count_solutions_total(t: CyclicQuotientType, k) -> int:
     nonzero constants ``c_i``.
     """
     d, k = _check_one_row_system(t, k)
-    return _exact_div(
-        math.prod(k) * math.gcd(d, *t.A[0]), d, "total solution-class count"
-    )
+    return _count_total(d, t.A[0], k)
+
+
+def _count_total(d: int, a, k) -> int:
+    # Core of count_solutions_total; gcd(d, a_0, ..., a_r) is unchanged by reducing a mod d.
+    return _exact_div(math.prod(k) * math.gcd(d, *a), d, "total solution-class count")
 
 
 def count_solutions_fixed_tail(t: CyclicQuotientType, k0: int) -> int:
@@ -121,11 +144,10 @@ def count_solutions_fixed_tail(t: CyclicQuotientType, k0: int) -> int:
     """
     if len(t.d) != 1:
         raise IllFormed("counting requires a one-row type")
-    d = t.d[0]
-    a = t.A[0]
+    d, a = t.d[0], t.A[0]
     if len(a) < 2:
         raise IllFormed("fixed-tail count needs at least two coordinates")
-    k0 = int(k0)
+    (k0,) = _ints((k0,), "exponents")
     if k0 < 1:
         raise IllFormed(f"exponent must be >= 1: {k0}")
     if (a[0] * k0) % d:
@@ -166,11 +188,10 @@ class WeightedCurveSpec:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        d = self.d
-        a, p, m = tuple(map(int, self.a)), tuple(map(int, self.p)), tuple(map(int, self.m))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
+        (d,) = _ints((self.d,), "orders")
+        for name, what in (("a", "action weights"), ("p", "weights"), ("m", "exponents")):
+            object.__setattr__(self, name, _ints(getattr(self, name), what))
+        a, p, m = self.a, self.p, self.m
         r = len(p) - 1
         if r < 2:
             raise IllFormed("curve specs need at least three coordinates")
@@ -222,12 +243,11 @@ def _symmetric_component_count(spec: WeightedCurveSpec) -> int:
 
 
 def _chart_component_count(spec: WeightedCurveSpec, c: int) -> int:
-    # On the chart x_c != 0 the tail system lives in X(p_c; p_2, ..., p_r)
-    # (coordinate c omitted) with exponents m_i, i != c.
+    # On the chart x_c != 0 the tail system lives in X(p_c; p_2, ..., p_r) (coordinate c
+    # omitted) with exponents m_i, i != c.  count_solutions_total's checks follow from the
+    # spec's: p_c | p_i*m_i from weighted homogeneity, p_c, m_i >= 1 from positivity.
     m, p = spec.m, spec.p
-    return count_solutions_total(
-        CyclicQuotientType((p[c],), (p[2:c] + p[c + 1:],)), m[2:c] + m[c + 1:]
-    )
+    return _count_total(p[c], p[2:c] + p[c + 1:], m[2:c] + m[c + 1:])
 
 
 def curve_axis_intersections(spec: WeightedCurveSpec, axis: int) -> tuple[int, int]:
@@ -238,39 +258,27 @@ def curve_axis_intersections(spec: WeightedCurveSpec, axis: int) -> tuple[int, i
         m_w * gcd(d*P*gcd(p_w, p_2, ..., p_r), |a_w*P - p_w*Q|*gcd(p_2..p_r))
             / (d*P*gcd(p_2, ..., p_r))
 
-    with ``w = 1 - axis``, ``P = p_2*...*p_r`` and ``Q = a_i*prod_{j>=2, j!=i}
-    p_j``.  For ``r >= 3`` the chart-local values of this per-component
-    count on two charts must agree.  The total is per-component times the
+    with ``w = 1 - axis``, ``P = p_2`` and ``Q = a_2``: the chart-2 form.  The
+    product form ``P = p_2*...*p_r``, ``Q = a_2*p_3*...*p_r`` gives the same
+    value, since its common factor ``p_3*...*p_r`` cancels.  For ``r >= 3``
+    the chart-3 form must agree.  The total is per-component times the
     symmetric component count ``m_2*...*m_r / lcm(m_2, ..., m_r)``; the chart
     checks of that count run in :func:`curve_component_count`, which a
     caller that wants them calls on the same spec.
     """
     if axis not in (0, 1):
         raise IllFormed("axis must be 0 or 1")
-    d, a, p, m, r = spec.d, spec.a, spec.p, spec.m, spec.r
-    w = 1 - axis  # index of the coordinate whose power sweeps the axis points
-    P = math.prod(p[2:])
-    Q = a[2] * math.prod(p[3:])
-    head_gcd = math.gcd(p[w], *p[2:])
-    tail_gcd = math.gcd(*p[2:])
-    per = _exact_div(
-        m[w] * math.gcd(d * P * head_gcd, abs(a[w] * P - p[w] * Q) * tail_gcd),
-        d * P * tail_gcd,
-        "axis-{0} intersections per component", axis,
-    )
-    if r >= 3:
-        for c in (2, 3):
-            local = _axis_count_chart(spec, axis, c)
-            if local != per:
-                raise InternalInconsistency(
-                    f"axis-{axis} count differs on chart {c}: {local} != {per}"
-                )
+    per = _axis_count_chart(spec, axis, 2)
+    if spec.r >= 3:
+        local = _axis_count_chart(spec, axis, 3)
+        if local != per:
+            raise InternalInconsistency(f"axis-{axis} count differs on chart 3: {local} != {per}")
     return per, per * _symmetric_component_count(spec)
 
 
 def _axis_count_chart(spec: WeightedCurveSpec, axis: int, c: int) -> int:
-    # Chart-local form on x_c != 0: same shape with P, Q replaced by p_c and
-    # a_c*p_w; chart independence is what the caller asserts.
+    # Chart-local form on x_c != 0: P, Q replaced by p_c and a_c; chart
+    # independence is what the caller asserts.
     d, a, p, m = spec.d, spec.a, spec.p, spec.m
     w = 1 - axis
     tail_gcd = math.gcd(*p[2:])
@@ -292,13 +300,12 @@ def curve_open_euler(spec: WeightedCurveSpec) -> int:
         -m_1*...*m_r * gcd(d*P*gcd(p_0, ..., p_r), |p_0*Q - a_0*P|*gcd(p_1..p_r))
             / (d * p_0 * P)
 
-    with ``P = p_1*...*p_r`` and ``Q = a_i * prod_{j>=1, j!=i} p_j``.
+    with ``P = p_1`` and ``Q = a_1``.  The product form ``P = p_1*...*p_r``,
+    ``Q = a_1*p_2*...*p_r`` gives the same value: ``p_2*...*p_r`` cancels.
     """
     d, a, p, m = spec.d, spec.a, spec.p, spec.m
-    P = math.prod(p[1:])
-    Q = a[1] * math.prod(p[2:])
+    P, Q = p[1], a[1]
     val = math.prod(m[1:]) * math.gcd(
         d * P * math.gcd(*p), abs(p[0] * Q - a[0] * P) * math.gcd(*p[1:])
     )
     return -_exact_div(val, d * p[0] * P, "curve Euler characteristic")
-

@@ -175,29 +175,25 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
 
 
 def _local_types(sg: PlaneSemigroup) -> list[LocalType]:
+    # Every order below is a gcd of positive integers or a quotient of the
+    # positive b_k^(k-1), so >= 1, and each type's rows have equal length:
+    # the types go through the unchecked core.
     g = sg.g
-    n, e, gens = sg.n, sg.e, sg.gens
-    order = sg.order
-    types = [
-        LocalType(
-            "Q0",
-            CyclicQuotientType(
-                (math.gcd(*[order // n[i] for i in range(1, g + 1)]),),
-                ((order // n[0], -1),),
-            ),
-        )
-    ]
+    n, e, gens, order = sg.n, sg.e, sg.gens, sg.order
+    qtype = CyclicQuotientType._reduced
+    d0 = math.gcd(*[order // n[i] for i in range(1, g + 1)])
+    types = [LocalType("Q0", qtype((d0,), ((order // n[0], -1),)))]
     for k in range(1, g + 1):
         m = n[k] * gens[k]
         d_q = math.gcd(e[k - 1], *[m // n[i] for i in range(k + 1, g + 1)])
-        types.append(LocalType(f"Q{k}", CyclicQuotientType((d_q,), ((-1, gens[k]),))))
+        types.append(LocalType(f"Q{k}", qtype((d_q,), ((-1, gens[k]),))))
         d_gen = math.gcd(e[k - 1], *[m // n[i] for i in range(k, g + 1)])
-        types.append(LocalType(f"Egen{k}", CyclicQuotientType((d_gen,), ((-1,),))))
+        types.append(LocalType(f"Egen{k}", qtype((d_gen,), ((-1,),))))
     for k in range(2, g + 1):
         diff = _b_prev(sg, k)
         d1 = _exact_div(diff, sg.L[k], "two-row order")
         A = ((1, -1), (-gens[k], n[k - 1] * gens[k - 1] // n[k]))
-        types.append(LocalType(f"E{k - 1}E{k}", CyclicQuotientType((d1, diff * e[k]), A)))
+        types.append(LocalType(f"E{k - 1}E{k}", qtype((d1, diff * e[k]), A)))
     return types
 
 

@@ -34,8 +34,14 @@ class TestValidation:
         ((4, -2), ((1,), (1,)), "row orders must be >= 1: (4, -2)"),
         ((2, 3), ((1, 0), (1,)), "weight rows must have equal length"),
         ((2, 3, 5), ((1,), (1,), ()), "weight rows must have equal length"),
+        ((6.9,), ((1.7, 2.2),), "row orders must be integers, got 6.9"),
+        ((True,), ((1,),), "row orders must be integers, got True"),
+        ((4,), ((1, 2.5),), "weights must be integers, got 2.5"),
+        ((4, 6), ((1, 2), (False, 3)), "weights must be integers, got False"),
+        ((4,), (("1",),), "weights must be integers, got '1'"),
     ], ids=["fewer rows", "fewer orders", "order 0", "negative order",
-            "short second row", "empty third row"])
+            "short second row", "empty third row", "float order", "bool order",
+            "float weight", "bool weight", "string weight"])
     def test_malformed_type(self, d, A, message):
         with pytest.raises(IllFormed) as info:
             CyclicQuotientType(d, A)
@@ -62,14 +68,36 @@ class TestValidation:
          "commutation a_1*p_2 = a_2*p_1 fails exactly"),
         (1, (0, 1, 1, 2), (1, 1, 1, 1), (1, 1, 1, 1), HypothesisViolated,
          "commutation a_1*p_3 = a_3*p_1 fails exactly"),
+        (2.0, (0, 0, 0), (1, 1, 1), (2, 2, 2), IllFormed, "orders must be integers, got 2.0"),
+        (True, (0, 0, 0), (1, 1, 1), (2, 2, 2), IllFormed, "orders must be integers, got True"),
+        (1, (0, 0.5, 0), (1, 1, 1), (2, 2, 2), IllFormed,
+         "action weights must be integers, got 0.5"),
+        (1, (0, 0, 0), (3.9, 1, 1), (2, 2, 2), IllFormed, "weights must be integers, got 3.9"),
+        (1, (0, 0, 0), (1, 1, 1), (2, True, 2), IllFormed,
+         "exponents must be integers, got True"),
     ], ids=["r=1", "short a", "short m", "d=0", "weight 0", "negative exponent",
             "d does not divide a_1*m_1", "d does not divide a_3*m_3",
-            "not homogeneous", "commutation at j=2", "commutation at j=3"])
+            "not homogeneous", "commutation at j=2", "commutation at j=3",
+            "float order", "bool order", "float action weight", "float weight",
+            "bool exponent"])
     def test_malformed_spec(self, d, a, p, m, error, message):
         with pytest.raises(error) as info:
             WeightedCurveSpec(d=d, a=a, p=p, m=m)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("count, t, k, bad", [
+        (count_solutions_total, one_row(4, 2, 2), (2.9, 2.5), "2.9"),
+        (count_solutions_total, one_row(2, 1, 1), (True, 2), "True"),
+        (count_solutions_fixed_tail, one_row(2, 1, 1), 2.9, "2.9"),
+        (count_solutions_fixed_tail, one_row(1, 0, 0), True, "True"),
+    ], ids=["total, float exponents", "total, bool exponent", "fixed tail, float exponent",
+            "fixed tail, bool exponent"])
+    def test_malformed_count(self, count, t, k, bad):
+        # A float exponent is rejected, not truncated; a bool is not read as 0 or 1.
+        with pytest.raises(IllFormed) as info:
+            count(t, k)
+        assert str(info.value) == f"exponents must be integers, got {bad}"
 
     @pytest.mark.parametrize("d, A, reduced", [
         ((4,), ((-1, 5, 4, 0),), ((3, 1, 0, 0),)),
@@ -191,11 +219,36 @@ class TestEulerCharacteristics:
         assert curve_open_euler(_e1_spec((8, 12, 26, 53))) == -4
 
 
+def _product_axis_count(spec, axis):
+    """The per-component axis count with ``P = p_2*...*p_r``, ``Q = a_2*p_3*...*p_r``."""
+    d, a, p, m = spec.d, spec.a, spec.p, spec.m
+    w = 1 - axis
+    P, Q = math.prod(p[2:]), a[2] * math.prod(p[3:])
+    head_gcd, tail_gcd = math.gcd(p[w], *p[2:]), math.gcd(*p[2:])
+    num = m[w] * math.gcd(d * P * head_gcd, abs(a[w] * P - p[w] * Q) * tail_gcd)
+    assert num % (d * P * tail_gcd) == 0
+    return num // (d * P * tail_gcd)
+
+
+def _product_open_euler(spec):
+    """The open Euler characteristic with ``P = p_1*...*p_r``, ``Q = a_1*p_2*...*p_r``."""
+    d, a, p, m = spec.d, spec.a, spec.p, spec.m
+    P, Q = math.prod(p[1:]), a[1] * math.prod(p[2:])
+    num = math.prod(m[1:]) * math.gcd(
+        d * P * math.gcd(*p), abs(p[0] * Q - a[0] * P) * math.gcd(*p[1:])
+    )
+    assert num % (d * p[0] * P) == 0
+    return -num // (d * p[0] * P)
+
+
 class TestChartIndependence:
     # curve_component_count runs the chart checks (x2 != 0 vs x3 != 0) of
     # the component count and raises on a mismatch; curve_axis_intersections
-    # runs those of its per-component count and multiplies by the symmetric
-    # component count, so both are called on each spec.
+    # takes its per-component count on chart x2 != 0, checks it against chart
+    # x3 != 0 and multiplies by the symmetric component count, so both are
+    # called on each spec.  The axis counts and the open Euler characteristic
+    # use level-local P and Q; each is also compared with its product form,
+    # whose common factor cancels.
     @staticmethod
     def _check_levels(sg):
         levels = build_resolution(sg).levels[:-1]
@@ -206,6 +259,8 @@ class TestChartIndependence:
             for axis in (0, 1):
                 per, total = curve_axis_intersections(spec, axis)
                 assert total == per * n_comp
+                assert per == _product_axis_count(spec, axis)
+            assert curve_open_euler(spec) == _product_open_euler(spec) == level.chi_open
         return len(levels)
 
     def test_fuzzed_specs(self):

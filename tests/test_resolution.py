@@ -211,3 +211,12 @@ class TestComponentCap:
         start = time.perf_counter()
         assert cross_check(sg) == []
         assert time.perf_counter() - start < 1.0
+
+    def test_cross_check_at_depth_400(self):
+        # b_g has about 800 bits.  The quotient-space counts take level-local
+        # products, so cross_check stays polynomial in the bit length: about
+        # 1 s on a 2-core host, where products over all tail weights took 30 s.
+        sg = build_semigroup(all_two_chain(400))
+        start = time.perf_counter()
+        assert cross_check(sg) == []
+        assert time.perf_counter() - start < 5.0
