@@ -17,7 +17,7 @@ and ``x_3 != 0`` against its symmetric form, in :func:`curve_component_count`
 alone; the per-component axis count, its chart-2 form, is checked against
 the chart-3 form.  The public constructors and counters reject entries that
 are not an ``int`` or are a ``bool``; the pipeline passes numbers it has
-already checked to private integer cores.
+already checked to private integer cores, which for a divisor multiplicity need no type.
 
 All counts are exact integers; failed divisibility raises structured errors.
 """
@@ -90,7 +90,11 @@ def _ints(xs, what: str) -> tuple[int, ...]:
 
 def l_factor(t: CyclicQuotientType, i: int) -> int:
     """Smallest ``l`` with ``x_i^l`` invariant: ``lcm_t d_t / gcd(d_t, a_ti)``."""
-    return math.lcm(*[dt // math.gcd(dt, row[i]) for dt, row in zip(t.d, t.A)])
+    return math.lcm(*[_row_l(dt, row[i]) for dt, row in zip(t.d, t.A)])
+
+
+def _row_l(d: int, a: int) -> int:
+    return d // math.gcd(d, a)  # one row's term of l_factor; a need not be reduced mod d
 
 
 def divisor_multiplicity(m: int, t: CyclicQuotientType, i: int) -> int:
@@ -103,6 +107,11 @@ def divisor_multiplicity(m: int, t: CyclicQuotientType, i: int) -> int:
             chart description upstream).
     """
     return _exact_div(m, l_factor(t, i), "divisor multiplicity at coordinate {0}", i)
+
+
+def _one_row_multiplicity(m: int, d: int, a: int, i: int) -> int:
+    # Core of divisor_multiplicity for a one-row type X(d; ...) with weight a at coordinate i.
+    return _exact_div(m, _row_l(d, a), "divisor multiplicity at coordinate {0}", i)
 
 
 def _check_one_row_system(t: CyclicQuotientType, k) -> tuple[int, tuple[int, ...]]:
@@ -268,21 +277,21 @@ def curve_axis_intersections(spec: WeightedCurveSpec, axis: int) -> tuple[int, i
     """
     if axis not in (0, 1):
         raise IllFormed("axis must be 0 or 1")
-    per = _axis_count_chart(spec, axis, 2)
+    tail_gcd = math.gcd(*spec.p[2:])
+    per = _axis_count_chart(spec, axis, 2, tail_gcd)
     if spec.r >= 3:
-        local = _axis_count_chart(spec, axis, 3)
+        local = _axis_count_chart(spec, axis, 3, tail_gcd)
         if local != per:
             raise InternalInconsistency(f"axis-{axis} count differs on chart 3: {local} != {per}")
     return per, per * _symmetric_component_count(spec)
 
 
-def _axis_count_chart(spec: WeightedCurveSpec, axis: int, c: int) -> int:
+def _axis_count_chart(spec: WeightedCurveSpec, axis: int, c: int, tail_gcd: int) -> int:
     # Chart-local form on x_c != 0: P, Q replaced by p_c and a_c; chart
-    # independence is what the caller asserts.
+    # independence is what the caller asserts.  tail_gcd is gcd(p_2, ..., p_r).
     d, a, p, m = spec.d, spec.a, spec.p, spec.m
     w = 1 - axis
-    tail_gcd = math.gcd(*p[2:])
-    head_gcd = math.gcd(p[w], *p[2:])
+    head_gcd = math.gcd(p[w], tail_gcd)
     return _exact_div(
         m[w]
         * math.gcd(d * p[c] * head_gcd, abs(a[w] * p[c] - a[c] * p[w]) * tail_gcd),

@@ -4,13 +4,13 @@ From a plane semigroup this module builds the dual graph of the resolution
 obtained by ``g`` successive weighted blow-ups on a generic embedding
 surface: exceptional divisors ``E_k`` with their component counts ``r_k``,
 multiplicities ``N_k``/``M_k``, blow-up weight vectors, special-point strata
-with local quotient types, and open-stratum Euler characteristics.  Of the
-paper's recursion values ``b_i^(k)`` the construction reads only the
-diagonal ``b_k^(k-1) = n_k*b_k - n_{k-1}*b_{k-1}``, in its closed form.  Every
-closed-form count is cross-validated against the general quotient-space
-counting machinery of :mod:`monocurve.qspace`.  :func:`zeta_from_graph` is
-A'Campo's route to Z, which :func:`monocurve.crosscheck.cross_check` compares
-with the closed form.
+with local quotient types (recorded on first read, which the JSON export
+does), and open-stratum Euler characteristics.  Of the paper's recursion
+values ``b_i^(k)`` the construction reads only the diagonal ``b_k^(k-1) =
+n_k*b_k - n_{k-1}*b_{k-1}``, in its closed form.  Every closed-form count is
+cross-validated against the counting machinery of :mod:`monocurve.qspace`.
+:func:`zeta_from_graph` is A'Campo's route to Z, which
+:func:`monocurve.crosscheck.cross_check` compares with the closed form.
 
 The graph holds counts only, and its tree shape is checked from them; only
 the exporters list the ``sum(r_k)`` labelled components.
@@ -18,6 +18,7 @@ the exporters list the ``sum(r_k)`` labelled components.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,10 +81,19 @@ class LocalType:
 
 @dataclass(frozen=True)
 class ResolutionGraph:
-    gens: tuple[int, ...]
+    """Resolution dual graph of ``semigroup``; its local types are built on first read."""
+
+    semigroup: PlaneSemigroup
     levels: tuple[GraphLevel, ...]
     strata: tuple[Stratum, ...]
-    local_types: tuple[LocalType, ...]
+
+    @property
+    def gens(self) -> tuple[int, ...]:
+        return self.semigroup.gens
+
+    @functools.cached_property
+    def local_types(self) -> tuple[LocalType, ...]:
+        return _local_types(self.semigroup)
 
     def stratum(self, kind: str, k: int) -> Stratum:
         for s in self.strata:
@@ -169,32 +179,33 @@ def build_resolution(sg: PlaneSemigroup) -> ResolutionGraph:
     for k in range(1, g):
         _exact_div(r[k - 1], r[k], "contiguous block size")
 
-    graph = ResolutionGraph(gens, tuple(levels), tuple(strata), tuple(_local_types(sg)))
+    graph = ResolutionGraph(sg, tuple(levels), tuple(strata))
     _cross_validate(sg, graph)
     return graph
 
 
-def _local_types(sg: PlaneSemigroup) -> list[LocalType]:
-    # Every order below is a gcd of positive integers or a quotient of the
-    # positive b_k^(k-1), so >= 1, and each type's rows have equal length:
-    # the types go through the unchecked core.
-    g = sg.g
-    n, e, gens, order = sg.n, sg.e, sg.gens, sg.order
-    qtype = CyclicQuotientType._reduced
-    d0 = math.gcd(*[order // n[i] for i in range(1, g + 1)])
-    types = [LocalType("Q0", qtype((d0,), ((order // n[0], -1),)))]
+def _one_row_data(sg: PlaneSemigroup) -> list[tuple[int, tuple[int, ...]]]:
+    """Order ``d >= 1`` and weight row of the one-row types Q0, then Q_k and Egen_k for each k."""
+    g, n, e, gens, order = sg.g, sg.n, sg.e, sg.gens, sg.order
+    rows = [(math.gcd(*[order // n[i] for i in range(1, g + 1)]), (order // n[0], -1))]
     for k in range(1, g + 1):
         m = n[k] * gens[k]
         d_q = math.gcd(e[k - 1], *[m // n[i] for i in range(k + 1, g + 1)])
-        types.append(LocalType(f"Q{k}", qtype((d_q,), ((-1, gens[k]),))))
-        d_gen = math.gcd(e[k - 1], *[m // n[i] for i in range(k, g + 1)])
-        types.append(LocalType(f"Egen{k}", qtype((d_gen,), ((-1,),))))
+        rows += [(d_q, (-1, gens[k])), (math.gcd(d_q, m // n[k]), (-1,))]
+    return rows
+
+
+def _local_types(sg: PlaneSemigroup) -> tuple[LocalType, ...]:
+    g, n, e, gens = sg.g, sg.n, sg.e, sg.gens
+    qtype = CyclicQuotientType._reduced
+    labels = ["Q0", *(f"{kind}{k}" for k in range(1, g + 1) for kind in ("Q", "Egen"))]
+    types = [LocalType(at, qtype((d,), (row,))) for at, (d, row) in zip(labels, _one_row_data(sg))]
     for k in range(2, g + 1):
         diff = _b_prev(sg, k)
         d1 = _exact_div(diff, sg.L[k], "two-row order")
         A = ((1, -1), (-gens[k], n[k - 1] * gens[k - 1] // n[k]))
         types.append(LocalType(f"E{k - 1}E{k}", qtype((d1, diff * e[k]), A)))
-    return types
+    return tuple(types)
 
 
 def _listing(graph: ResolutionGraph) -> tuple[list[str], list[tuple[str, str]]]:
@@ -269,18 +280,16 @@ def _cross_validate(sg: PlaneSemigroup, graph: ResolutionGraph) -> None:
     n, gens = sg.n, sg.gens
     M, N = resolution_multiplicities(sg)
     r = [lvl.r for lvl in graph.levels]
-    # _local_types lays the types out as Q0, then Q_k and Egen_k for each
-    # k = 1..g, then the E_{k-1}E_k types: Q_k sits at 2k - 1, Egen_k at 2k.
-    types = graph.local_types
 
-    # Multiplicity reproduction from the recorded one-row chart types.
-    for k in range(1, g + 1):
+    # Multiplicity reproduction from the one-row chart types' orders and rows.
+    (d0, a0), *rows = _one_row_data(sg)
+    for k, (d_q, a_q), (d_gen, a_gen) in zip(range(1, g + 1), rows[::2], rows[1::2]):
         m = n[k] * gens[k]
-        if qspace.divisor_multiplicity(m, types[2 * k].qtype, 0) != N[k - 1]:
+        if qspace._one_row_multiplicity(m, d_gen, a_gen[0], 0) != N[k - 1]:
             raise InternalInconsistency(f"generic chart type at E_{k} misses N_{k}")
-        if qspace.divisor_multiplicity(m, types[2 * k - 1].qtype, 0) != M[k]:
+        if qspace._one_row_multiplicity(m, d_q, a_q[0], 0) != M[k]:
             raise InternalInconsistency(f"Q_{k} chart type misses M_{k}")
-    if qspace.divisor_multiplicity(sg.order, types[0].qtype, 1) != M[0]:
+    if qspace._one_row_multiplicity(sg.order, d0, a0[1], 1) != M[0]:
         raise InternalInconsistency("Q0 chart type misses M_0")
 
     # Counting formulas on the homogeneous systems cutting out E_k (k < g).

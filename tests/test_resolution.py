@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from monocurve import resolution
+from monocurve.cli import main
 from monocurve.crosscheck import cross_check
 from monocurve.errors import BudgetExceeded, InternalInconsistency
 from monocurve.resolution import (
@@ -61,11 +63,53 @@ class TestBuildResolutionG2:
 
 
 def test_local_types_in_positional_order():
-    # _cross_validate reads Q0, Q_k and Egen_k by their positions.
+    # The order is the layout of the JSON export's "local_types" list.
     for sg in plane_semigroups(40):
         labels = [t.at for t in build_resolution(sg).local_types]
         per_level = [at for k in range(1, sg.g + 1) for at in (f"Q{k}", f"Egen{k}")]
         assert labels == ["Q0", *per_level, *(f"E{k - 1}E{k}" for k in range(2, sg.g + 1))]
+
+
+class TestLazyLocalTypes:
+    def test_checks_and_text_outputs_build_no_types(self, monkeypatch):
+        def refuse(sg):
+            raise AssertionError(f"local types built for {sg.gens}")
+
+        monkeypatch.setattr(resolution, "_local_types", refuse)
+        for sg in plane_semigroups(40):
+            assert cross_check(sg) == []
+        assert main(["analyze", "--gens", "8,12,26,53"]) == 0
+        assert main(["graph", "--gens", "8,12,26,53", "--format", "dot"]) == 0
+
+    def test_first_read_builds_once(self, monkeypatch):
+        built = []
+        build = resolution._local_types
+        monkeypatch.setattr(resolution, "_local_types", lambda sg: built.append(sg) or build(sg))
+        graph = build_resolution(build_semigroup((8, 12, 26, 53)))
+        assert built == []
+        types = graph.local_types
+        assert built == [graph.semigroup] and len(types) == 3 * 3
+        assert graph.local_types is types and len(built) == 1
+
+    @pytest.mark.parametrize("index, message", [
+        (0, "Q0 chart type misses M_0"),
+        (1, "Q_1 chart type misses M_1"),
+        (2, "generic chart type at E_1 misses N_1"),
+    ])
+    def test_wrong_one_row_order_is_caught(self, monkeypatch, index, message):
+        # Doubling one order of the one-row data makes build_resolution fail
+        # its multiplicity reproduction, though no type is built.
+        honest = resolution._one_row_data
+
+        def doubled(sg):
+            rows = honest(sg)
+            d, a = rows[index]
+            rows[index] = (2 * d, a)
+            return rows
+
+        monkeypatch.setattr(resolution, "_one_row_data", doubled)
+        with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+            build_resolution(build_semigroup((4, 6, 13)))
 
 
 class TestBuildResolutionG3:
