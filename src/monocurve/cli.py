@@ -128,11 +128,11 @@ def _analyze(sg, fmt: str) -> tuple[str, bool]:
     z, delta = report.zeta, report.delta
     if fmt == "json":
         doc = {
-            "gens": list(sg.gens),
+            "gens": sg.gens,
             "g": sg.g,
-            "e": list(sg.e),
-            "n": list(sg.n),
-            "digits": [list(row) for row in sg.digits],
+            "e": sg.e,
+            "n": sg.n,
+            "digits": sg.digits,
             "mu": delta.mu,
             **_zeta_delta_doc(z, delta),
             "resolution": resolution,

@@ -9,6 +9,8 @@ does), and open-stratum Euler characteristics.  Of the paper's recursion
 values ``b_i^(k)`` the construction reads only the diagonal ``b_k^(k-1) =
 n_k*b_k - n_{k-1}*b_{k-1}``, in its closed form.  Every closed-form count is
 cross-validated against the counting machinery of :mod:`monocurve.qspace`.
+The orders and weight rows of the one-row chart types are computed once
+per graph; the multiplicity checks and the recorded local types both read them.
 :func:`zeta_from_graph` is A'Campo's route to Z, which
 :func:`monocurve.crosscheck.cross_check` compares with the closed form.
 
@@ -92,8 +94,13 @@ class ResolutionGraph:
         return self.semigroup.gens
 
     @functools.cached_property
+    def _one_rows(self) -> list[tuple[int, tuple[int, ...]]]:
+        """:func:`_one_row_data` of the semigroup, for the checks and the local types."""
+        return _one_row_data(self.semigroup)
+
+    @functools.cached_property
     def local_types(self) -> tuple[LocalType, ...]:
-        return _local_types(self.semigroup)
+        return _local_types(self.semigroup, self._one_rows)
 
     def stratum(self, kind: str, k: int) -> Stratum:
         for s in self.strata:
@@ -195,11 +202,11 @@ def _one_row_data(sg: PlaneSemigroup) -> list[tuple[int, tuple[int, ...]]]:
     return rows
 
 
-def _local_types(sg: PlaneSemigroup) -> tuple[LocalType, ...]:
+def _local_types(sg: PlaneSemigroup, rows) -> tuple[LocalType, ...]:
     g, n, e, gens = sg.g, sg.n, sg.e, sg.gens
     qtype = CyclicQuotientType._reduced
     labels = ["Q0", *(f"{kind}{k}" for k in range(1, g + 1) for kind in ("Q", "Egen"))]
-    types = [LocalType(at, qtype((d,), (row,))) for at, (d, row) in zip(labels, _one_row_data(sg))]
+    types = [LocalType(at, qtype((d,), (row,))) for at, (d, row) in zip(labels, rows)]
     for k in range(2, g + 1):
         diff = _b_prev(sg, k)
         d1 = _exact_div(diff, sg.L[k], "two-row order")
@@ -282,7 +289,7 @@ def _cross_validate(sg: PlaneSemigroup, graph: ResolutionGraph) -> None:
     r = [lvl.r for lvl in graph.levels]
 
     # Multiplicity reproduction from the one-row chart types' orders and rows.
-    (d0, a0), *rows = _one_row_data(sg)
+    (d0, a0), *rows = graph._one_rows
     for k, (d_q, a_q), (d_gen, a_gen) in zip(range(1, g + 1), rows[::2], rows[1::2]):
         m = n[k] * gens[k]
         if qspace._one_row_multiplicity(m, d_gen, a_gen[0], 0) != N[k - 1]:
@@ -329,35 +336,16 @@ def zeta_from_graph(graph: ResolutionGraph) -> FactorProduct:
 
 
 def _graph_doc(graph: ResolutionGraph) -> dict:
-    """The JSON document of :func:`export_graph`, before serialization."""
+    """The JSON document of :func:`export_graph`, before serialization.
+
+    A level or stratum entry holds its dataclass fields in declaration order."""
     _, edges = _listing(graph)
     return {
-        "gens": list(graph.gens),
-        "levels": [
-            {
-                "k": lvl.k,
-                "r": lvl.r,
-                "N": lvl.N,
-                "M": lvl.M,
-                "weights": list(lvl.weights),
-                "chi_open": lvl.chi_open,
-            }
-            for lvl in graph.levels
-        ],
-        "edges": [list(ed) for ed in edges],
-        "strata": [
-            {
-                "kind": s.kind,
-                "k": s.k,
-                "count": s.count,
-                "multiplicity": s.multiplicity,
-            }
-            for s in graph.strata
-        ],
-        "local_types": [
-            {"at": t.at, "d": list(t.qtype.d), "A": [list(row) for row in t.qtype.A]}
-            for t in graph.local_types
-        ],
+        "gens": graph.gens,
+        "levels": [dict(vars(lvl)) for lvl in graph.levels],
+        "edges": edges,
+        "strata": [dict(vars(s)) for s in graph.strata],
+        "local_types": [{"at": t.at, "d": t.qtype.d, "A": t.qtype.A} for t in graph.local_types],
     }
 
 

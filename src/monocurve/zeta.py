@@ -92,27 +92,21 @@ class FactorProduct:
     def render(self, convention: str = "one_minus_t") -> str:
         """Human-readable cancelled form, e.g. ``(1-t^2)^2 (1-t^13) / (1-t^6)``."""
         if convention == "one_minus_t":
-            fmt, sign = "(1-t^{a})", self.sign
+            head, tail, one = "(1-t^", ")", "(1-t)"
         elif convention == "t_minus_one":
-            fmt = "(t^{a}-1)"
-            total = sum(e for _, e in self.factors)
-            sign = self.sign * (-1 if total % 2 else 1)
+            head, tail, one = "(t^", "-1)", "(t-1)"
         else:
             raise ValueError(f"unknown convention {convention!r}")
-
-        def side(pairs):
-            parts = []
-            for a, e in pairs:
-                base = "(1-t)" if (a == 1 and fmt.startswith("(1")) else (
-                    "(t-1)" if a == 1 else fmt.format(a=_int_text(a))
-                )
-                parts.append(base if e == 1 else f"{base}^{_int_text(e)}")
-            return " ".join(parts)
-
-        num = side(self.numerator_factors()) or "1"
-        den = side(self.denominator_factors())
-        text = f"{num} / {den}" if den else num
-        return f"-{text}" if sign == -1 else text
+        num, den, total = [], [], 0
+        for a, e in self.factors:
+            total += e
+            base = one if a == 1 else head + _int_text(a) + tail
+            (num if e > 0 else den).append(base if e in (1, -1) else f"{base}^{_int_text(abs(e))}")
+        text = " ".join(num) or "1"
+        if den:
+            text += " / " + " ".join(den)
+        sign = -self.sign if convention == "t_minus_one" and total % 2 else self.sign
+        return "-" + text if sign == -1 else text
 
     def to_json(self) -> dict:
         return {

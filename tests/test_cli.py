@@ -134,6 +134,40 @@ class TestConjecture:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestPinnedTextBytes:
+    # Captured before FactorProduct.render became one pass over the factors.
+    @pytest.mark.parametrize("argv, gens, digest", [
+        (("analyze",), "4,6,13",
+         "694e8d56dcf54554a40aa5e1b80083d32439e1ea8da4216769bddacec7c49a87"),
+        (("analyze",), "8,12,26,53",
+         "4933c6bc228fc7b8662652d080b2a1bfa9f3eaacb8ed12237e71a6b0cc56f099"),
+        (("analyze",), "12,18,37",
+         "127a5c7b731560e9af494991554087534e9eae0da7af813cc9570bf4b623087d"),
+        (("zeta",), "4,6,13",
+         "849cbece4459324b5c553a43848b8a35fa5eb886b6dac7d162d927882cbf18bf"),
+        (("zeta",), "8,12,26,53",
+         "2472e60938cf1b9ea8715b5d5877093de33860879f383861a0ca0da0ee23fa0d"),
+        (("zeta",), "12,18,37",
+         "a394d9a5b11ab1c569266ca0bf6a8077b683b415ff318c17c24ffcd49a10bb45"),
+        (("conjecture", "--format", "text"), "4,6,13",
+         "43b793dfe38f28ae86af2d5544dbae6feb9376cd93e52e5bce67e240ff0d7f85"),
+        (("conjecture", "--format", "text"), "8,12,26,53",
+         "15482e9ab0478d025aad81ead359a9e151e010291728c1a5c8499403aba2a87c"),
+        (("conjecture", "--format", "text"), "12,18,37",
+         "dfdc8c81fab090e87d0626eaba2dac80743bc52b49a66971b979e5a5b3220371"),
+        (("graph", "--format", "dot"), "4,6,13",
+         "bd6d77c887ffca4775d66d8a0821b1446690a8a45b046bd349d1f1595176bc6f"),
+        (("graph", "--format", "dot"), "8,12,26,53",
+         "3f0d985f01786ab320ba69452bf93ae2b0b378f0e078b72b8d6985ede22a303c"),
+        (("graph", "--format", "dot"), "12,18,37",
+         "3b15424745e2ea01bae711a2741d6985592215961a7bf3fe14c6bd8d6735ae5f"),
+    ])
+    def test_pinned_text_bytes(self, capsys, argv, gens, digest):
+        code, out, _ = run(capsys, *argv, "--gens", gens)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestFuzz:
     def test_small_run_clean(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--count", "10", "--seed", "3")

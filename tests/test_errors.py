@@ -1,6 +1,7 @@
 """Tests for the exact-division helper and the shared text writers in monocurve.errors."""
 
 import ast
+import functools
 import json
 import pathlib
 import sys
@@ -28,6 +29,12 @@ EDGE_CASES = [
     {"quote": 'say "hi"', "backslash": "a\\b", "control": "\x00\x01\x1f\x7f\n\r\t\b\f",
      "unicode": "Ŷ é 日本 😀", "verdict": True, "multiplicity": None},
     [[[[{"deep": [-(2**70), 2**70]}]]]],
+    # The indent table has no depth cap.
+    functools.reduce(lambda inner, _: [inner], range(100), 0),
+    functools.reduce(lambda inner, _: {"d": inner}, range(100), "leaf"),
+    # Items that are not int or str go through the recursive path.
+    (True, None, "x", (1, ("y", False))),
+    {"int": 7, "str": "s", "true": True, "false": False, "none": None, "big": -(10**30)},
 ]
 
 
@@ -73,7 +80,9 @@ class TestDigitLimit:
         big = 10 ** sys.get_int_max_str_digits()
         assert _int_text(big - 1) == str(big - 1)
         assert _json_text([big - 1]) == json.dumps([big - 1], indent=2)
-        for write in (_int_text, lambda n: _json_text({"n": [n]})):
+        writers = (_int_text, lambda n: _json_text({"n": [n]}),
+                   lambda n: _json_text({"n": n}), lambda n: _json_text((1, "x", n)))
+        for write in writers:
             with pytest.raises(BudgetExceeded, match="int-to-str digit limit"):
                 write(big)
 

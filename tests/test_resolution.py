@@ -72,7 +72,7 @@ def test_local_types_in_positional_order():
 
 class TestLazyLocalTypes:
     def test_checks_and_text_outputs_build_no_types(self, monkeypatch):
-        def refuse(sg):
+        def refuse(sg, rows):
             raise AssertionError(f"local types built for {sg.gens}")
 
         monkeypatch.setattr(resolution, "_local_types", refuse)
@@ -84,12 +84,24 @@ class TestLazyLocalTypes:
     def test_first_read_builds_once(self, monkeypatch):
         built = []
         build = resolution._local_types
-        monkeypatch.setattr(resolution, "_local_types", lambda sg: built.append(sg) or build(sg))
+        monkeypatch.setattr(resolution, "_local_types",
+                            lambda sg, rows: built.append(sg) or build(sg, rows))
         graph = build_resolution(build_semigroup((8, 12, 26, 53)))
         assert built == []
         types = graph.local_types
         assert built == [graph.semigroup] and len(types) == 3 * 3
         assert graph.local_types is types and len(built) == 1
+
+    def test_one_row_data_once_per_graph(self, monkeypatch):
+        # The checks in build_resolution and the local types of the JSON
+        # export read the same one-row orders and rows.
+        calls = []
+        honest = resolution._one_row_data
+        monkeypatch.setattr(resolution, "_one_row_data", lambda sg: calls.append(sg) or honest(sg))
+        graph = build_resolution(build_semigroup((8, 12, 26, 53)))
+        export_graph(graph, "json")
+        assert len(graph.local_types) == 3 * 3
+        assert calls == [graph.semigroup]
 
     @pytest.mark.parametrize("index, message", [
         (0, "Q0 chart type misses M_0"),
