@@ -12,13 +12,11 @@ from collections.abc import Iterable
 
 from .conjecture import verify_conjecture
 from .errors import BudgetExceeded, MonocurveError
-from .oracle import enum_digits
+from .oracle import MAX_EXPAND_DEGREE as DENSE_MU_CAP, enum_digits
 from .resolution import build_resolution, zeta_from_graph
 from .semigroup import PlaneSemigroup
 
 __all__ = ["cross_check", "campaign", "DENSE_MU_CAP"]
-
-DENSE_MU_CAP = 5000
 
 
 def cross_check(sg: PlaneSemigroup) -> list[str]:

@@ -42,7 +42,7 @@ class EnumerationBudget:
 
 
 DEFAULT_BUDGET = EnumerationBudget()
-MAX_EXPAND_DEGREE = 5000  # numerator degree cap of expand_and_verify
+MAX_EXPAND_DEGREE = 5000  # degree cap of expand_and_verify and of cross_check's dense leg
 DIGIT_LIST_CAP = 10**4  # cap on n_1*...*n_{i-1}, the tail sums enum_digits lists
 
 
@@ -55,70 +55,73 @@ def enum_count_solutions(
 ) -> int:
     """Count solution classes of ``x_i^{k_i} = c_i`` in ``X(d; a)`` by listing.
 
-    ``c`` is a tuple of ``Fraction`` exponents: ``c_i = exp(2*pi*i*c[i])``.
-    All ``k_i``-th roots are listed as int residues and identified under the
-    explicit action of the ``d``-th roots of unity; ``mode`` is ``"total"``
-    (count all orbits) or ``"fixed_tail"`` (count classes of ``x_0`` with a
-    concrete tail solution fixed).
+    ``c`` is a tuple of ``Fraction`` exponents: ``c_i = exp(2*pi*i*c[i])``, and
+    every ``k_i >= 1``.  One pass over the coordinates lists the ``k_i``-th roots
+    as int residues, maps them through the generator of the ``d``-th roots of
+    unity and extends its permutation of the mixed-radix points; ``mode`` is
+    ``"total"`` (count all orbits) or ``"fixed_tail"`` (count classes of ``x_0``
+    with a concrete tail solution fixed).
     """
     if len(t.d) != 1:
         raise InternalInconsistency("oracle expects a one-row type")
-    d = t.d[0]
-    a = t.A[0]
-    k = tuple(int(x) for x in k)
-    c = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in c)
-    if not (len(k) == len(a) == len(c)):
+    d, a = t.d[0], t.A[0]
+    k = tuple(map(int, k))
+    c = [x if isinstance(x, Fraction) else Fraction(x) for x in c]
+    n = len(a)
+    if not (len(k) == n == len(c)):
         raise InternalInconsistency("k, a, c must have equal length")
+    if k and min(k) < 1:
+        raise InternalInconsistency(f"exponents must be >= 1: {k}")
     if d > budget.max_group_order:
         raise BudgetExceeded(f"group order {d} exceeds {budget.max_group_order}")
-    if len(a) - 1 > budget.max_rank:
-        raise BudgetExceeded(f"rank {len(a) - 1} exceeds {budget.max_rank}")
-    if any(x > budget.max_exponent for x in k):
+    if n - 1 > budget.max_rank:
+        raise BudgetExceeded(f"rank {n - 1} exceeds {budget.max_rank}")
+    if k and max(k) > budget.max_exponent:
         raise BudgetExceeded(f"exponent in {k} exceeds {budget.max_exponent}")
-    for i, (ai, ki) in enumerate(zip(a, k)):
-        if (ai * ki) % d:
+    for i in range(n):
+        if a[i] * k[i] % d:
             raise InternalInconsistency(f"d does not divide a_{i}*k_{i}")
-
-    # Common denominator for all exponent residues: root j of c_i = p/q is
-    # (p/q + j)/k_i, and the generator of the action adds a_i/d to it.
-    denom = math.lcm(d, *(ki * ci.denominator for ki, ci in zip(k, c)))
-    roots = []
-    for ki, ci in zip(k, c):
-        first, gap = ci.numerator * (denom // (ki * ci.denominator)), denom // ki
-        roots.append([(first + j * gap) % denom for j in range(ki)])
-    shifts = [ai * denom // d % denom for ai in a]
-
-    if mode == "total":
-        return _count_orbits(roots, shifts, denom)
+    h = 1  # the generator is the h-th power of exp(2*pi*i/d)
     if mode == "fixed_tail":
-        if len(a) < 2:
+        if n < 2:
             raise InternalInconsistency("fixed_tail needs at least two coordinates")
-        # Fix the concrete tail (first root of each tail constant); x_0 classes
-        # are orbits under the subgroup stabilizing that tail pointwise, which
-        # the least u >= 1 fixing every tail root generates.
-        h = next(u for u in range(1, d + 1) if all(u * s % denom == 0 for s in shifts[1:]))
-        return _count_orbits([roots[0]], [h * shifts[0] % denom], denom)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _count_orbits(roots, shifts, denom) -> int:
-    """Orbits, as the cycles of the generator's permutation of the mixed-radix points."""
+        # With the tail fixed at the first root of each constant, x_0 classes are orbits
+        # of its pointwise stabilizer, generated by the least h >= 1 with d | h*a_i, i >= 1.
+        for h in range(1, d + 1):
+            for ai in a[1:]:
+                if h * ai % d:
+                    break
+            else:
+                break
+        n = 1
+    elif mode != "total":
+        raise ValueError(f"unknown mode {mode!r}")
     perm = [0]
-    for row, s in zip(roots, shifts):
-        index = {v: j for j, v in enumerate(row)}
+    for i in range(n):
+        ki = k[i]
+        p, q = c[i].as_integer_ratio()
+        # Root j of exp(2*pi*i*p/q) is (p/q + j)/k_i and the generator adds
+        # h*a_i/d; over denom = k_i*q*d both are ints, the root in [0, denom).
+        denom, gap = ki * q * d, q * d
+        row = range(p % q * d, denom, gap)
+        index = dict(zip(row, range(ki)))
+        s = h * a[i] * ki * q
         step = [index[(v + s) % denom] for v in row]
-        radix = len(row)
-        perm = [p * radix + j for p in perm for j in step]
-    seen = bytearray(len(perm))
+        # Point x of the coordinates before i and root j of x_i is point x*k_i + j.
+        perm = [x * ki + j for x in perm for j in step] if i else step
+    return _count_orbits(perm)
+
+
+def _count_orbits(perm) -> int:
+    """Orbits, as the cycles of the permutation ``perm``, each walked from its first point."""
+    seen = [False] * len(perm)
     orbits = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        orbits += 1
-        p = start
-        while not seen[p]:
-            seen[p] = 1
-            p = perm[p]
+    for start, p in enumerate(perm):
+        if not seen[start]:
+            orbits += 1
+            while p != start:
+                seen[p] = True
+                p = perm[p]
     return orbits
 
 

@@ -58,10 +58,10 @@ class CyclicQuotientType:
         A = tuple(A)
         if len(d) != len(A):
             raise IllFormed("one order per weight row required")
-        if min(d, default=1) < 1:
+        if d and min(d) < 1:
             raise IllFormed(f"row orders must be >= 1: {d}")
         A = [_ints(row, "weights") for row in A]
-        if len({len(row) for row in A}) > 1:
+        if len(set(map(len, A))) > 1:
             raise IllFormed("weight rows must have equal length")
         self._store(d, A)
 
@@ -121,12 +121,12 @@ def _check_one_row_system(t: CyclicQuotientType, k) -> tuple[int, tuple[int, ...
     k = _ints(k, "exponents")
     if len(k) != len(a):
         raise IllFormed("one exponent per coordinate required")
-    if any(x < 1 for x in k):
+    if k and min(k) < 1:
         raise IllFormed(f"exponents must be >= 1: {k}")
-    for i, (ai, ki) in enumerate(zip(a, k)):
-        if (ai * ki) % d:
+    for i in range(len(k)):
+        if a[i] * k[i] % d:
             raise IllFormed(
-                f"system not well defined: d={d} does not divide a_{i}*k_{i}={ai * ki}"
+                f"system not well defined: d={d} does not divide a_{i}*k_{i}={a[i] * k[i]}"
             )
     return d, k
 

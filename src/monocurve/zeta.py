@@ -109,11 +109,10 @@ class FactorProduct:
         return "-" + text if sign == -1 else text
 
     def to_json(self) -> dict:
-        return {
-            "num": [[a, e] for a, e in self.numerator_factors()],
-            "den": [[a, e] for a, e in self.denominator_factors()],
-            "sign": self.sign,
-        }
+        num, den = [], []
+        for a, e in self.factors:
+            (num if e > 0 else den).append([a, abs(e)])
+        return {"num": num, "den": den, "sign": self.sign}
 
 
 def _canonical(factors: dict[int, int]) -> tuple[tuple[int, int], ...]:

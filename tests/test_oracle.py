@@ -90,6 +90,64 @@ class TestEnumCountSolutions:
         with pytest.raises(BudgetExceeded):
             enum_count_solutions(t, (1,) * 5, (Fraction(0),) * 5)
 
+    @pytest.mark.parametrize("t, k, c, mode, error, message", [
+        (CyclicQuotientType((2, 3), ((1, 0), (1, 0))), (2, 3), (0, 0), "total",
+         InternalInconsistency, "oracle expects a one-row type"),
+        (one_row(2, 1, 1), (2,), (0, 0), "total",
+         InternalInconsistency, "k, a, c must have equal length"),
+        (one_row(2, 1, 1), (2, 2), (0,), "total",
+         InternalInconsistency, "k, a, c must have equal length"),
+        (one_row(13, 1), (13,), (0,), "total", BudgetExceeded, "group order 13 exceeds 12"),
+        (one_row(1, 0, 0, 0, 0, 0), (1,) * 5, (0,) * 5, "total",
+         BudgetExceeded, "rank 4 exceeds 3"),
+        (one_row(1, 0, 0), (2, 7), (0, 0), "total",
+         BudgetExceeded, "exponent in (2, 7) exceeds 6"),
+        (one_row(4, 1, 2), (4, 3), (0, 0), "total",
+         InternalInconsistency, "d does not divide a_1*k_1"),
+        (one_row(2, 1, 1), (2, 2), (0, 0), "all", ValueError, "unknown mode 'all'"),
+        (one_row(2, 1), (2,), (0,), "fixed_tail",
+         InternalInconsistency, "fixed_tail needs at least two coordinates"),
+        # Two bad inputs: the check that runs first wins.
+        (one_row(13, 1), (2,), (0,), "total", BudgetExceeded, "group order 13 exceeds 12"),
+        (one_row(1, 0, 0, 0, 0, 0), (1,) * 5, (0,) * 5, "all",
+         BudgetExceeded, "rank 4 exceeds 3"),
+        (one_row(4, 1, 2), (4, 3), (0, 0), "all",
+         InternalInconsistency, "d does not divide a_1*k_1"),
+        (one_row(4, 2), (1,), (0,), "fixed_tail",
+         InternalInconsistency, "d does not divide a_0*k_0"),
+        (one_row(2, 1, 1), (0,), (0,), "total",
+         InternalInconsistency, "k, a, c must have equal length"),
+    ], ids=["two rows", "short k", "short c", "group order", "rank", "exponent",
+            "divisibility", "unknown mode", "fixed tail, one coordinate",
+            "group order before divisibility", "rank before mode",
+            "divisibility before mode", "divisibility before fixed tail",
+            "length before exponent sign"])
+    def test_refusals(self, t, k, c, mode, error, message):
+        with pytest.raises(error) as info:
+            enum_count_solutions(t, k, c, mode)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("t, k", [
+        (one_row(2, 1, 1), (0, 2)),
+        (one_row(2, 1, 1), (-2, 2)),
+        (one_row(13, 1), (0,)),
+    ], ids=["zero", "negative", "before the budget"])
+    def test_nonpositive_exponent_refused(self, t, k):
+        # count_solutions_total refuses the same exponents with IllFormed.
+        c = (Fraction(0),) * len(k)
+        for mode in ("total", "fixed_tail")[: len(k)]:
+            with pytest.raises(InternalInconsistency) as info:
+                enum_count_solutions(t, k, c, mode)
+            assert str(info.value) == f"exponents must be >= 1: {k}"
+
+    def test_converted_inputs_accepted(self):
+        t = one_row(2, 1, 1)
+        assert enum_count_solutions(t, (2, 2), (0, "1/2")) == 2
+        assert enum_count_solutions(t, ("2", 2.0), (1, Fraction(3, 2))) == 2
+        assert enum_count_solutions(t, (2, 2), (0.5, 0), "fixed_tail") == 2
+        assert enum_count_solutions(one_row(3, 1, 1), (3, 3), ("-2/3", 0)) == 3
+
 
 def listed_count(d, a, k, c, mode):
     """Reference count: every group element applied to every point.

@@ -39,9 +39,14 @@ class TestValidation:
         ((4,), ((1, 2.5),), "weights must be integers, got 2.5"),
         ((4, 6), ((1, 2), (False, 3)), "weights must be integers, got False"),
         ((4,), (("1",),), "weights must be integers, got '1'"),
+        ((2, 3), ((1.5,),), "one order per weight row required"),
+        ((2, 0), ((1.5,), (1,)), "row orders must be >= 1: (2, 0)"),
+        ((2, 3, 5), ((1,), (1, 2), (2.5,)), "weights must be integers, got 2.5"),
     ], ids=["fewer rows", "fewer orders", "order 0", "negative order",
             "short second row", "empty third row", "float order", "bool order",
-            "float weight", "bool weight", "string weight"])
+            "float weight", "bool weight", "string weight",
+            "row count before weight type", "order before weight type",
+            "weight type before row length"])
     def test_malformed_type(self, d, A, message):
         with pytest.raises(IllFormed) as info:
             CyclicQuotientType(d, A)
@@ -172,6 +177,40 @@ class TestCountSolutions:
             count_solutions_fixed_tail(one_row(4, 1, 2), 3)
         with pytest.raises(IllFormed):
             count_solutions_total(one_row(2, 1, 1), (0, 2))
+
+    @pytest.mark.parametrize("count, t, k, message", [
+        (count_solutions_total, CyclicQuotientType((2, 3), ((1,), (1,))), (True,),
+         "counting requires a one-row type"),
+        (count_solutions_total, one_row(2, 1, 1), (True,),
+         "exponents must be integers, got True"),
+        (count_solutions_total, one_row(2, 1, 1), (0,), "one exponent per coordinate required"),
+        (count_solutions_total, one_row(4, 1, 2), (0, 3), "exponents must be >= 1: (0, 3)"),
+        (count_solutions_total, one_row(4, 1, 2), (4, 3),
+         "system not well defined: d=4 does not divide a_1*k_1=6"),
+        (count_solutions_total, one_row(4, 2, 1, 2), (1, 4, 3),
+         "system not well defined: d=4 does not divide a_0*k_0=2"),
+        (count_solutions_fixed_tail, CyclicQuotientType((2, 3), ((1,), (1,))), 2.5,
+         "counting requires a one-row type"),
+        (count_solutions_fixed_tail, one_row(2, 1), 2.5,
+         "fixed-tail count needs at least two coordinates"),
+        (count_solutions_fixed_tail, one_row(2, 1, 1), -1.5,
+         "exponents must be integers, got -1.5"),
+        (count_solutions_fixed_tail, one_row(4, 1, 2), 0, "exponent must be >= 1: 0"),
+        (count_solutions_fixed_tail, one_row(4, 1, 2), 3,
+         "system not well defined: d=4 does not divide a_0*k_0=3"),
+    ], ids=["total, rows before type", "total, type before length",
+            "total, length before sign", "total, sign before divisibility",
+            "total, divisibility", "total, first failing coordinate",
+            "fixed tail, rows before type", "fixed tail, coordinates before type",
+            "fixed tail, type before sign", "fixed tail, sign before divisibility",
+            "fixed tail, divisibility"])
+    def test_refusal_order(self, count, t, k, message):
+        with pytest.raises(IllFormed) as info:
+            count(t, k)
+        assert str(info.value) == message
+
+    def test_empty_system(self):
+        assert count_solutions_total(one_row(3), ()) == 1
 
 
 def _e1_spec(gens):
