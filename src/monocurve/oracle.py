@@ -65,7 +65,11 @@ def enum_count_solutions(
     if len(t.d) != 1:
         raise InternalInconsistency("oracle expects a one-row type")
     d, a = t.d[0], t.A[0]
-    k = tuple(map(int, k))
+    given, k = k, tuple(map(int, k))
+    if k != tuple(given):  # a str converts exactly or not at all; a number must not lose value
+        for x, ki in zip(given, k):
+            if ki != x and not isinstance(x, str):
+                raise InternalInconsistency(f"exponents must be integers, got {x!r}")
     c = [x if isinstance(x, Fraction) else Fraction(x) for x in c]
     n = len(a)
     if not (len(k) == n == len(c)):

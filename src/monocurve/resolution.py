@@ -4,13 +4,13 @@ From a plane semigroup this module builds the dual graph of the resolution
 obtained by ``g`` successive weighted blow-ups on a generic embedding
 surface: exceptional divisors ``E_k`` with their component counts ``r_k``,
 multiplicities ``N_k``/``M_k``, blow-up weight vectors, special-point strata
-with local quotient types (recorded on first read, which the JSON export
-does), and open-stratum Euler characteristics.  Of the paper's recursion
-values ``b_i^(k)`` the construction reads only the diagonal ``b_k^(k-1) =
+with local quotient types (built on first read of ``local_types``), and
+open-stratum Euler characteristics.  Of the paper's recursion values
+``b_i^(k)`` the construction reads only the diagonal ``b_k^(k-1) =
 n_k*b_k - n_{k-1}*b_{k-1}``, in its closed form.  Every closed-form count is
 cross-validated against the counting machinery of :mod:`monocurve.qspace`.
-The orders and weight rows of the one-row chart types are computed once
-per graph; the multiplicity checks and the recorded local types both read them.
+The one-row chart types' orders and weight rows are computed once per graph;
+the checks read them, and so does :func:`_local_types`, the JSON export's source.
 :func:`zeta_from_graph` is A'Campo's route to Z, which
 :func:`monocurve.crosscheck.cross_check` compares with the closed form.
 
@@ -100,7 +100,9 @@ class ResolutionGraph:
 
     @functools.cached_property
     def local_types(self) -> tuple[LocalType, ...]:
-        return _local_types(self.semigroup, self._one_rows)
+        qtype = CyclicQuotientType._reduced
+        types = _local_types(self.semigroup, self._one_rows)
+        return tuple([LocalType(at, qtype(d, A)) for at, d, A in types])
 
     def stratum(self, kind: str, k: int) -> Stratum:
         for s in self.strata:
@@ -202,17 +204,17 @@ def _one_row_data(sg: PlaneSemigroup) -> list[tuple[int, tuple[int, ...]]]:
     return rows
 
 
-def _local_types(sg: PlaneSemigroup, rows) -> tuple[LocalType, ...]:
+def _local_types(sg: PlaneSemigroup, rows) -> list[tuple[str, tuple[int, ...], tuple]]:
+    """Each local type's ``(at, d, A)``, A reduced mod d: one-row ``rows``, then E_{k-1}E_k."""
     g, n, e, gens = sg.g, sg.n, sg.e, sg.gens
-    qtype = CyclicQuotientType._reduced
     labels = ["Q0", *(f"{kind}{k}" for k in range(1, g + 1) for kind in ("Q", "Egen"))]
-    types = [LocalType(at, qtype((d,), (row,))) for at, (d, row) in zip(labels, rows)]
+    types = [(at, (d,), (tuple([a % d for a in row]),)) for at, (d, row) in zip(labels, rows)]
     for k in range(2, g + 1):
         diff = _b_prev(sg, k)
-        d1 = _exact_div(diff, sg.L[k], "two-row order")
-        A = ((1, -1), (-gens[k], n[k - 1] * gens[k - 1] // n[k]))
-        types.append(LocalType(f"E{k - 1}E{k}", qtype((d1, diff * e[k]), A)))
-    return tuple(types)
+        d1, d2 = _exact_div(diff, sg.L[k], "two-row order"), diff * e[k]
+        A = ((1 % d1, -1 % d1), (-gens[k] % d2, n[k - 1] * gens[k - 1] // n[k] % d2))
+        types.append((f"E{k - 1}E{k}", (d1, d2), A))
+    return types
 
 
 def _listing(graph: ResolutionGraph) -> tuple[list[str], list[tuple[str, str]]]:
@@ -230,20 +232,11 @@ def _listing(graph: ResolutionGraph) -> tuple[list[str], list[tuple[str, str]]]:
     """
     r = [lvl.r for lvl in graph.levels]
     if sum(r) > MAX_COMPONENTS:
-        raise BudgetExceeded(
-            f"{sum(r)} exceptional components exceed the cap {MAX_COMPONENTS}"
-        )
+        raise BudgetExceeded(f"{sum(r)} exceptional components exceed the cap {MAX_COMPONENTS}")
     g = len(r)
     labels = [[f"E_{k}_{j}" for j in range(1, r[k - 1] + 1)] for k in range(1, g + 1)]
-    nodes = [f"H_{i}" for i in range(g + 1)]
-    for level_labels in labels:
-        nodes.extend(level_labels)
-    nodes.append("Yhat")
-
-    edges: list[tuple[str, str]] = []
-    for e1 in labels[0]:
-        edges.append(("H_0", e1))
-        edges.append(("H_1", e1))
+    nodes = [*[f"H_{i}" for i in range(g + 1)], *[v for level in labels for v in level], "Yhat"]
+    edges = [(h, e1) for e1 in labels[0] for h in ("H_0", "H_1")]
     for k in range(2, g + 1):
         h = f"H_{k}"
         edges.extend([(h, ek) for ek in labels[k - 1]])
@@ -259,26 +252,19 @@ def _listing(graph: ResolutionGraph) -> tuple[list[str], list[tuple[str, str]]]:
 
 def _check_tree(nodes: list[str], edges: list[tuple[str, str]]) -> None:
     """The exceptional components plus the strict transform form a tree."""
-    keep = {v for v in nodes if v.startswith("E_") or v == "Yhat"}
-    sub = [ed for ed in edges if ed[0] in keep and ed[1] in keep]
-    if len(sub) != len(keep) - 1:
-        raise InternalInconsistency(
-            f"dual graph not a tree: {len(sub)} edges on {len(keep)} nodes"
-        )
-    adj: dict[str, list[str]] = {v: [] for v in keep}
+    root = {v: v for v in nodes if v.startswith("E_") or v == "Yhat"}
+    sub = [ed for ed in edges if ed[0] in root and ed[1] in root]
+    if len(sub) != len(root) - 1:
+        raise InternalInconsistency(f"dual graph not a tree: {len(sub)} edges on {len(root)} nodes")
+    # With one edge fewer than nodes, the graph is connected iff no edge closes a cycle.
     for u, v in sub:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = set()
-    stack = [next(iter(keep))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v])
-    if seen != keep:
-        raise InternalInconsistency("dual graph not connected on exceptional part")
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u == v:
+            raise InternalInconsistency("dual graph not connected on exceptional part")
+        root[u] = v
 
 
 def _cross_validate(sg: PlaneSemigroup, graph: ResolutionGraph) -> None:
@@ -340,12 +326,13 @@ def _graph_doc(graph: ResolutionGraph) -> dict:
 
     A level or stratum entry holds its dataclass fields in declaration order."""
     _, edges = _listing(graph)
+    types = _local_types(graph.semigroup, graph._one_rows)
     return {
         "gens": graph.gens,
         "levels": [dict(vars(lvl)) for lvl in graph.levels],
         "edges": edges,
         "strata": [dict(vars(s)) for s in graph.strata],
-        "local_types": [{"at": t.at, "d": t.qtype.d, "A": t.qtype.A} for t in graph.local_types],
+        "local_types": [{"at": at, "d": d, "A": A} for at, d, A in types],
     }
 
 

@@ -4,6 +4,7 @@ import ast
 import functools
 import json
 import pathlib
+import random
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -38,10 +39,40 @@ EDGE_CASES = [
 ]
 
 
+# A few keys, so each occurs at several depths and the writer's key table is reused.
+KEYS = ["gens", "d", "A", "", 'q"uote', "é", "\x01", "😀"]
+STRINGS = ["", "x", 'say "hi"', "a\\b", "\x00\x1f\x7f\n\t", "Ŷ é 日本", "😀", "E_1_2"]
+
+
+def random_document(rng: random.Random, depth: int = 8, container: bool = True):
+    """A seeded JSON value: dicts, lists and tuples nested at most ``depth`` deep."""
+    kind = rng.randrange(6 if container else 0, 9 if depth else 6)
+    if kind == 0:
+        return rng.randint(-(2**70), 2**70)
+    if kind == 1:
+        return rng.randint(-3, 300)
+    if kind == 2:
+        return rng.choice(STRINGS) + rng.choice(STRINGS)
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind in (4, 5):
+        return rng.choice([{}, [], ()])
+    items = [random_document(rng, depth - 1, False) for _ in range(rng.randrange(1, 5))]
+    if kind == 6:
+        return {rng.choice(KEYS): v for v in items}
+    return items if kind == 7 else tuple(items)
+
+
 class TestJsonText:
     @pytest.mark.parametrize("doc", EDGE_CASES)
     def test_edge_cases_match_json_dumps(self, doc):
         assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_random_documents_match_json_dumps(self):
+        rng = random.Random(0)
+        for _ in range(2000):
+            doc = random_document(rng)
+            assert _json_text(doc) == json.dumps(doc, indent=2)
 
     def test_every_document_matches_json_dumps(self, capsys, monkeypatch):
         """The analyze, zeta, graph and conjecture JSON of every b_g <= 60 semigroup."""

@@ -13,6 +13,7 @@ import monocurve.crosscheck
 from monocurve.crosscheck import cross_check
 from monocurve.errors import (
     BudgetExceeded,
+    IllFormed,
     InternalInconsistency,
     NotPolynomial,
     NotRepresentable,
@@ -140,6 +141,22 @@ class TestEnumCountSolutions:
             with pytest.raises(InternalInconsistency) as info:
                 enum_count_solutions(t, k, c, mode)
             assert str(info.value) == f"exponents must be >= 1: {k}"
+
+    @pytest.mark.parametrize("k, shown", [
+        ((2.9, 2), "2.9"),
+        ((Fraction(5, 2), 2), "Fraction(5, 2)"),
+        ((2, 2.5), "2.5"),
+        (("2", 1.5), "1.5"),
+    ], ids=["float", "fraction", "second coordinate", "after a str"])
+    def test_non_integral_exponent_refused(self, k, shown):
+        # int() would truncate these; count_solutions_total refuses them with IllFormed.
+        t = one_row(2, 1, 1)
+        with pytest.raises(IllFormed, match="^exponents must be integers"):
+            count_solutions_total(t, k)
+        for mode in ("total", "fixed_tail"):
+            with pytest.raises(InternalInconsistency) as info:
+                enum_count_solutions(t, k, (0, 0), mode)
+            assert str(info.value) == f"exponents must be integers, got {shown}"
 
     def test_converted_inputs_accepted(self):
         t = one_row(2, 1, 1)

@@ -124,6 +124,28 @@ class TestLazyLocalTypes:
             build_resolution(build_semigroup((4, 6, 13)))
 
 
+class TestExportedLocalTypes:
+    def test_json_matches_local_types(self):
+        # The export and graph.local_types read the same integers.
+        for sg in plane_semigroups(120):
+            graph = build_resolution(sg)
+            exported = json.loads(export_graph(graph, "json"))["local_types"]
+            want = [{"at": t.at, "d": t.qtype.d, "A": t.qtype.A} for t in graph.local_types]
+            assert exported == json.loads(json.dumps(want))
+
+    def test_json_export_builds_no_types(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("LocalType built by the JSON export")
+
+        monkeypatch.setattr(resolution, "LocalType", refuse)
+        graph = build_resolution(build_semigroup((8, 12, 26, 53)))
+        assert len(json.loads(export_graph(graph, "json"))["local_types"]) == 3 * 3
+        assert main(["analyze", "--gens", "8,12,26,53", "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["resolution"]["local_types"]) == 3 * 3
+        with pytest.raises(AssertionError, match="LocalType built"):
+            graph.local_types
+
+
 class TestBuildResolutionG3:
     def setup_method(self):
         self.graph = build_resolution(build_semigroup((8, 12, 26, 53)))
