@@ -12,12 +12,15 @@ level has an independent check in the tests (a monomial valuation on the
 binomial equations of the monomial curve); at the levels ``k >= 2`` only
 the integer numerator of the formula is compared with that of a regrouped
 form.
+
+The package namespace holds the calculator (pipeline functions, report and
+graph types, errors, cyclic-quotient solution counts); every other public name
+is imported from its module, e.g. ``from monocurve.semigroup import random_semigroup``.
 """
 
 from .conjecture import (
     ConjectureReport,
     PoleEntry,
-    candidate_poles,
     verify_conjecture,
 )
 from .crosscheck import cross_check
@@ -33,23 +36,11 @@ from .errors import (
     NotPolynomial,
     NotRepresentable,
 )
-from .oracle import (
-    EnumerationBudget,
-    enum_count_solutions,
-    enum_digits,
-    expand_and_verify,
-    grid_discrepancies,
-)
+from .oracle import enum_count_solutions
 from .qspace import (
     CyclicQuotientType,
-    WeightedCurveSpec,
     count_solutions_fixed_tail,
     count_solutions_total,
-    curve_axis_intersections,
-    curve_component_count,
-    curve_open_euler,
-    divisor_multiplicity,
-    l_factor,
 )
 from .resolution import (
     GraphLevel,
@@ -57,24 +48,15 @@ from .resolution import (
     ResolutionGraph,
     Stratum,
     build_resolution,
-    export_graph,
-    zeta_from_graph,
 )
 from .semigroup import (
     PlaneSemigroup,
     build_semigroup,
-    decompose,
-    min_last_generator,
-    random_semigroup,
 )
 from .zeta import (
     CharacteristicPolynomial,
     FactorProduct,
     characteristic_polynomial,
-    cyclotomic_exponent,
-    milnor_number,
-    negative_cyclotomic_orders,
-    resolution_multiplicities,
     zeta_closed_form,
 )
 
@@ -85,7 +67,6 @@ __all__ = [
     "CharacteristicPolynomial",
     "ConjectureReport",
     "CyclicQuotientType",
-    "EnumerationBudget",
     "FactorProduct",
     "GraphLevel",
     "HypothesisViolated",
@@ -102,32 +83,13 @@ __all__ = [
     "PoleEntry",
     "ResolutionGraph",
     "Stratum",
-    "WeightedCurveSpec",
     "build_resolution",
     "build_semigroup",
-    "candidate_poles",
     "characteristic_polynomial",
     "count_solutions_fixed_tail",
     "count_solutions_total",
     "cross_check",
-    "curve_axis_intersections",
-    "curve_component_count",
-    "curve_open_euler",
-    "cyclotomic_exponent",
-    "decompose",
-    "divisor_multiplicity",
     "enum_count_solutions",
-    "enum_digits",
-    "expand_and_verify",
-    "export_graph",
-    "grid_discrepancies",
-    "l_factor",
-    "milnor_number",
-    "min_last_generator",
-    "negative_cyclotomic_orders",
-    "random_semigroup",
-    "resolution_multiplicities",
     "verify_conjecture",
     "zeta_closed_form",
-    "zeta_from_graph",
 ]

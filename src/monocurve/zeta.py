@@ -57,8 +57,10 @@ class FactorProduct:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        canon = _canonical(dict(self.factors))
-        object.__setattr__(self, "factors", canon)
+        merged: dict[int, int] = {}
+        for a, e in self.factors:  # the pairs denote a product: a repeated a adds its exponents
+            merged[a] = merged.get(a, 0) + e
+        object.__setattr__(self, "factors", _canonical(merged))
 
     @classmethod
     def from_map(cls, factors: dict[int, int], sign: int = 1) -> "FactorProduct":

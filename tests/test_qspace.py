@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from monocurve.errors import HypothesisViolated, IllFormed, NotDivisible
+from monocurve import qspace
+from monocurve.errors import HypothesisViolated, IllFormed, InternalInconsistency, NotDivisible
 from monocurve.qspace import (
     CyclicQuotientType,
     WeightedCurveSpec,
@@ -250,6 +251,35 @@ class TestCurveCounts:
     def test_not_weighted_homogeneous(self):
         with pytest.raises(IllFormed):
             WeightedCurveSpec(d=1, a=(0, 0, 0), p=(1, 1, 1), m=(2, 2, 3))
+
+
+class TestChartChecksAtThreeTailCoordinates:
+    # E_1 of 8,12,26,53 has r = 3 exactly, the least r at which the chart
+    # checks run: a chart count one too high on the named chart must raise.
+    @pytest.fixture
+    def spec(self):
+        spec = _e1_spec((8, 12, 26, 53))
+        assert spec.r == 3
+        return spec
+
+    @pytest.mark.parametrize("chart", [2, 3])
+    def test_component_count_chart_mismatch(self, monkeypatch, spec, chart):
+        honest = qspace._chart_component_count
+        monkeypatch.setattr(qspace, "_chart_component_count",
+                            lambda spec, c: honest(spec, c) + (c == chart))
+        with pytest.raises(InternalInconsistency,
+                           match=f"^component count differs on chart {chart}: 3 != 2$"):
+            curve_component_count(spec)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_axis_count_chart_3_mismatch(self, monkeypatch, spec, axis):
+        honest = qspace._axis_count_chart
+        per, _ = curve_axis_intersections(spec, axis)
+        monkeypatch.setattr(qspace, "_axis_count_chart",
+                            lambda *args: honest(*args) + (args[2] == 3))
+        with pytest.raises(InternalInconsistency,
+                           match=f"^axis-{axis} count differs on chart 3: {per + 1} != {per}$"):
+            curve_axis_intersections(spec, axis)
 
 
 class TestEulerCharacteristics:

@@ -1,12 +1,14 @@
 """Tests for the resolution dual graph and its exports."""
 
+import dataclasses
 import hashlib
 import json
+import re
 import time
 
 import pytest
 
-from monocurve import resolution
+from monocurve import qspace, resolution
 from monocurve.cli import main
 from monocurve.crosscheck import cross_check
 from monocurve.errors import BudgetExceeded, InternalInconsistency
@@ -122,6 +124,75 @@ class TestLazyLocalTypes:
         monkeypatch.setattr(resolution, "_one_row_data", doubled)
         with pytest.raises(InternalInconsistency, match=f"^{message}$"):
             build_resolution(build_semigroup((4, 6, 13)))
+
+
+class TestChecksFire:
+    """Each check of the graph fires when one of its inputs is patched to a wrong value."""
+
+    def test_missing_stratum(self):
+        graph = build_resolution(build_semigroup((4, 6, 13)))
+        for kind, k in [("Qkk1", 2), ("Qk", 0), ("Q0", 1), ("Ek", 1)]:
+            with pytest.raises(KeyError) as caught:
+                graph.stratum(kind, k)
+            assert caught.value.args == ((kind, k),)
+
+    @pytest.mark.parametrize("gens", [(4, 6, 13), (8, 12, 26, 53)])
+    def test_last_two_component_counts(self, gens):
+        # r_g = e_g / L_{g+1} with e_g doubled, then r_{g-1} = e_{g-1} / L_g with L_g = 1.
+        sg = build_semigroup(gens)
+        doubled = dataclasses.replace(sg, e=(*sg.e[:-1], 2 * sg.e[-1]))
+        unit_tail = dataclasses.replace(sg)
+        vars(unit_tail)["L"] = (*sg.L[:-2], 1, sg.L[-1])
+        for patched in (doubled, unit_tail):
+            with pytest.raises(InternalInconsistency, match=r"^r_\(g-1\) and r_g must both be 1$"):
+                build_resolution(patched)
+
+    @pytest.mark.parametrize("N_2", [2, 13])
+    def test_multiplicities_divide_N(self, monkeypatch, N_2):
+        # At 4,6,13 (M_2, L_2) = (13, 2): N_2 = 2 misses M_2, N_2 = 13 misses L_2.
+        honest = resolution.resolution_multiplicities
+        monkeypatch.setattr(resolution, "resolution_multiplicities",
+                            lambda sg: (honest(sg)[0], (honest(sg)[1][0], N_2)))
+        with pytest.raises(InternalInconsistency, match="^M_2 or L_2 does not divide N_2$"):
+            build_resolution(build_semigroup((4, 6, 13)))
+
+    @pytest.mark.parametrize("name, axis, message", [
+        ("curve_component_count", None, "component count of E_{k} disagrees"),
+        ("curve_axis_intersections", 0, "|E_{k} ∩ previous divisor| disagrees"),
+        ("curve_axis_intersections", 1, "|E_{k} ∩ H_{k}| disagrees"),
+        ("curve_open_euler", None, "chi(E_{k} open) disagrees"),
+    ])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_qspace_count_disagrees(self, monkeypatch, name, axis, message, k):
+        # One count of the quotient-space machinery is one too high, from the
+        # homogeneous system of E_k of 8,12,26,53 on; k = 2 compares the
+        # previous-divisor count with r_1 rather than |Q0|.
+        honest = getattr(qspace, name)
+
+        def wrong(spec, *args):
+            value = honest(spec, *args)
+            if spec != specs[k - 1] or (axis is not None and args != (axis,)):
+                return value
+            return (value[0], value[1] + 1) if axis is not None else value + 1
+
+        sg = build_semigroup((8, 12, 26, 53))
+        specs = [resolution._homogeneous_spec(sg, lvl) for lvl in build_resolution(sg).levels[:-1]]
+        monkeypatch.setattr(qspace, name, wrong)
+        with pytest.raises(InternalInconsistency, match=f"^{re.escape(message.format(k=k))}$"):
+            build_resolution(sg)
+
+    @pytest.mark.parametrize("field, value", [("chi_open", -2), ("r", 2)])
+    def test_last_divisor_single_rational(self, field, value):
+        # Through build_resolution r_g = 1 is checked first and chi(E_g) =
+        # -n_g*b_g/N_g = -1 follows from gcd(b_g, n_g) = 1, so the check is
+        # fired on a graph whose last level alone is patched.
+        sg = build_semigroup((8, 12, 26, 53))
+        graph = build_resolution(sg)
+        last = dataclasses.replace(graph.levels[-1], **{field: value})
+        patched = dataclasses.replace(graph, levels=(*graph.levels[:-1], last))
+        with pytest.raises(InternalInconsistency,
+                           match="^E_g must be a single rational component$"):
+            resolution._cross_validate(sg, patched)
 
 
 class TestExportedLocalTypes:

@@ -100,6 +100,28 @@ class TestFromMap:
             FactorProduct.from_map({2: 1}, 0)
 
 
+class TestConstructorRepeatedExponent:
+    """The constructor's pairs denote a product, so a repeated ``a`` adds its exponents."""
+
+    @pytest.mark.parametrize("pairs, factors", [
+        (((3, 1), (2, 2), (3, 1)), ((2, 2), (3, 2))),
+        (((2, 1), (2, -1)), ()),
+        (((5, -1), (1, 1), (5, 3), (5, -2)), ((1, 1),)),
+        (((4, 2), (4, 0)), ((4, 2),)),
+    ])
+    def test_exponents_add(self, pairs, factors):
+        fp = FactorProduct(pairs, -1)
+        assert fp.factors == factors
+        assert fp == FactorProduct.from_map(dict(factors), -1)
+
+    @pytest.mark.parametrize("pairs, bad", [
+        (((0, 1), (0, -1)), 0), (((3, 1), (-1, 2), (-1, -2)), -1),
+    ])
+    def test_nonpositive_a_rejected_even_when_cancelled(self, pairs, bad):
+        with pytest.raises(ValueError, match=f"factor exponent of t must be positive, got {bad}"):
+            FactorProduct(pairs)
+
+
 class TestZetaClosedForm:
     def test_example_g2(self):
         sg = build_semigroup((4, 6, 13))
