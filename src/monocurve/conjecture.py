@@ -8,9 +8,10 @@ For each ``k = 1..g`` the candidate pole exponent is the exact rational
 plus the trivial pole exponent ``g``.  Each level is summed on ints over
 the common denominator ``n_k*b_k*e_k`` and reduced once; a transcription
 check compares its numerator over ``n_k*b_k`` with that of a regrouped
-formula, as two ints.  The verification splits the
-characteristic polynomial as a product of exact factors ``P_k`` and checks
-that the eigenvalue attached to every non-integer pole (a primitive root of
+formula, as two ints.  The verification reads the split of the
+characteristic polynomial into exact factors ``P_k`` that
+:func:`monocurve.zeta.characteristic_polynomial` certified it with, and
+checks that the eigenvalue attached to every non-integer pole (a primitive root of
 unity of order ``q_k``, the reduced denominator) is a zero of ``P_k`` and of
 ``Delta``.  No complex arithmetic is used: being a zero only depends on the
 cyclotomic exponent at ``q_k``.
@@ -21,14 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistency, _exact_div, _int_text, _json_text
+from .errors import InternalInconsistency, _int_text, _json_text
 from .semigroup import PlaneSemigroup
 from .zeta import (
     CharacteristicPolynomial,
     FactorProduct,
     characteristic_polynomial,
     cyclotomic_exponent,
-    negative_cyclotomic_orders,
     resolution_multiplicities,
     zeta_closed_form,
 )
@@ -72,7 +72,8 @@ class PoleEntry:
 @dataclass(frozen=True)
 class ConjectureReport:
     """Pole verdicts with the closed-form ``zeta``, ``delta`` and ``pk`` (P_1..P_g)
-    they were certified from, each built once; callers read them here."""
+    they were certified from, each built once; callers read them here.
+    ``pk`` is ``delta.pk``, the same tuple."""
 
     gens: tuple[int, ...]
     poles: tuple[PoleEntry, ...]
@@ -103,57 +104,29 @@ def candidate_poles(sg: PlaneSemigroup) -> list[Fraction]:
     Level ``k`` is summed on ints over the common denominator
     ``n_k*b_k*e_k``, with ``sum_{l>k} 1/n_l = (sum_{l>k} e_k/n_l)/e_k`` since
     ``e_k = n_{k+1}*...*n_g``; one ``Fraction`` per level reduces it.  The
-    numerator over ``n_k*b_k`` is also summed in an alternate algebraic
-    grouping, and the two integers must agree (guards formula transcription).
+    prefix sums over ``l < k`` run on from level to level.  The numerator
+    over ``n_k*b_k`` is also accumulated in an alternate algebraic grouping,
+    and the two integers must agree (guards formula transcription).
     """
     g, b, n, e = sg.g, sg.gens, sg.n, sg.e
     poles = [Fraction(g)]
+    # Running sums over l < k: sum b_l, and over 1 <= l < k: sum n_l*b_l and
+    # sum (b_l - n_l*b_l), the alternate grouping's own accumulator.
+    b_sum, nb_sum, alt_sum = b[0], 0, 0
     for k in range(1, g + 1):
         nk_bk = n[k] * b[k]
-        head = sum(b[: k + 1]) - sum(n[l] * b[l] for l in range(1, k))
-        alt = b[k] + b[0] + sum(b[l] - n[l] * b[l] for l in range(1, k))
+        head = b_sum + b[k] - nb_sum
+        alt = b[k] + b[0] + alt_sum
         if head != alt:
             raise InternalInconsistency(f"pole value regrouping mismatch at k={k}")
         tail = sum(e[k] // n[l] for l in range(k + 1, g + 1))
         poles.append(
             Fraction((head + (k - 1) * nk_bk) * e[k] + tail * nk_bk, nk_bk * e[k])
         )
+        b_sum += b[k]
+        nb_sum += nk_bk
+        alt_sum += b[k] - nk_bk
     return poles
-
-
-def _pk_factors(sg: PlaneSemigroup, M, N, delta: CharacteristicPolynomial) -> list[FactorProduct]:
-    """Split ``Delta`` as an exact product of per-level factors
-
-        P_k = (t^{N_k} - 1)^{n_k*b_k/N_k} (t^{L_{k+1}} - 1)^{e_k/L_{k+1}}
-            / ((t^{M_k} - 1)^{b_k/M_k} (t^{L_k} - 1)^{e_{k-1}/L_k})
-
-    with ``L_k = lcm(n_k, ..., n_g)`` and ``L_{g+1} = 1`` read from ``sg.L``,
-    from already built ``(M, N)`` and ``Delta``.  Asserts that every ``P_k``
-    is a polynomial and that their product (the summed exponent maps, the
-    signs multiplied) equals ``Delta``.
-    """
-    out = []
-    total: dict[int, int] = {}
-    sign = 1
-    for k in range(1, sg.g + 1):
-        Nk, Mk, Lk, Lk1 = N[k - 1], M[k], sg.L[k], sg.L[k + 1]
-        factors: dict[int, int] = {}
-        for a, e in (
-            (Nk, _exact_div(sg.n[k] * sg.gens[k], Nk, "P_{0}: n_{0}*b_{0} / N_{0}", k)),
-            (Lk1, _exact_div(sg.e[k], Lk1, "P_{0}: e_{0} / L_{1}", k, k + 1)),
-            (Mk, -_exact_div(sg.gens[k], Mk, "P_{0}: b_{0} / M_{0}", k)),
-            (Lk, -_exact_div(sg.e[k - 1], Lk, "P_{0}: e_{1} / L_{0}", k, k - 1)),
-        ):
-            factors[a] = factors.get(a, 0) + e
-            total[a] = total.get(a, 0) + e
-        pk = FactorProduct.from_t_minus_one(factors)
-        if negative_cyclotomic_orders(pk):
-            raise InternalInconsistency(f"P_{k} is not a polynomial")
-        out.append(pk)
-        sign *= pk.sign
-    if FactorProduct.from_map(total, sign) != delta.product:
-        raise InternalInconsistency("product of P_k factors differs from Delta")
-    return out
 
 
 def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
@@ -167,13 +140,13 @@ def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
     """
     M, N = resolution_multiplicities(sg)
     delta = characteristic_polynomial(sg)
-    pks = _pk_factors(sg, M, N, delta)
+    pks = delta.pk
     z = zeta_closed_form(sg)
     delta_at_one = cyclotomic_exponent(delta.product, 1)
 
     entries = []
     for k, value in enumerate(candidate_poles(sg)):
-        # N_k | n_k*b_k (checked in _pk_factors), so an integral nu_k = value*N_k
+        # N_k | n_k*b_k (checked in characteristic_polynomial), so an integral nu_k = value*N_k
         # also makes value*n_k*b_k integral.
         display = _display(value, N[k - 1], k) if k else str(sg.g)
         q = value.denominator
@@ -192,7 +165,7 @@ def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
             )
         verdict = mult_pk >= 1 and mult_delta >= 1
         entries.append(PoleEntry(k, value, display, False, q, case, mult_delta, verdict))
-    return ConjectureReport(sg.gens, tuple(entries), tuple(pks), delta, z)
+    return ConjectureReport(sg.gens, tuple(entries), pks, delta, z)
 
 
 def _display(value: Fraction, Nk: int, k: int) -> str:

@@ -25,9 +25,10 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
     Checks: resolution-graph invariants (divisibility, component counts,
     the tree shape from those counts, quotient-space cross-validation; no
     component is listed, so this runs at any g), :func:`verify_conjecture`
-    (which checks Delta for nonnegative cyclotomic exponents and degree mu,
-    and the exact per-level factor splitting, once each) with a passing pole
-    verdict, :func:`zeta_from_graph` (A'Campo's stratum product) equal to
+    (whose one :func:`monocurve.zeta.characteristic_polynomial` call checks
+    Delta's degree mu and certifies its polynomiality by the exact per-level
+    factor splitting: every ``P_k`` a polynomial, their product Delta) with a
+    passing pole verdict, :func:`zeta_from_graph` (A'Campo's stratum product) equal to
     the closed-form Z in that report (Z is built once, so this check is
     skipped when either call fails), the dense expansion of that same Delta
     when mu is at most :data:`DENSE_MU_CAP`, and agreement of the modular digits stored in

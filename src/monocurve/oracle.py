@@ -141,8 +141,9 @@ def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
     The search is exhaustive and never reads ``sg.digits``: it lists every
     tail sum ``sum_{1<=j<i} c_j*b_j`` as one list, in ``itertools.product``
     order, without the digits ``c_j*b_j > s`` that cannot occur, and tests
-    each sum for a ``c_0`` with one modulo.  The work is set by the list
-    length alone, whatever the size of ``s`` and of the generators.
+    each sum ``x <= s`` for a ``c_0`` with one modulo, ``x % b_0 == s % b_0``.
+    The work is set by the list length alone, whatever the size of ``s`` and
+    of the generators.
     """
     if not 1 <= i <= sg.g:
         raise ValueError(f"index i must be in 1..{sg.g}")
@@ -155,7 +156,8 @@ def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
         steps = range(0, min(sg.n[j] * sg.gens[j], s + 1), sg.gens[j])
         radices.append(len(steps))
         sums = [x + c for x in sums for c in steps]
-    hits = [k for k, x in enumerate(sums) if x <= s and (s - x) % b0 == 0]
+    r = s % b0
+    hits = [k for k, x in enumerate(sums) if x <= s and x % b0 == r]
     if not hits:
         raise NotRepresentable(f"{s} has no digit representation at level {i}")
     if len(hits) > 1:

@@ -197,10 +197,25 @@ class WeightedCurveSpec:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        (d,) = _ints((self.d,), "orders")
+        _ints((self.d,), "orders")
         for name, what in (("a", "action weights"), ("p", "weights"), ("m", "exponents")):
             object.__setattr__(self, name, _ints(getattr(self, name), what))
-        a, p, m = self.a, self.p, self.m
+        self._check()
+
+    @classmethod
+    def _checked(cls, d: int, a: tuple[int, ...], p: tuple[int, ...],
+                 m: tuple[int, ...]) -> WeightedCurveSpec:
+        """Core for an ``int`` order and tuples of ``int``: every value check, no type checks."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "d", d)
+        object.__setattr__(spec, "a", a)
+        object.__setattr__(spec, "p", p)
+        object.__setattr__(spec, "m", m)
+        spec._check()
+        return spec
+
+    def _check(self):
+        d, a, p, m = self.d, self.a, self.p, self.m
         r = len(p) - 1
         if r < 2:
             raise IllFormed("curve specs need at least three coordinates")

@@ -83,7 +83,12 @@ class LocalType:
 
 @dataclass(frozen=True)
 class ResolutionGraph:
-    """Resolution dual graph of ``semigroup``; its local types are built on first read."""
+    """Resolution dual graph of ``semigroup``; its local types are built on first read.
+
+    :func:`build_resolution` lays ``strata`` out as Q0, then Q_1, ..., Q_g,
+    then the g - 1 intersection strata, so ``strata[k]`` is Q_k for
+    ``k <= g``; the checks and the DOT export index it that way.
+    """
 
     semigroup: PlaneSemigroup
     levels: tuple[GraphLevel, ...]
@@ -129,7 +134,8 @@ def _weights(sg: PlaneSemigroup, k: int) -> tuple[int, ...]:
     """Weight vector of the k-th weighted blow-up."""
     n = sg.n
     if k == 1:
-        return tuple(_exact_div(sg.order, n[i], "weight") for i in range(sg.g + 1))
+        order = sg.order
+        return tuple(_exact_div(order, n[i], "weight") for i in range(sg.g + 1))
     b_prev = _b_prev(sg, k)
     return (1, *(_exact_div(b_prev, n[i], "weight") for i in range(k, sg.g + 1)))
 
@@ -139,14 +145,15 @@ def _homogeneous_spec(sg: PlaneSemigroup, level: GraphLevel) -> WeightedCurveSpe
     g = sg.g
     n = sg.n
     k, p = level.k, level.weights
+    spec = WeightedCurveSpec._checked  # the semigroup's integers need no type checks
     if k == 1:
-        return WeightedCurveSpec(d=1, a=(0,) * (g + 1), p=p, m=tuple(n))
+        return spec(1, (0,) * (g + 1), p, tuple(n))
     prev = n[k - 1] * sg.gens[k - 1]
-    return WeightedCurveSpec(
-        d=sg.e[k - 1],
-        a=(-1, *(prev // n[i] for i in range(k, g + 1))),
-        p=p,
-        m=(_b_prev(sg, k), *(n[i] for i in range(k, g + 1))),
+    return spec(
+        sg.e[k - 1],
+        (-1, *(prev // n[i] for i in range(k, g + 1))),
+        p,
+        (_b_prev(sg, k), *(n[i] for i in range(k, g + 1))),
     )
 
 
@@ -291,11 +298,11 @@ def _cross_validate(sg: PlaneSemigroup, graph: ResolutionGraph) -> None:
         if qspace.curve_component_count(spec) != r[k - 1]:
             raise InternalInconsistency(f"component count of E_{k} disagrees")
         _, tot0 = qspace.curve_axis_intersections(spec, 0)
-        expected0 = graph.stratum("Q0", 0).count if k == 1 else r[k - 2]
+        expected0 = graph.strata[0].count if k == 1 else r[k - 2]
         if tot0 != expected0:
             raise InternalInconsistency(f"|E_{k} ∩ previous divisor| disagrees")
         _, tot1 = qspace.curve_axis_intersections(spec, 1)
-        if tot1 != graph.stratum("Qk", k).count:
+        if tot1 != graph.strata[k].count:
             raise InternalInconsistency(f"|E_{k} ∩ H_{k}| disagrees")
         if qspace.curve_open_euler(spec) != graph.levels[k - 1].chi_open:
             raise InternalInconsistency(f"chi(E_{k} open) disagrees")
@@ -359,8 +366,8 @@ def export_graph(graph: ResolutionGraph, format: str = "json") -> str:
             else:
                 lines.append(f'  "{v}" [label="{v}"];')
         # H_k meets each component of one level in the same number of points.
-        notes = {f"H_{lvl.k}": graph.stratum("Qk", lvl.k).count // lvl.r for lvl in graph.levels}
-        notes["H_0"] = graph.stratum("Q0", 0).count // graph.levels[0].r
+        notes = {f"H_{lvl.k}": graph.strata[lvl.k].count // lvl.r for lvl in graph.levels}
+        notes["H_0"] = graph.strata[0].count // graph.levels[0].r
         for u, v in edges:
             note = notes.get(u)
             attr = f' [label="{_int_text(note)}"]' if note else ""

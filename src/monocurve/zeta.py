@@ -11,7 +11,11 @@ enumeration and no polynomial factorization.  Pipeline verdicts read ``c_q``
 only at the orders they need.  Polynomiality (every ``c_d >= 0``) is checked
 by :func:`negative_cyclotomic_orders` on the gcd-closure of the factor
 exponents alone: ``c_d`` depends only on ``S_d = {a : d | a}``, and
-``gcd(S_d)`` lies in the closure and has the same set.  The dense expansion
+``gcd(S_d)`` lies in the closure and has the same set.  Delta's own
+polynomiality is certified once, through its split into the per-level
+factors ``P_k`` (:func:`characteristic_polynomial`): each ``P_k`` passes
+that check and their product is Delta, so Delta's ``c_d``, the sum of
+theirs, is never negative.  The dense expansion
 of the characteristic polynomial is a separate exact path of whole-slice
 list steps: each ``(1 - t^b)`` paired with a pending ``(1 - t^a)``,
 ``a | b``, is one multiplication by the comb ``1 + t^a + ... + t^(b-a)``,
@@ -132,8 +136,8 @@ def cyclotomic_exponent(fp: FactorProduct, d: int) -> int:
     """Exponent ``c_d = sum_{a : d | a} e_a`` of ``Phi_d`` in ``fp``.
 
     Uses ``1 - t^a = -prod_{d | a} Phi_d(t)``; one loop over the factors,
-    O(number of factors).  It is the one place that sums ``c_d``:
-    :func:`negative_cyclotomic_orders` and the pole verdicts call it.
+    O(number of factors).  The pole verdicts call it;
+    :func:`negative_cyclotomic_orders` sums the same ``c_d`` inline.
 
     Raises:
         ValueError: ``d < 1``.
@@ -155,11 +159,12 @@ def negative_cyclotomic_orders(fp: FactorProduct) -> list[int]:
     ``c_{gcd(S_d)}`` with ``S_d = {a : d | a}``, and ``gcd(S_d)`` lies in the
     closure.  The closure is a subset of the divisors of the exponents.
     """
+    factors = fp.factors
     closure: set[int] = set()
-    for a, _ in fp.factors:
+    for a, _ in factors:
         closure |= {math.gcd(a, c) for c in closure}
         closure.add(a)
-    return sorted(d for d in closure if cyclotomic_exponent(fp, d) < 0)
+    return sorted(d for d in closure if sum([e for a, e in factors if a % d == 0]) < 0)
 
 
 def resolution_multiplicities(sg: PlaneSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -207,12 +212,16 @@ class CharacteristicPolynomial:
     """The characteristic polynomial ``Delta(t)`` of the monodromy.
 
     ``product`` is the exact factor form (internal ``(1 - t^a)`` basis with
-    tracked sign); ``mu`` its degree.  :meth:`expand` produces the dense
-    integer coefficient vector by exact sparse multiplication/division.
+    tracked sign); ``mu`` its degree; ``pk`` the per-level factors
+    ``P_1, ..., P_g`` whose product is ``Delta``, the certificate of its
+    polynomiality (empty unless built by :func:`characteristic_polynomial`).
+    :meth:`expand` produces the dense integer coefficient vector by exact
+    sparse multiplication/division.
     """
 
     product: FactorProduct
     mu: int
+    pk: tuple[FactorProduct, ...] = ()
 
     def expand(self) -> tuple[int, ...]:
         """Dense coefficients (constant term first), length ``mu + 1``; at most
@@ -309,10 +318,15 @@ def characteristic_polynomial(sg: PlaneSemigroup) -> CharacteristicPolynomial:
         Delta(t) = (t - 1) * prod_k (t^{N_k} - 1)^{n_k*b_k/N_k}
                  / prod_{k=0..g} (t^{M_k} - 1)^{b_k/M_k},
 
-    of degree ``mu``.  All cyclotomic exponents must be nonnegative.
+    of degree ``mu``, with its split into the per-level factors ``P_k`` in
+    ``pk``.  Polynomiality is certified by the split alone: each ``P_k`` has
+    no negative cyclotomic exponent and ``prod P_k = Delta``.
 
     Raises:
-        NotPolynomial: some cyclotomic exponent is negative (never expected).
+        NotDivisible: an exponent of ``Delta`` or of a ``P_k`` is not exact.
+        NotPolynomial: some ``P_k`` has a negative cyclotomic exponent.
+        InternalInconsistency: the degree is not the Milnor number, or the
+            product of the ``P_k`` is not ``Delta``.  None of these is expected.
     """
     M, N = resolution_multiplicities(sg)
     factors: dict[int, int] = {1: 1}
@@ -327,7 +341,43 @@ def characteristic_polynomial(sg: PlaneSemigroup) -> CharacteristicPolynomial:
         raise InternalInconsistency(
             f"Delta degree {fp.degree()} != Milnor number {mu}"
         )
-    negatives = negative_cyclotomic_orders(fp)
-    if negatives:
-        raise NotPolynomial(f"Delta has negative cyclotomic exponents at {negatives}")
-    return CharacteristicPolynomial(product=fp, mu=mu)
+    return CharacteristicPolynomial(product=fp, mu=mu, pk=_pk_factors(sg, M, N, fp))
+
+
+def _pk_factors(sg: PlaneSemigroup, M, N, delta: FactorProduct) -> tuple[FactorProduct, ...]:
+    """Split ``Delta`` as an exact product of per-level factors
+
+        P_k = (t^{N_k} - 1)^{n_k*b_k/N_k} (t^{L_{k+1}} - 1)^{e_k/L_{k+1}}
+            / ((t^{M_k} - 1)^{b_k/M_k} (t^{L_k} - 1)^{e_{k-1}/L_k})
+
+    with ``L_k = lcm(n_k, ..., n_g)`` and ``L_{g+1} = 1`` read from ``sg.L``,
+    from already built ``(M, N)`` and ``Delta``.  Checks that every ``P_k``
+    is a polynomial and that their product (the summed exponent maps, the
+    signs multiplied) equals ``Delta``.  Together these certify that
+    ``Delta`` is a polynomial: its ``c_d`` is the sum of the ``P_k``'s, so
+    none is negative.
+    """
+    n, b, e, L = sg.n, sg.gens, sg.e, sg.L
+    out = []
+    total: dict[int, int] = {}
+    sign = 1
+    for k in range(1, sg.g + 1):
+        Nk, Mk, Lk, Lk1 = N[k - 1], M[k], L[k], L[k + 1]
+        factors: dict[int, int] = {}
+        for a, q in (
+            (Nk, _exact_div(n[k] * b[k], Nk, "P_{0}: n_{0}*b_{0} / N_{0}", k)),
+            (Lk1, _exact_div(e[k], Lk1, "P_{0}: e_{0} / L_{1}", k, k + 1)),
+            (Mk, -_exact_div(b[k], Mk, "P_{0}: b_{0} / M_{0}", k)),
+            (Lk, -_exact_div(e[k - 1], Lk, "P_{0}: e_{1} / L_{0}", k, k - 1)),
+        ):
+            factors[a] = factors.get(a, 0) + q
+            total[a] = total.get(a, 0) + q
+        pk = FactorProduct.from_t_minus_one(factors)
+        negatives = negative_cyclotomic_orders(pk)
+        if negatives:
+            raise NotPolynomial(f"P_{k} has negative cyclotomic exponents at {negatives}")
+        out.append(pk)
+        sign *= pk.sign
+    if FactorProduct.from_map(total, sign) != delta:
+        raise InternalInconsistency("product of P_k factors differs from Delta")
+    return tuple(out)

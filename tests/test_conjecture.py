@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from monocurve.conjecture import _pk_factors, candidate_poles, verify_conjecture
-from monocurve.errors import InternalInconsistency
+from monocurve import zeta
+from monocurve.conjecture import candidate_poles, verify_conjecture
+from monocurve.errors import InternalInconsistency, NotPolynomial
 from monocurve.oracle import expand_and_verify
 from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 from monocurve.zeta import (
-    CharacteristicPolynomial,
     FactorProduct,
     characteristic_polynomial,
     resolution_multiplicities,
@@ -118,22 +118,31 @@ class TestPkFactorization:
     def test_product_check_rejects_a_wrong_delta(self, alter):
         sg = build_semigroup((8, 12, 26, 53))
         M, N = resolution_multiplicities(sg)
-        delta = characteristic_polynomial(sg)
-        _pk_factors(sg, M, N, delta)
+        built = characteristic_polynomial(sg)
+        delta = built.product
+        assert zeta._pk_factors(sg, M, N, delta) == built.pk
         if alter == "extra factor":
-            exponents = Counter(delta.product.as_map())
+            exponents = Counter(delta.as_map())
             exponents[7] += 1
-            wrong = CharacteristicPolynomial(
-                FactorProduct.from_map(exponents, delta.product.sign), delta.mu + 7
-            )
+            wrong = FactorProduct.from_map(exponents, delta.sign)
         else:
-            wrong = CharacteristicPolynomial(
-                FactorProduct(delta.product.factors, -delta.product.sign), delta.mu
-            )
+            wrong = FactorProduct(delta.factors, -delta.sign)
         with pytest.raises(
             InternalInconsistency, match=r"^product of P_k factors differs from Delta$"
         ):
-            _pk_factors(sg, M, N, wrong)
+            zeta._pk_factors(sg, M, N, wrong)
+
+    def test_a_factor_that_is_not_a_polynomial_is_refused(self, monkeypatch):
+        # The P_k closures are Delta's one polynomiality certificate, so a
+        # negative order reported for P_2 alone stops characteristic_polynomial.
+        sg = build_semigroup((8, 12, 26, 53))
+        p2 = characteristic_polynomial(sg).pk[1]
+        monkeypatch.setattr(zeta, "negative_cyclotomic_orders",
+                            lambda fp: [13] if fp == p2 else [])
+        with pytest.raises(
+            NotPolynomial, match=r"^P_2 has negative cyclotomic exponents at \[13\]$"
+        ):
+            characteristic_polynomial(sg)
 
     def test_last_factor_carries_t_minus_one(self):
         # The (t - 1) factor of Delta sits in P_g via the L_{g+1} = 1 term.
@@ -238,4 +247,5 @@ class TestReportCarriesQuantities:
             report = verify_conjecture(sg)
             assert report.zeta == zeta_closed_form(sg)
             assert report.delta == characteristic_polynomial(sg)
+            assert report.pk is report.delta.pk
             assert list(report.pk) == _pk_formula(sg)

@@ -58,6 +58,15 @@ class TestComputedOnce:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("gens", GENS)
+    def test_delta_is_certified_by_its_factors_alone(self, monkeypatch, gens):
+        sg = build_semigroup(gens)
+        calls = count_calls(monkeypatch, "monocurve.zeta", "negative_cyclotomic_orders")
+        delta = zeta.characteristic_polynomial(sg)
+        assert [args[0] for args in calls] == list(delta.pk)
+        assert len(calls) == sg.g
+        assert all(args[0] != delta.product for args in calls)
+
+    @pytest.mark.parametrize("gens", GENS)
     def test_cross_check_reads_stored_digits(self, monkeypatch, gens):
         sg = build_semigroup(gens)
         calls = count_calls(monkeypatch, "monocurve.semigroup", "decompose")
@@ -115,7 +124,7 @@ class TestFailureLines:
         def broken(*args):
             raise InternalInconsistency("P_1 is not a polynomial")
 
-        monkeypatch.setattr(monocurve.conjecture, "_pk_factors", broken)
+        monkeypatch.setattr(zeta, "_pk_factors", broken)
         failures = cross_check(build_semigroup((4, 6, 13)))
         assert len(failures) == 1
         assert "Delta, P_k and pole verification: P_1 is not a polynomial" in failures[0]

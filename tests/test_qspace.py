@@ -25,6 +25,51 @@ def one_row(d, *a):
     return CyclicQuotientType((d,), (tuple(a),))
 
 
+# Malformed specs whose entries are all ints, each with its one exception.
+SPEC_VALUE_CASES = [
+    pytest.param(*case, id=name) for name, case in [
+        ("r=1", (1, (0, 0), (1, 1), (1, 1), IllFormed,
+                 "curve specs need at least three coordinates")),
+        ("short a", (1, (0, 0), (1, 1, 1), (2, 2, 2), IllFormed,
+                     "a, p, m must have equal length")),
+        ("short m", (1, (0, 0, 0), (1, 1, 1), (2, 2), IllFormed,
+                     "a, p, m must have equal length")),
+        ("d=0", (0, (0, 0, 0), (1, 1, 1), (2, 2, 2), IllFormed,
+                 "orders, weights and exponents must be positive")),
+        ("weight 0", (1, (0, 0, 0), (1, 0, 1), (2, 2, 2), IllFormed,
+                      "orders, weights and exponents must be positive")),
+        ("negative exponent", (1, (0, 0, 0), (1, 1, 1), (2, -2, 2), IllFormed,
+                               "orders, weights and exponents must be positive")),
+        ("d does not divide a_1*m_1", (4, (0, 1, 2), (1, 1, 1), (2, 2, 2), IllFormed,
+                                       "d=4 does not divide a_1*m_1=2")),
+        ("d does not divide a_3*m_3", (3, (0, 3, 3, -1), (1, 1, 1, 1), (3, 3, 3, 2), IllFormed,
+                                       "d=3 does not divide a_3*m_3=-2")),
+        ("not homogeneous", (1, (0, 0, 0), (1, 1, 1), (2, 2, 3), IllFormed,
+                             "curve is not weighted homogeneous: p_i*m_i differ")),
+        ("commutation at j=2", (2, (0, 1, 0), (1, 1, 1), (2, 2, 2), HypothesisViolated,
+                                "commutation a_1*p_2 = a_2*p_1 fails exactly")),
+        ("commutation at j=3", (1, (0, 1, 1, 2), (1, 1, 1, 1), (1, 1, 1, 1), HypothesisViolated,
+                                "commutation a_1*p_3 = a_3*p_1 fails exactly")),
+    ]
+]
+# Specs with an entry that is not an int or is a bool: the public
+# constructor alone refuses them.
+SPEC_TYPE_CASES = [
+    pytest.param(*case, IllFormed, message, id=name) for name, case, message in [
+        ("float order", (2.0, (0, 0, 0), (1, 1, 1), (2, 2, 2)),
+         "orders must be integers, got 2.0"),
+        ("bool order", (True, (0, 0, 0), (1, 1, 1), (2, 2, 2)),
+         "orders must be integers, got True"),
+        ("float action weight", (1, (0, 0.5, 0), (1, 1, 1), (2, 2, 2)),
+         "action weights must be integers, got 0.5"),
+        ("float weight", (1, (0, 0, 0), (3.9, 1, 1), (2, 2, 2)),
+         "weights must be integers, got 3.9"),
+        ("bool exponent", (1, (0, 0, 0), (1, 1, 1), (2, True, 2)),
+         "exponents must be integers, got True"),
+    ]
+]
+
+
 class TestValidation:
     """Each malformed type or spec raises one exception class with one message."""
 
@@ -53,42 +98,19 @@ class TestValidation:
             CyclicQuotientType(d, A)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("d, a, p, m, error, message", [
-        (1, (0, 0), (1, 1), (1, 1), IllFormed,
-         "curve specs need at least three coordinates"),
-        (1, (0, 0), (1, 1, 1), (2, 2, 2), IllFormed, "a, p, m must have equal length"),
-        (1, (0, 0, 0), (1, 1, 1), (2, 2), IllFormed, "a, p, m must have equal length"),
-        (0, (0, 0, 0), (1, 1, 1), (2, 2, 2), IllFormed,
-         "orders, weights and exponents must be positive"),
-        (1, (0, 0, 0), (1, 0, 1), (2, 2, 2), IllFormed,
-         "orders, weights and exponents must be positive"),
-        (1, (0, 0, 0), (1, 1, 1), (2, -2, 2), IllFormed,
-         "orders, weights and exponents must be positive"),
-        (4, (0, 1, 2), (1, 1, 1), (2, 2, 2), IllFormed,
-         "d=4 does not divide a_1*m_1=2"),
-        (3, (0, 3, 3, -1), (1, 1, 1, 1), (3, 3, 3, 2), IllFormed,
-         "d=3 does not divide a_3*m_3=-2"),
-        (1, (0, 0, 0), (1, 1, 1), (2, 2, 3), IllFormed,
-         "curve is not weighted homogeneous: p_i*m_i differ"),
-        (2, (0, 1, 0), (1, 1, 1), (2, 2, 2), HypothesisViolated,
-         "commutation a_1*p_2 = a_2*p_1 fails exactly"),
-        (1, (0, 1, 1, 2), (1, 1, 1, 1), (1, 1, 1, 1), HypothesisViolated,
-         "commutation a_1*p_3 = a_3*p_1 fails exactly"),
-        (2.0, (0, 0, 0), (1, 1, 1), (2, 2, 2), IllFormed, "orders must be integers, got 2.0"),
-        (True, (0, 0, 0), (1, 1, 1), (2, 2, 2), IllFormed, "orders must be integers, got True"),
-        (1, (0, 0.5, 0), (1, 1, 1), (2, 2, 2), IllFormed,
-         "action weights must be integers, got 0.5"),
-        (1, (0, 0, 0), (3.9, 1, 1), (2, 2, 2), IllFormed, "weights must be integers, got 3.9"),
-        (1, (0, 0, 0), (1, 1, 1), (2, True, 2), IllFormed,
-         "exponents must be integers, got True"),
-    ], ids=["r=1", "short a", "short m", "d=0", "weight 0", "negative exponent",
-            "d does not divide a_1*m_1", "d does not divide a_3*m_3",
-            "not homogeneous", "commutation at j=2", "commutation at j=3",
-            "float order", "bool order", "float action weight", "float weight",
-            "bool exponent"])
+    @pytest.mark.parametrize("d, a, p, m, error, message", SPEC_VALUE_CASES + SPEC_TYPE_CASES)
     def test_malformed_spec(self, d, a, p, m, error, message):
         with pytest.raises(error) as info:
             WeightedCurveSpec(d=d, a=a, p=p, m=m)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("d, a, p, m, error, message", SPEC_VALUE_CASES)
+    def test_checked_core_refuses_the_same_values(self, d, a, p, m, error, message):
+        # The pipeline's core skips the type checks alone: each value check
+        # of the constructor raises the same class and message there.
+        with pytest.raises(error) as info:
+            WeightedCurveSpec._checked(d, a, p, m)
         assert type(info.value) is error
         assert str(info.value) == message
 
