@@ -378,6 +378,8 @@ def _pk_factors(sg: PlaneSemigroup, M, N, delta: FactorProduct) -> tuple[FactorP
             raise NotPolynomial(f"P_{k} has negative cyclotomic exponents at {negatives}")
         out.append(pk)
         sign *= pk.sign
+    # With every P_k a polynomial, this identity certifies Delta as one:
+    # c_d(Delta) = sum_k c_d(P_k) >= 0 for every d.
     if FactorProduct.from_map(total, sign) != delta:
         raise InternalInconsistency("product of P_k factors differs from Delta")
     return tuple(out)
