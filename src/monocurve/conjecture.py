@@ -36,7 +36,8 @@ from .zeta import (
 __all__ = ["PoleEntry", "ConjectureReport", "candidate_poles", "verify_conjecture"]
 
 
-@dataclass(frozen=True)
+# __init__ by hand: one __dict__ fill, not a setattr per field, in declaration order.
+@dataclass(frozen=True, init=False)
 class PoleEntry:
     """Verdict data for one candidate pole.
 
@@ -56,6 +57,10 @@ class PoleEntry:
     case: str
     delta_mult: int
     verdict: bool
+
+    def __init__(self, k, value, display, integer, order, case, delta_mult, verdict):
+        self.__dict__.update(k=k, value=value, display=display, integer=integer, order=order,
+                             case=case, delta_mult=delta_mult, verdict=verdict)
 
     def to_json(self) -> dict:
         return {
@@ -104,12 +109,18 @@ def candidate_poles(sg: PlaneSemigroup) -> list[Fraction]:
     Level ``k`` is summed on ints over the common denominator
     ``n_k*b_k*e_k``, with ``sum_{l>k} 1/n_l = (sum_{l>k} e_k/n_l)/e_k`` since
     ``e_k = n_{k+1}*...*n_g``; one ``Fraction`` per level reduces it.  The
-    prefix sums over ``l < k`` run on from level to level.  The numerator
-    over ``n_k*b_k`` is also accumulated in an alternate algebraic grouping,
-    and the two integers must agree (guards formula transcription).
+    prefix sums over ``l < k`` run on from level to level, and the tails
+    ``T_k = sum_{l>k} e_k/n_l`` run down from ``T_g = 0`` by
+    ``T_k = e_{k+1} + n_{k+1}*T_{k+1}``, since ``e_k = n_{k+1}*e_{k+1}``.
+    The numerator over ``n_k*b_k`` is also accumulated in an alternate
+    algebraic grouping, and the two integers must agree (guards formula
+    transcription).
     """
     g, b, n, e = sg.g, sg.gens, sg.n, sg.e
     poles = [Fraction(g)]
+    tails = [0] * (g + 1)
+    for k in range(g - 1, 0, -1):
+        tails[k] = e[k + 1] + n[k + 1] * tails[k + 1]
     # Running sums over l < k: sum b_l, and over 1 <= l < k: sum n_l*b_l and
     # sum (b_l - n_l*b_l), the alternate grouping's own accumulator.
     b_sum, nb_sum, alt_sum = b[0], 0, 0
@@ -119,9 +130,8 @@ def candidate_poles(sg: PlaneSemigroup) -> list[Fraction]:
         alt = b[k] + b[0] + alt_sum
         if head != alt:
             raise InternalInconsistency(f"pole value regrouping mismatch at k={k}")
-        tail = sum(e[k] // n[l] for l in range(k + 1, g + 1))
         poles.append(
-            Fraction((head + (k - 1) * nk_bk) * e[k] + tail * nk_bk, nk_bk * e[k])
+            Fraction((head + (k - 1) * nk_bk) * e[k] + tails[k] * nk_bk, nk_bk * e[k])
         )
         b_sum += b[k]
         nb_sum += nk_bk

@@ -207,10 +207,7 @@ class WeightedCurveSpec:
                  m: tuple[int, ...]) -> WeightedCurveSpec:
         """Core for an ``int`` order and tuples of ``int``: every value check, no type checks."""
         spec = object.__new__(cls)
-        object.__setattr__(spec, "d", d)
-        object.__setattr__(spec, "a", a)
-        object.__setattr__(spec, "p", p)
-        object.__setattr__(spec, "m", m)
+        spec.__dict__.update(d=d, a=a, p=p, m=m)
         spec._check()
         return spec
 

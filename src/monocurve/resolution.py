@@ -46,7 +46,8 @@ __all__ = [
 MAX_COMPONENTS = 2**16
 
 
-@dataclass(frozen=True)
+# __init__ by hand: one __dict__ fill, not a setattr per field; its order is the JSON's.
+@dataclass(frozen=True, init=False)
 class GraphLevel:
     """Data of the k-th exceptional divisor ``E_k``."""
 
@@ -57,8 +58,12 @@ class GraphLevel:
     weights: tuple[int, ...]
     chi_open: int
 
+    def __init__(self, k, r, N, M, weights, chi_open):
+        self.__dict__.update(k=k, r=r, N=N, M=M, weights=weights, chi_open=chi_open)
 
-@dataclass(frozen=True)
+
+# __init__ by hand: one __dict__ fill, not a setattr per field; its order is the JSON's.
+@dataclass(frozen=True, init=False)
 class Stratum:
     """A group of special points: kind is ``"Q0"``, ``"Qk"`` or ``"Qkk1"``.
 
@@ -71,6 +76,9 @@ class Stratum:
     k: int
     count: int
     multiplicity: int | None
+
+    def __init__(self, kind, k, count, multiplicity):
+        self.__dict__.update(kind=kind, k=k, count=count, multiplicity=multiplicity)
 
 
 @dataclass(frozen=True)

@@ -180,7 +180,13 @@ def min_last_generator(g: int) -> int:
     """The smallest ``b_g`` over plane semigroups with ``g`` terms: ``(10*4^(g-1) - 1)/3``.
 
     The chain with every ``n_i = 2`` reaches it: 4,6,13, then 8,12,26,53, ...
+
+    Raises:
+        ValueError: ``g`` is not an ``int``, is a ``bool``, or is below 1.
     """
+    _require_int(g, "g")
+    if g < 1:
+        raise ValueError("g must be >= 1")
     return (10 * 4 ** (g - 1) - 1) // 3
 
 
@@ -192,7 +198,11 @@ def plane_semigroups(max_last: int) -> Iterator[PlaneSemigroup]:
     and while ``e_i > 1`` it leaves room for one more below ``max_last``.
     Those conditions characterize plane semigroups, so every finished chain
     passes :func:`build_semigroup`, which adds the digits.
+
+    Raises:
+        ValueError: ``max_last`` is not an ``int`` or is a ``bool``, at the call.
     """
+    _require_int(max_last, "max_last")
 
     def extend(gens: tuple[int, ...], e: int, n: int) -> Iterator[PlaneSemigroup]:
         for b in range(n * gens[-1] + 1, max_last + 1):
@@ -202,8 +212,7 @@ def plane_semigroups(max_last: int) -> Iterator[PlaneSemigroup]:
             elif 1 < f < e and e // f * b < max_last:
                 yield from extend(gens + (b,), f, e // f)
 
-    for b0 in range(2, max_last + 1):
-        yield from extend((b0,), b0, 1)
+    return (sg for b0 in range(2, max_last + 1) for sg in extend((b0,), b0, 1))
 
 
 def random_semigroup(seed: int, g: int, max_size: int) -> PlaneSemigroup:
@@ -224,9 +233,12 @@ def random_semigroup(seed: int, g: int, max_size: int) -> PlaneSemigroup:
     fails.  Deterministic for a fixed seed; :func:`build_semigroup` validates.
 
     Raises:
-        ValueError: ``g < 2``, or ``max_size`` is below
-            :func:`min_last_generator`, so no semigroup exists.
+        ValueError: ``g`` or ``max_size`` is not an ``int`` or is a ``bool``;
+            ``g < 2``; or ``max_size`` is below :func:`min_last_generator`,
+            so no semigroup exists.
     """
+    _require_int(g, "g")
+    _require_int(max_size, "max_size")
     if g < 2:
         raise ValueError("g must be >= 2")
     if max_size < min_last_generator(g):
@@ -245,6 +257,13 @@ def random_semigroup(seed: int, g: int, max_size: int) -> PlaneSemigroup:
             b = _next_generator(ns, gens, 0)
         gens.append(b)
     return build_semigroup(gens)
+
+
+def _require_int(value, name: str) -> None:
+    """Refuse a ``value`` that is not an ``int`` or is a ``bool``, as
+    :func:`build_semigroup` refuses such a generator."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _iroot(x: int, k: int) -> int:

@@ -15,9 +15,10 @@ exponents alone: ``c_d`` depends only on ``S_d = {a : d | a}``, and
 polynomiality is certified once, through its split into the per-level
 factors ``P_k`` (:func:`characteristic_polynomial`): each ``P_k`` passes
 that check and their product is Delta, so Delta's ``c_d``, the sum of
-theirs, is never negative.  The dense expansion
-of the characteristic polynomial is a separate exact path of whole-slice
-list steps: each ``(1 - t^b)`` paired with a pending ``(1 - t^a)``,
+theirs, is never negative.  The split reads Delta's own quotients
+``n_k*b_k/N_k`` and ``b_k/M_k``; it divides only the ``L`` exponents.  The
+dense expansion of the characteristic polynomial is a separate exact path of
+whole-slice list steps: each ``(1 - t^b)`` paired with a pending ``(1 - t^a)``,
 ``a | b``, is one multiplication by the comb ``1 + t^a + ... + t^(b-a)``,
 and the unpaired divisions run last, largest ``a`` first.  The comb step
 repeats the running product when its ``b/a`` copies do not overlap, adds
@@ -72,8 +73,7 @@ class FactorProduct:
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         fp = object.__new__(cls)
-        object.__setattr__(fp, "factors", _canonical(factors))
-        object.__setattr__(fp, "sign", sign)
+        fp.__dict__.update(factors=_canonical(factors), sign=sign)
         return fp
 
     @classmethod
@@ -162,9 +162,18 @@ def negative_cyclotomic_orders(fp: FactorProduct) -> list[int]:
     factors = fp.factors
     closure: set[int] = set()
     for a, _ in factors:
-        closure |= {math.gcd(a, c) for c in closure}
+        closure |= set(map(math.gcd, itertools.repeat(a, len(closure)), closure))
         closure.add(a)
-    return sorted(d for d in closure if sum([e for a, e in factors if a % d == 0]) < 0)
+    negatives = []
+    for d in closure:
+        c = 0
+        for a, e in factors:
+            if a % d == 0:
+                c += e
+        if c < 0:
+            negatives.append(d)
+    negatives.sort()
+    return negatives
 
 
 def resolution_multiplicities(sg: PlaneSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -329,35 +338,43 @@ def characteristic_polynomial(sg: PlaneSemigroup) -> CharacteristicPolynomial:
             product of the ``P_k`` is not ``Delta``.  None of these is expected.
     """
     M, N = resolution_multiplicities(sg)
+    n, b, g = sg.n, sg.gens, sg.g
     factors: dict[int, int] = {1: 1}
-    for k in range(1, sg.g + 1):
-        q = _exact_div(sg.n[k] * sg.gens[k], N[k - 1], "n_{0}*b_{0} / N_{0}", k)
+    nb_q, b_q = [], []  # n_k*b_k/N_k for k = 1..g and b_k/M_k for k = 0..g
+    for k in range(1, g + 1):
+        q = _exact_div(n[k] * b[k], N[k - 1], "n_{0}*b_{0} / N_{0}", k)
+        nb_q.append(q)
         factors[N[k - 1]] = factors.get(N[k - 1], 0) + q
-    for k in range(sg.g + 1):
-        factors[M[k]] = factors.get(M[k], 0) - _exact_div(sg.gens[k], M[k], "b_{0} / M_{0}", k)
+    for k in range(g + 1):
+        q = _exact_div(b[k], M[k], "b_{0} / M_{0}", k)
+        b_q.append(q)
+        factors[M[k]] = factors.get(M[k], 0) - q
     fp = FactorProduct.from_t_minus_one(factors)
     mu = milnor_number(sg)
     if fp.degree() != mu:
         raise InternalInconsistency(
             f"Delta degree {fp.degree()} != Milnor number {mu}"
         )
-    return CharacteristicPolynomial(product=fp, mu=mu, pk=_pk_factors(sg, M, N, fp))
+    return CharacteristicPolynomial(product=fp, mu=mu, pk=_pk_factors(sg, M, N, nb_q, b_q, fp))
 
 
-def _pk_factors(sg: PlaneSemigroup, M, N, delta: FactorProduct) -> tuple[FactorProduct, ...]:
+def _pk_factors(sg: PlaneSemigroup, M, N, nb_q, b_q,
+                delta: FactorProduct) -> tuple[FactorProduct, ...]:
     """Split ``Delta`` as an exact product of per-level factors
 
         P_k = (t^{N_k} - 1)^{n_k*b_k/N_k} (t^{L_{k+1}} - 1)^{e_k/L_{k+1}}
             / ((t^{M_k} - 1)^{b_k/M_k} (t^{L_k} - 1)^{e_{k-1}/L_k})
 
     with ``L_k = lcm(n_k, ..., n_g)`` and ``L_{g+1} = 1`` read from ``sg.L``,
-    from already built ``(M, N)`` and ``Delta``.  Checks that every ``P_k``
-    is a polynomial and that their product (the summed exponent maps, the
-    signs multiplied) equals ``Delta``.  Together these certify that
-    ``Delta`` is a polynomial: its ``c_d`` is the sum of the ``P_k``'s, so
-    none is negative.
+    from already built ``(M, N)`` and ``Delta``.  The ``N_k`` and ``M_k``
+    exponents are Delta's own quotients, ``nb_q[k-1] = n_k*b_k/N_k`` and
+    ``b_q[k] = b_k/M_k``; only the two ``L`` exponents are divided here.
+    Checks that every ``P_k`` is a polynomial and that their product (the
+    summed exponent maps, the signs multiplied) equals ``Delta``.  Together
+    these certify that ``Delta`` is a polynomial: its ``c_d`` is the sum of
+    the ``P_k``'s, so none is negative.
     """
-    n, b, e, L = sg.n, sg.gens, sg.e, sg.L
+    e, L = sg.e, sg.L
     out = []
     total: dict[int, int] = {}
     sign = 1
@@ -365,9 +382,9 @@ def _pk_factors(sg: PlaneSemigroup, M, N, delta: FactorProduct) -> tuple[FactorP
         Nk, Mk, Lk, Lk1 = N[k - 1], M[k], L[k], L[k + 1]
         factors: dict[int, int] = {}
         for a, q in (
-            (Nk, _exact_div(n[k] * b[k], Nk, "P_{0}: n_{0}*b_{0} / N_{0}", k)),
+            (Nk, nb_q[k - 1]),
             (Lk1, _exact_div(e[k], Lk1, "P_{0}: e_{0} / L_{1}", k, k + 1)),
-            (Mk, -_exact_div(b[k], Mk, "P_{0}: b_{0} / M_{0}", k)),
+            (Mk, -b_q[k]),
             (Lk, -_exact_div(e[k - 1], Lk, "P_{0}: e_{1} / L_{0}", k, k - 1)),
         ):
             factors[a] = factors.get(a, 0) + q

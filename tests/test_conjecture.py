@@ -1,5 +1,7 @@
 """Tests for candidate poles, the P_k splitting and the verification report."""
 
+import dataclasses
+import inspect
 import json
 import math
 from collections import Counter
@@ -8,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from monocurve import zeta
-from monocurve.conjecture import candidate_poles, verify_conjecture
+from monocurve.conjecture import PoleEntry, candidate_poles, verify_conjecture
 from monocurve.errors import InternalInconsistency, NotPolynomial
 from monocurve.oracle import expand_and_verify
 from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
@@ -18,6 +20,12 @@ from monocurve.zeta import (
     resolution_multiplicities,
     zeta_closed_form,
 )
+
+
+def delta_quotients(sg, M, N):
+    """Delta's exponents ``n_k*b_k/N_k`` (k = 1..g) and ``b_k/M_k`` (k = 0..g)."""
+    return ([sg.n[k] * sg.gens[k] // N[k - 1] for k in range(1, sg.g + 1)],
+            [b // m for b, m in zip(sg.gens, M)])
 
 
 class TestCandidatePoles:
@@ -118,9 +126,10 @@ class TestPkFactorization:
     def test_product_check_rejects_a_wrong_delta(self, alter):
         sg = build_semigroup((8, 12, 26, 53))
         M, N = resolution_multiplicities(sg)
+        quotients = delta_quotients(sg, M, N)
         built = characteristic_polynomial(sg)
         delta = built.product
-        assert zeta._pk_factors(sg, M, N, delta) == built.pk
+        assert zeta._pk_factors(sg, M, N, *quotients, delta) == built.pk
         if alter == "extra factor":
             exponents = Counter(delta.as_map())
             exponents[7] += 1
@@ -130,7 +139,7 @@ class TestPkFactorization:
         with pytest.raises(
             InternalInconsistency, match=r"^product of P_k factors differs from Delta$"
         ):
-            zeta._pk_factors(sg, M, N, wrong)
+            zeta._pk_factors(sg, M, N, *quotients, wrong)
 
     def test_a_factor_that_is_not_a_polynomial_is_refused(self, monkeypatch):
         # The P_k closures are Delta's one polynomiality certificate, so a
@@ -249,3 +258,25 @@ class TestReportCarriesQuantities:
             assert report.delta == characteristic_polynomial(sg)
             assert report.pk is report.delta.pk
             assert list(report.pk) == _pk_formula(sg)
+
+
+class TestPoleEntryRecord:
+    def test_keeps_the_dataclass_contract(self):
+        # PoleEntry's __init__ is written by hand; the generated behaviour stays.
+        names = [f.name for f in dataclasses.fields(PoleEntry)]
+        assert names == ["k", "value", "display", "integer", "order", "case",
+                         "delta_mult", "verdict"]
+        assert list(inspect.signature(PoleEntry).parameters) == names
+        for entry in verify_conjecture(build_semigroup((12, 18, 37))).poles:
+            assert list(vars(entry)) == names
+            same = PoleEntry(*[getattr(entry, name) for name in names])
+            assert same == entry and hash(same) == hash(entry) and same is not entry
+            assert repr(same) == repr(entry)
+            assert PoleEntry(**vars(entry)) == entry
+            changed = dataclasses.replace(entry, verdict=not entry.verdict)
+            assert changed != entry and list(vars(changed)) == names
+            assert dataclasses.replace(changed, verdict=entry.verdict) == entry
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(entry, name, None)
+            assert same == entry

@@ -67,6 +67,15 @@ class TestComputedOnce:
         assert all(args[0] != delta.product for args in calls)
 
     @pytest.mark.parametrize("gens", GENS)
+    def test_delta_divides_each_exponent_once(self, monkeypatch, gens):
+        # Delta's 2g + 1 quotients, then the split's two L exponents per level:
+        # the split reads n_k*b_k/N_k and b_k/M_k from Delta.
+        sg = build_semigroup(gens)
+        calls = count_calls(monkeypatch, "monocurve.zeta", "_exact_div")
+        zeta.characteristic_polynomial(sg)
+        assert len(calls) == 4 * sg.g + 1
+
+    @pytest.mark.parametrize("gens", GENS)
     def test_cross_check_reads_stored_digits(self, monkeypatch, gens):
         sg = build_semigroup(gens)
         calls = count_calls(monkeypatch, "monocurve.semigroup", "decompose")

@@ -158,25 +158,22 @@ class TestExactDiv:
         assert str(info.value) == "n_2*b_2 / N_2: 26 not divisible by 4"
 
     def test_conjecture_messages(self, monkeypatch):
-        # The P_k split runs in zeta.characteristic_polynomial after Delta's own
-        # divisions, which see a wrong M_2 first; the split's message is
-        # reached by handing it the same multiplicities directly.
+        # The P_k split runs in zeta.characteristic_polynomial and reads Delta's
+        # own quotients, so a wrong M_2 stops at Delta's division; the split
+        # divides only its two L exponents.
         sg = build_semigroup((4, 6, 13))
         delta = zeta.characteristic_polynomial(sg).product
         _patched_multiplicities(monkeypatch, zeta, (2, 6, 5), N_4_6_13)
         with pytest.raises(NotDivisible) as info:
             monocurve.conjecture.verify_conjecture(sg)
         assert str(info.value) == "b_2 / M_2: 13 not divisible by 5"
-        with pytest.raises(NotDivisible) as info:
-            zeta._pk_factors(sg, *zeta.resolution_multiplicities(sg), delta)
-        assert str(info.value) == "P_2: b_2 / M_2: 13 not divisible by 5"
         # The two sites that read L_k and L_{k+1}, through a stand-in with a
-        # wrong lcm tail.
+        # wrong lcm tail.  Delta's quotients: 12/6, 26/26 and 4/2, 6/6, 13/13.
         for L, text in (((2, 3, 2, 1, 1), "P_1: e_0 / L_1: 4 not divisible by 3"),
                         ((2, 2, 3, 1, 1), "P_1: e_1 / L_2: 2 not divisible by 3")):
             stand_in = SimpleNamespace(g=sg.g, n=sg.n, gens=sg.gens, e=sg.e, L=L)
             with pytest.raises(NotDivisible) as info:
-                zeta._pk_factors(stand_in, M_4_6_13, N_4_6_13, delta)
+                zeta._pk_factors(stand_in, M_4_6_13, N_4_6_13, [2, 1], [2, 1, 1], delta)
             assert str(info.value) == text
 
     def test_resolution_messages(self, monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import re
 import time
@@ -22,6 +23,33 @@ from monocurve.resolution import (
 )
 from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 from monocurve.zeta import zeta_closed_form
+
+
+def assert_record(obj):
+    """``obj``'s hand-written ``__init__`` keeps the generated dataclass behaviour."""
+    cls = type(obj)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names
+    assert list(vars(obj)) == names
+    same = cls(*[getattr(obj, name) for name in names])
+    assert same == obj and hash(same) == hash(obj) and same is not obj
+    assert repr(same) == repr(obj)
+    assert cls(**vars(obj)) == obj
+    changed = dataclasses.replace(obj, k=obj.k + 1)
+    assert changed != obj and list(vars(changed)) == names
+    assert dataclasses.replace(changed, k=obj.k) == obj
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+    assert same == obj
+
+
+class TestRecords:
+    @pytest.mark.parametrize("gens", [(4, 6, 13), (8, 12, 26, 53)])
+    def test_levels_and_strata_keep_the_dataclass_contract(self, gens):
+        graph = build_resolution(build_semigroup(gens))
+        for record in (*graph.levels, *graph.strata):
+            assert_record(record)
 
 
 class TestBuildResolutionG2:

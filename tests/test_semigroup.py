@@ -221,6 +221,14 @@ class TestRandomSemigroup:
         with pytest.raises(ValueError):
             random_semigroup(0, 1, 100)
 
+    @pytest.mark.parametrize("g, max_size, name", [
+        (2, 1e6, "max_size"), (2.0, 10**6, "g"), (True, 10**6, "g"), (2, False, "max_size"),
+        (2, "1000000", "max_size"), (2, 10**6 + 0.5, "max_size"),
+    ])
+    def test_non_int_argument_is_value_error(self, g, max_size, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            random_semigroup(0, g, max_size)
+
     def test_integer_root(self):
         for k in (1, 3, 5, 11):
             for x in (*range(1, 300), 10**30 - 1, 10**30, 10**400, 2**4000 - 1):
@@ -266,6 +274,16 @@ class TestMinLastGenerator:
     def test_minimal_g4_by_enumeration(self):
         assert [sg.gens for sg in plane_semigroups(213) if sg.g == 4] == [(16, 24, 52, 106, 213)]
 
+    @pytest.mark.parametrize("g", [2.5, 2.0, True, "3", None])
+    def test_non_int_g_is_value_error(self, g):
+        with pytest.raises(ValueError, match="^g must be an integer, got "):
+            min_last_generator(g)
+
+    def test_g_below_one_is_value_error(self):
+        assert min_last_generator(1) == 3
+        with pytest.raises(ValueError, match="^g must be >= 1$"):
+            min_last_generator(0)
+
 
 class TestPlaneSemigroups:
     def test_counts(self):
@@ -281,6 +299,12 @@ class TestPlaneSemigroups:
     def test_too_small_is_empty(self):
         assert list(plane_semigroups(12)) == []
         assert [sg.gens for sg in plane_semigroups(13)] == [(4, 6, 13)]
+
+    @pytest.mark.parametrize("max_last", [20.5, 13.0, True, "60", None])
+    def test_non_int_bound_is_value_error_at_the_call(self, max_last):
+        # Refused when called, before any iteration.
+        with pytest.raises(ValueError, match="^max_last must be an integer, got "):
+            plane_semigroups(max_last)
 
 
 class TestLcmTails:
