@@ -32,8 +32,10 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
     the closed-form Z in that report (Z is built once, so this check is
     skipped when either call fails), the dense expansion of that same Delta
     when mu is at most :data:`DENSE_MU_CAP`, and agreement of the modular digits stored in
-    ``sg.digits`` with exhaustive search where the search space is small.
-    A stage that fails adds one line.
+    ``sg.digits`` with :func:`monocurve.oracle.enum_digits`, an exhaustive search that
+    meets in the middle: it lists about ``2*sqrt(n_1*...*n_{i-1})`` tail sums at level
+    ``i`` and runs where the ``n_1*...*n_{i-1}`` tails it covers number at most
+    :data:`monocurve.oracle.DIGIT_LIST_CAP`.  A stage that fails adds one line.
     """
     failures: list[str] = []
 

@@ -43,7 +43,7 @@ class EnumerationBudget:
 
 DEFAULT_BUDGET = EnumerationBudget()
 MAX_EXPAND_DEGREE = 5000  # degree cap of expand_and_verify and of cross_check's dense leg
-DIGIT_LIST_CAP = 10**4  # cap on n_1*...*n_{i-1}, the tail sums enum_digits lists
+DIGIT_LIST_CAP = 10**4  # cap on n_1*...*n_{i-1}, the tail sums enum_digits covers
 
 
 def enum_count_solutions(
@@ -134,39 +134,81 @@ def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
 
     Returns the unique digit vector; raises :class:`NotRepresentable` when no
     vector exists, :class:`InternalInconsistency` if more than one does, and
-    :class:`BudgetExceeded` when the list would hold more than
+    :class:`BudgetExceeded` when the search would cover more than
     :data:`DIGIT_LIST_CAP` tail sums, that is when
     ``n_1*...*n_{i-1} > DIGIT_LIST_CAP``.
 
-    The search is exhaustive and never reads ``sg.digits``: it lists every
-    tail sum ``sum_{1<=j<i} c_j*b_j`` as one list, in ``itertools.product``
-    order, without the digits ``c_j*b_j > s`` that cannot occur, and tests
-    each sum ``x <= s`` for a ``c_0`` with one modulo, ``x % b_0 == s % b_0``.
-    The work is set by the list length alone, whatever the size of ``s`` and
-    of the generators.
+    The search is exhaustive and never reads ``sg.digits``.  It meets in the
+    middle: the tail ``sum_{1<=j<i} c_j*b_j`` splits into the sum over the
+    lower levels ``1..h-1`` and that over the upper levels ``h..i-1``, and
+    :func:`_tail_sums` lists each part's sums, without the digits ``c_j*b_j >
+    s`` that cannot occur.  The lower sums are bucketed by residue mod
+    ``b_0``; each upper sum ``y`` pairs with every lower sum ``x`` in the
+    bucket of ``s - y`` with ``x + y <= s``, and each pair is one ``c_0``.
+    The split level ``h`` is the one at which the two lists are shortest
+    together, so the work is about twice the square root of
+    ``n_1*...*n_{i-1}``, whatever the size of ``s`` and of the generators.
+    A bucketed sum costs about two scanned ones, so where the split does
+    not at least halve the sums listed (always at 16 tails or fewer), one
+    list of all the tail sums is scanned instead, each tested with one
+    modulo for a ``c_0``.
     """
     if not 1 <= i <= sg.g:
         raise ValueError(f"index i must be in 1..{sg.g}")
-    b0 = sg.gens[0]
-    length = math.prod(sg.n[1:i])
+    n, b0 = sg.n, sg.gens[0]
+    length = math.prod(n[1:i])
     if length > DIGIT_LIST_CAP:
-        raise BudgetExceeded(f"digit search lists {length} tail sums, over {DIGIT_LIST_CAP}")
-    sums, radices = [0], []
-    for j in range(1, i):
-        steps = range(0, min(sg.n[j] * sg.gens[j], s + 1), sg.gens[j])
-        radices.append(len(steps))
-        sums = [x + c for x in sums for c in steps]
-    r = s % b0
-    hits = [k for k, x in enumerate(sums) if x <= s and x % b0 == r]
+        raise BudgetExceeded(f"digit search covers {length} tail sums, over {DIGIT_LIST_CAP}")
+    h, lower = 1, 1
+    if length > 16:  # no split of 16 or fewer tails halves them: 2*(P + length/P) >= 4*sqrt(length)
+        # The lower part grows while that shortens the two lists together.
+        while h < i and lower * n[h] + length // (lower * n[h]) < lower + length // lower:
+            lower *= n[h]
+            h += 1
+        if 2 * (lower + length // lower) >= length:  # a bucketed sum costs about two scanned ones
+            h = 1
+    if h == 1:  # one list of all the tail sums, scanned
+        sums, radices = _tail_sums(s, sg, range(1, i))
+        r = s % b0
+        hits = [k for k, x in enumerate(sums) if x <= s and x % b0 == r]
+    else:
+        xs, radices = _tail_sums(s, sg, range(1, h))
+        ys, upper_radices = _tail_sums(s, sg, range(h, i))
+        radices += upper_radices
+        width = len(ys)
+        buckets: dict[int, list[int]] = {}
+        for kx, x in enumerate(xs):
+            buckets.setdefault(x % b0, []).append(kx)
+        hits = [
+            kx * width + ky
+            for ky, y in enumerate(ys)
+            for kx in buckets.get((s - y) % b0, ())
+            if xs[kx] + y <= s
+        ]
     if not hits:
         raise NotRepresentable(f"{s} has no digit representation at level {i}")
     if len(hits) > 1:
         raise InternalInconsistency(f"digit representation of {s} is not unique")
-    k = hits[0]
-    digits = [(s - sums[k]) // b0] + [0] * (i - 1)
+    k = hits[0]  # the index of the tail in itertools.product order over levels 1..i-1
+    tail = sums[k] if h == 1 else xs[k // width] + ys[k % width]
+    digits = [(s - tail) // b0] + [0] * (i - 1)
     for j in range(i - 1, 0, -1):
         k, digits[j] = divmod(k, radices[j - 1])
     return tuple(digits)
+
+
+def _tail_sums(s: int, sg: PlaneSemigroup, levels: range) -> tuple[list[int], list[int]]:
+    """Every ``sum_{j in levels} c_j*b_j`` with ``0 <= c_j < n_j`` and ``c_j*b_j <= s``.
+
+    The sums come in ``itertools.product`` order over the levels, with the
+    number of digits kept at each level, the radices that decode a sum's index.
+    """
+    sums, radices = [0], []
+    for j in levels:
+        steps = range(0, min(sg.n[j] * sg.gens[j], s + 1), sg.gens[j])
+        radices.append(len(steps))
+        sums = [x + c for x in sums for c in steps]
+    return sums, radices
 
 
 def _moebius(n: int) -> int:

@@ -289,13 +289,22 @@ def curve_axis_intersections(spec: WeightedCurveSpec, axis: int) -> tuple[int, i
     """
     if axis not in (0, 1):
         raise IllFormed("axis must be 0 or 1")
-    tail_gcd = math.gcd(*spec.p[2:])
+    per = _axis_count(spec, axis, math.gcd(*spec.p[2:]))
+    return per, per * _symmetric_component_count(spec)
+
+
+def _axis_count(spec: WeightedCurveSpec, axis: int, tail_gcd: int) -> int:
+    """Core of :func:`curve_axis_intersections`: the per-component count, chart-checked.
+
+    ``axis`` is 0 or 1 and ``tail_gcd`` is ``gcd(p_2, ..., p_r)``; the
+    resolution's cross-validation takes it once per spec for both axes.
+    """
     per = _axis_count_chart(spec, axis, 2, tail_gcd)
     if spec.r >= 3:
         local = _axis_count_chart(spec, axis, 3, tail_gcd)
         if local != per:
             raise InternalInconsistency(f"axis-{axis} count differs on chart 3: {local} != {per}")
-    return per, per * _symmetric_component_count(spec)
+    return per
 
 
 def _axis_count_chart(spec: WeightedCurveSpec, axis: int, c: int, tail_gcd: int) -> int:

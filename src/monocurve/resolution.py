@@ -301,16 +301,18 @@ def _cross_validate(sg: PlaneSemigroup, graph: ResolutionGraph) -> None:
         raise InternalInconsistency("Q0 chart type misses M_0")
 
     # Counting formulas on the homogeneous systems cutting out E_k (k < g).
+    # Each axis total is the chart-checked per-component count times r_k,
+    # which curve_component_count has just verified on the same spec.
     for k in range(1, g):
         spec = _homogeneous_spec(sg, graph.levels[k - 1])
-        if qspace.curve_component_count(spec) != r[k - 1]:
+        rk = r[k - 1]
+        if qspace.curve_component_count(spec) != rk:
             raise InternalInconsistency(f"component count of E_{k} disagrees")
-        _, tot0 = qspace.curve_axis_intersections(spec, 0)
+        tail_gcd = math.gcd(*spec.p[2:])
         expected0 = graph.strata[0].count if k == 1 else r[k - 2]
-        if tot0 != expected0:
+        if qspace._axis_count(spec, 0, tail_gcd) * rk != expected0:
             raise InternalInconsistency(f"|E_{k} ∩ previous divisor| disagrees")
-        _, tot1 = qspace.curve_axis_intersections(spec, 1)
-        if tot1 != graph.strata[k].count:
+        if qspace._axis_count(spec, 1, tail_gcd) * rk != graph.strata[k].count:
             raise InternalInconsistency(f"|E_{k} ∩ H_{k}| disagrees")
         if qspace.curve_open_euler(spec) != graph.levels[k - 1].chi_open:
             raise InternalInconsistency(f"chi(E_{k} open) disagrees")

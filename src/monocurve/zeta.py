@@ -36,7 +36,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InternalInconsistency, NotPolynomial, _exact_div, _int_text
-from .semigroup import PlaneSemigroup
+from .semigroup import PlaneSemigroup, _require_int
 
 __all__ = [
     "FactorProduct",
@@ -54,7 +54,11 @@ DEFAULT_EXPANSION_CAP = 10**6
 
 @dataclass(frozen=True)
 class FactorProduct:
-    """``sign * prod (1 - t^a)^{e_a}`` with nonzero exponents, sorted by a."""
+    """``sign * prod (1 - t^a)^{e_a}`` with nonzero exponents, sorted by a.
+
+    Each ``a`` and ``e_a`` must be an ``int`` and not a ``bool``, and each ``a``
+    positive; the constructor and :meth:`from_map` raise ``ValueError`` otherwise.
+    """
 
     factors: tuple[tuple[int, int], ...] = ()
     sign: int = 1
@@ -64,6 +68,7 @@ class FactorProduct:
             raise ValueError("sign must be +1 or -1")
         merged: dict[int, int] = {}
         for a, e in self.factors:  # the pairs denote a product: a repeated a adds its exponents
+            _check_factor(a, e)  # before the sum, which would turn a bool into an int
             merged[a] = merged.get(a, 0) + e
         object.__setattr__(self, "factors", _canonical(merged))
 
@@ -124,12 +129,20 @@ class FactorProduct:
 def _canonical(factors: dict[int, int]) -> tuple[tuple[int, int], ...]:
     canon = []
     for a, e in factors.items():
+        if type(a) is not int or type(e) is not int:
+            _check_factor(a, e)
         if a < 1:
             raise ValueError(f"factor exponent of t must be positive, got {a}")
         if e:
             canon.append((a, e))
     canon.sort()
     return tuple(canon)
+
+
+def _check_factor(a, e) -> None:
+    """Refuse a factor exponent or multiplicity that is not an ``int`` or is a ``bool``."""
+    _require_int(a, "factor exponent of t")
+    _require_int(e, "factor multiplicity")
 
 
 def cyclotomic_exponent(fp: FactorProduct, d: int) -> int:
@@ -140,8 +153,10 @@ def cyclotomic_exponent(fp: FactorProduct, d: int) -> int:
     :func:`negative_cyclotomic_orders` sums the same ``c_d`` inline.
 
     Raises:
-        ValueError: ``d < 1``.
+        ValueError: ``d`` is not an ``int``, is a ``bool`` or is below 1.
     """
+    if type(d) is not int:
+        _require_int(d, "cyclotomic order")
     if d < 1:
         raise ValueError(f"cyclotomic order must be positive, got {d}")
     c = 0

@@ -308,15 +308,79 @@ class TestEnumDigits:
         with pytest.raises(InternalInconsistency, match="not unique"):
             enum_digits(4, 2, stand_in)
 
+    def test_split_matches_the_product_scan(self, monkeypatch):
+        # The b_g <= 120 stratum has at most 16 tails per level, too few to
+        # split.  Stand-ins with n_j in 3..5 over 3 or 4 tail levels have 27
+        # to 625, and arbitrary generators give sums with no, one and several
+        # digit vectors: the split search must give the product scan's outcome.
+        def outcome(search, s, i, sg):
+            try:
+                return search(s, i, sg)
+            except (NotRepresentable, InternalInconsistency) as exc:
+                return type(exc), str(exc)
+
+        parts = []
+
+        def counted(s, sg, levels):
+            parts.append(levels)
+            return honest(s, sg, levels)
+
+        honest = monocurve.oracle._tail_sums
+        monkeypatch.setattr(monocurve.oracle, "_tail_sums", counted)
+        rng = random.Random(29)
+        outcomes = Counter()
+        for _ in range(600):
+            g = rng.randint(4, 5)
+            sg = SimpleNamespace(g=g, n=(1, *(rng.randint(3, 5) for _ in range(g))),
+                                 gens=tuple(rng.randint(2, 60) for _ in range(g + 1)))
+            s = rng.randrange(400)
+            parts.clear()
+            got = outcome(enum_digits, s, g, sg)
+            assert len(parts) == 2, (sg, s)
+            assert got == outcome(_product_scan, s, g, sg), (sg, s)
+            outcomes[got[0] if isinstance(got[0], type) else "digits"] += 1
+        assert min(outcomes.values()) >= 100 and len(outcomes) == 3, outcomes
+
+    def test_non_unique_raises_across_the_split(self, monkeypatch):
+        # Not a plane semigroup: at level 3 the 25 tails over b_1 = 1 and
+        # b_2 = 3 split into one level each.  s = 4 = 2*2 + 0 + 0 = 0*2 + 1 + 3
+        # = 1*2 + 2 + 0 = 0*2 + 4 + 0, three of them from one bucket of lower
+        # sums; s = 1 = 0*2 + 1 + 0 alone.
+        stand_in = SimpleNamespace(g=3, n=(1, 5, 5, 2), gens=(2, 1, 3, 7))
+        listed = []
+        honest = monocurve.oracle._tail_sums
+        monkeypatch.setattr(monocurve.oracle, "_tail_sums",
+                            lambda s, sg, levels: listed.append(levels) or honest(s, sg, levels))
+        with pytest.raises(InternalInconsistency, match="^digit representation of 4 is not unique$"):
+            enum_digits(4, 3, stand_in)
+        assert enum_digits(1, 3, stand_in) == (0, 1, 0)
+        assert listed == [range(1, 2), range(2, 3)] * 2
+
     def test_budget_threshold(self):
-        # The charge is the list length n_1*...*n_{i-1}: with n = (10, 10, 10,
-        # 10, 2, 2), level 5 lists DIGIT_LIST_CAP = 10**4 tail sums and runs,
-        # level 6 would list 2 * 10**4 and raises.
+        # The charge is the number of tails n_1*...*n_{i-1} the search covers:
+        # with n = (10, 10, 10, 10, 2, 2), level 5 covers DIGIT_LIST_CAP =
+        # 10**4 tail sums and runs, level 6 would cover 2 * 10**4 and raises.
         sg = least_chain([10, 10, 10, 10, 2, 2])
         assert math.prod(sg.n[1:5]) == DIGIT_LIST_CAP
         assert enum_digits(sg.n[5] * sg.gens[5], 5, sg) == sg.digits[4]
-        with pytest.raises(BudgetExceeded, match="lists 20000 tail sums, over 10000$"):
+        with pytest.raises(BudgetExceeded, match="covers 20000 tail sums, over 10000$"):
             enum_digits(sg.n[6] * sg.gens[6], 6, sg)
+
+    def test_split_lists_the_square_root(self, monkeypatch):
+        # At level 5 of the same chain the 10**4 tails split into two parts of
+        # 10**2 sums each: the search lists 200 sums, not 10**4.
+        sg = least_chain([10, 10, 10, 10, 2, 2])
+        listed = []
+
+        def counted(s, sg, levels):
+            sums, radices = honest(s, sg, levels)
+            listed.append(len(sums))
+            return sums, radices
+
+        honest = monocurve.oracle._tail_sums
+        monkeypatch.setattr(monocurve.oracle, "_tail_sums", counted)
+        assert enum_digits(sg.n[5] * sg.gens[5], 5, sg) == sg.digits[4]
+        assert sum(listed) <= 2 * 10**2, listed
 
     def test_runs_every_level_of_a_2000_bit_chain(self, monkeypatch):
         # Small n_i and b_g of about 2000 bits: the list is short at every
@@ -337,6 +401,20 @@ class TestEnumDigits:
         monkeypatch.setattr(monocurve.crosscheck, "enum_digits", recorded)
         assert cross_check(sg) == []
         assert ran == list(range(1, sg.g + 1))
+
+
+def _product_scan(s, i, sg):
+    """The digit search over itertools.product, with the search's exceptions."""
+    hits = []
+    for tail in itertools.product(*(range(sg.n[j]) for j in range(1, i))):
+        rest = s - sum(cj * bj for cj, bj in zip(tail, sg.gens[1:i]))
+        if rest >= 0 and rest % sg.gens[0] == 0:
+            hits.append((rest // sg.gens[0], *tail))
+    if not hits:
+        raise NotRepresentable(f"{s} has no digit representation at level {i}")
+    if len(hits) > 1:
+        raise InternalInconsistency(f"digit representation of {s} is not unique")
+    return hits[0]
 
 
 def least_chain(ns):

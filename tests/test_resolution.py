@@ -186,27 +186,43 @@ class TestChecksFire:
 
     @pytest.mark.parametrize("name, axis, message", [
         ("curve_component_count", None, "component count of E_{k} disagrees"),
-        ("curve_axis_intersections", 0, "|E_{k} ∩ previous divisor| disagrees"),
-        ("curve_axis_intersections", 1, "|E_{k} ∩ H_{k}| disagrees"),
+        ("_axis_count", 0, "|E_{k} ∩ previous divisor| disagrees"),
+        ("_axis_count", 1, "|E_{k} ∩ H_{k}| disagrees"),
         ("curve_open_euler", None, "chi(E_{k} open) disagrees"),
     ])
     @pytest.mark.parametrize("k", [1, 2])
     def test_qspace_count_disagrees(self, monkeypatch, name, axis, message, k):
         # One count of the quotient-space machinery is one too high, from the
         # homogeneous system of E_k of 8,12,26,53 on; k = 2 compares the
-        # previous-divisor count with r_1 rather than |Q0|.
+        # previous-divisor count with r_1 rather than |Q0|.  An axis total is
+        # the per-component count of qspace._axis_count times r_k.
         honest = getattr(qspace, name)
 
         def wrong(spec, *args):
             value = honest(spec, *args)
-            if spec != specs[k - 1] or (axis is not None and args != (axis,)):
+            if spec != specs[k - 1] or (axis is not None and args[0] != axis):
                 return value
-            return (value[0], value[1] + 1) if axis is not None else value + 1
+            return value + 1
 
         sg = build_semigroup((8, 12, 26, 53))
         specs = [resolution._homogeneous_spec(sg, lvl) for lvl in build_resolution(sg).levels[:-1]]
         monkeypatch.setattr(qspace, name, wrong)
         with pytest.raises(InternalInconsistency, match=f"^{re.escape(message.format(k=k))}$"):
+            build_resolution(sg)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_axis_count_chart_3_disagrees(self, monkeypatch, axis):
+        # E_1 of 8,12,26,53 has r = 3, so the axis core compares its chart-2
+        # count with chart 3 there; chart 3 one too high must stop the build.
+        sg = build_semigroup((8, 12, 26, 53))
+        spec = resolution._homogeneous_spec(sg, build_resolution(sg).levels[0])
+        per, _ = qspace.curve_axis_intersections(spec, axis)
+        honest = qspace._axis_count_chart
+        monkeypatch.setattr(qspace, "_axis_count_chart",
+                            lambda spec, ax, c, tail_gcd:
+                            honest(spec, ax, c, tail_gcd) + (ax == axis and c == 3))
+        with pytest.raises(InternalInconsistency,
+                           match=f"^axis-{axis} count differs on chart 3: {per + 1} != {per}$"):
             build_resolution(sg)
 
     @pytest.mark.parametrize("field, value", [("chi_open", -2), ("r", 2)])

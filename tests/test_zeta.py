@@ -4,8 +4,10 @@ import contextlib
 import io
 import math
 import random
+import re
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -99,6 +101,31 @@ class TestFromMap:
         with pytest.raises(ValueError, match="sign must be"):
             FactorProduct.from_map({2: 1}, 0)
 
+    @pytest.mark.parametrize("factors, message", [
+        ({2.5: 1}, "factor exponent of t must be an integer, got 2.5"),
+        ({True: 2}, "factor exponent of t must be an integer, got True"),
+        ({"3": 1}, "factor exponent of t must be an integer, got '3'"),
+        ({2: 1.0}, "factor multiplicity must be an integer, got 1.0"),
+        ({2: True}, "factor multiplicity must be an integer, got True"),
+        ({2: Fraction(1)}, "factor multiplicity must be an integer, got Fraction(1, 1)"),
+        ({3: 1, 2: 0.0}, "factor multiplicity must be an integer, got 0.0"),
+    ])
+    def test_rejects_a_non_int_exponent_or_multiplicity(self, factors, message):
+        # A float, a bool, a string or a fraction is refused, never rounded or
+        # read as 0 and 1; the constructor and from_map refuse alike.
+        for build in (FactorProduct.from_map, lambda f: FactorProduct(tuple(f.items()))):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(factors)
+
+    @pytest.mark.parametrize("pairs, message", [
+        (((1, 1), (True, 1)), "factor exponent of t must be an integer, got True"),
+        (((2, 1), (2, True)), "factor multiplicity must be an integer, got True"),
+    ])
+    def test_constructor_refuses_a_bool_that_merging_would_hide(self, pairs, message):
+        # True == 1 and 0 + True == 1, so the check runs before a repeated a merges.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FactorProduct(pairs)
+
 
 class TestConstructorRepeatedExponent:
     """The constructor's pairs denote a product, so a repeated ``a`` adds its exponents."""
@@ -165,6 +192,13 @@ class TestCyclotomic:
         fp = FactorProduct.from_map({6: 1, 4: -1})
         exponents = [cyclotomic_exponent(fp, d) for d in (1, 2, 3, 4, 5, 6, 7, 12)]
         assert exponents == [0, 0, 1, -1, 0, 1, 0, 0]
+
+    @pytest.mark.parametrize("d", [2.5, 2.0, True, "2", Fraction(2)])
+    def test_non_int_order_rejected(self, d):
+        fp = FactorProduct.from_map({6: 1, 3: -1})
+        message = f"cyclotomic order must be an integer, got {d!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cyclotomic_exponent(fp, d)
 
     @pytest.mark.parametrize("d", [0, -3])
     def test_order_below_one_rejected(self, d):
