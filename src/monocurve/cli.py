@@ -9,6 +9,11 @@ Commands::
     fuzz        --count N --seed S random semigroups through all cross-checks
     oracle      [budget flags]     closed form vs enumeration over the grid
 
+A command-first argv is parsed by that command's own parser.  Any other argv
+(top-level help, a leading ``--``, an unknown command or none), and one with
+tokens the command's parser leaves over, goes through the top-level parser,
+so its help and error messages stay its own.
+
 Exit status: 0 success, 1 verification failure, 2 invalid input.  A library
 error after the input was accepted, or an output file that cannot be written,
 prints one ``error:`` line to stderr and exits 1.  Output is deterministic
@@ -55,6 +60,11 @@ def _parse_gens(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the ``{command: parser}`` map of its subparsers."""
     parser = argparse.ArgumentParser(
         prog="monocurve",
         description="Exact invariants of plane-branch monomial curves: "
@@ -89,13 +99,32 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--max-exponent", type=int, default=EnumerationBudget.max_exponent)
     oracle.add_argument("--max-rank", type=int, default=EnumerationBudget.max_rank)
     oracle.add_argument("--output", default=None)
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process for in-process callers of :func:`main`."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers, built once per process for in-process callers of :func:`main`."""
+    return _build_parsers()
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse ``argv`` as ``build_parser().parse_args(argv)`` does.
+
+    The top-level parser has no option but ``-h`` and hands every token after
+    the command name, unchanged, to the command's parser, so a command-first
+    argv goes straight to that parser.  Tokens it leaves over send the argv
+    through the top-level parser, which raises its "unrecognized arguments"
+    error."""
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -159,7 +188,12 @@ def _analyze(sg, fmt: str) -> tuple[str, bool]:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run the command in ``argv`` (``sys.argv[1:]`` when None); return the exit status.
+
+    A command-first argv is parsed by that command's own parser; top-level
+    help, leftover tokens, an unknown command and a leading ``--`` go through
+    the top-level parser."""
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
 
     sg = None
     if args.command in ("analyze", "zeta", "graph", "conjecture"):

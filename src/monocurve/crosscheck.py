@@ -34,7 +34,7 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
     when mu is at most :data:`DENSE_MU_CAP`, and agreement of the modular digits stored in
     ``sg.digits`` with :func:`monocurve.oracle.enum_digits`, an exhaustive search that
     meets in the middle: it lists about ``2*sqrt(n_1*...*n_{i-1})`` tail sums at level
-    ``i`` and runs where the ``n_1*...*n_{i-1}`` tails it covers number at most
+    ``i`` and runs where the sums it lists number at most
     :data:`monocurve.oracle.DIGIT_LIST_CAP`.  A stage that fails adds one line.
     """
     failures: list[str] = []

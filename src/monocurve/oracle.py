@@ -43,7 +43,7 @@ class EnumerationBudget:
 
 DEFAULT_BUDGET = EnumerationBudget()
 MAX_EXPAND_DEGREE = 5000  # degree cap of expand_and_verify and of cross_check's dense leg
-DIGIT_LIST_CAP = 10**4  # cap on n_1*...*n_{i-1}, the tail sums enum_digits covers
+DIGIT_LIST_CAP = 10**4  # cap on the tail sums enum_digits lists at one level
 
 
 def enum_count_solutions(
@@ -134,9 +134,8 @@ def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
 
     Returns the unique digit vector; raises :class:`NotRepresentable` when no
     vector exists, :class:`InternalInconsistency` if more than one does, and
-    :class:`BudgetExceeded` when the search would cover more than
-    :data:`DIGIT_LIST_CAP` tail sums, that is when
-    ``n_1*...*n_{i-1} > DIGIT_LIST_CAP``.
+    :class:`BudgetExceeded` when the search would list more than
+    :data:`DIGIT_LIST_CAP` tail sums.
 
     The search is exhaustive and never reads ``sg.digits``.  It meets in the
     middle: the tail ``sum_{1<=j<i} c_j*b_j`` splits into the sum over the
@@ -149,24 +148,28 @@ def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
     together, so the work is about twice the square root of
     ``n_1*...*n_{i-1}``, whatever the size of ``s`` and of the generators.
     A bucketed sum costs about two scanned ones, so where the split does
-    not at least halve the sums listed (always at 16 tails or fewer), one
-    list of all the tail sums is scanned instead, each tested with one
-    modulo for a ``c_0``.
+    not at least halve the sums listed (always at 16 tails or fewer) and
+    all ``n_1*...*n_{i-1}`` tail sums fit the cap, one list of them is
+    scanned instead, each tested with one modulo for a ``c_0``.  The cap is
+    charged with the sums of the path taken: ``n_1*...*n_{i-1}`` on the
+    scan, the two parts' ``n_1*...*n_{h-1} + n_h*...*n_{i-1}`` on the split.
     """
     if not 1 <= i <= sg.g:
         raise ValueError(f"index i must be in 1..{sg.g}")
     n, b0 = sg.n, sg.gens[0]
     length = math.prod(n[1:i])
-    if length > DIGIT_LIST_CAP:
-        raise BudgetExceeded(f"digit search covers {length} tail sums, over {DIGIT_LIST_CAP}")
     h, lower = 1, 1
     if length > 16:  # no split of 16 or fewer tails halves them: 2*(P + length/P) >= 4*sqrt(length)
         # The lower part grows while that shortens the two lists together.
         while h < i and lower * n[h] + length // (lower * n[h]) < lower + length // lower:
             lower *= n[h]
             h += 1
-        if 2 * (lower + length // lower) >= length:  # a bucketed sum costs about two scanned ones
+        # A bucketed sum costs about two scanned ones; past the cap only the split may run.
+        if 2 * (lower + length // lower) >= length and length <= DIGIT_LIST_CAP:
             h = 1
+    listed = length if h == 1 else lower + length // lower
+    if listed > DIGIT_LIST_CAP:
+        raise BudgetExceeded(f"digit search lists {listed} tail sums, over {DIGIT_LIST_CAP}")
     if h == 1:  # one list of all the tail sums, scanned
         sums, radices = _tail_sums(s, sg, range(1, i))
         r = s % b0

@@ -1,6 +1,8 @@
 """Tests for the command-line interface (exit codes, output contract)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import time
@@ -425,6 +427,88 @@ class TestParser:
         assert code == 0
         assert out.startswith("Z = ")  # not --output or --format of the first call
         assert monocurve.cli._parser() is monocurve.cli._parser()
+
+
+# Per command: its options as (option, value) pairs, the first one read by
+# every valid argv below, and an abbreviation of that option.
+_COMMAND_OPTIONS = {
+    **{cmd: ((("--gens", "4,6,13"), ("--gens", "8,12,26,53")), "--gen")
+       for cmd in ("analyze", "zeta", "graph", "conjecture")},
+    "fuzz": ((("--count", "3"), ("--count", "5")), "--cou"),
+    "oracle": ((("--draws", "2"), ("--draws", "4")), "--dr"),
+}
+
+
+def _route_corpus():
+    corpus = [[], ["-h"], ["--help"], ["bogus"], ["-x", "analyze"], ["--", "--gens"]]
+    for cmd, ((first, second), abbrev) in _COMMAND_OPTIONS.items():
+        corpus += [
+            [cmd, *first],
+            [cmd, "-h"],
+            [cmd, *first, "--help"],
+            [cmd],
+            [cmd, *first, "--format", "bogus"],
+            [cmd, *first, "extra"],
+            [cmd, "extra", *first],
+            [cmd, *first, "--bogus", "1"],
+            [cmd, f"{first[0]}={first[1]}"],
+            [cmd, abbrev, first[1]],
+            [cmd, *first, *second],
+            ["--", cmd, *first],
+            [cmd, "--", *first],
+            [cmd, *first, "--"],
+        ]
+    return corpus
+
+
+def _outcome(parse, argv):
+    """The namespace ``parse(argv)`` returns, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestParseRoutes:
+    @pytest.mark.parametrize("argv", _route_corpus(), ids=" ".join)
+    def test_command_route_matches_the_full_parser(self, argv):
+        # Command-first argvs skip the top-level parser: each must still give
+        # the namespace, or the exit code and output bytes, of the full parse.
+        got = _outcome(monocurve.cli._parse, list(argv))
+        assert got == _outcome(build_parser().parse_args, list(argv))
+
+    def test_command_argv_skips_the_top_level_parse(self, capsys, monkeypatch):
+        def refused(argv=None, namespace=None):
+            raise AssertionError(f"top-level parse of {argv}")
+
+        monkeypatch.setattr(monocurve.cli._parser()[0], "parse_args", refused)
+        assert main(["analyze", "--gens", "4,6,13"]) == 0
+        monkeypatch.setattr(sys, "argv", ["monocurve", "zeta", "--gens", "4,6,13"])
+        assert main(None) == 0
+        assert capsys.readouterr().out.endswith("mu = 16\n")
+
+    def test_extra_tokens_go_through_the_top_level_parse(self, capsys, monkeypatch):
+        top = monocurve.cli._parser()[0]
+        seen = []
+
+        def recorded(argv=None, namespace=None, _full=top.parse_args):
+            seen.append(argv)
+            return _full(argv, namespace)
+
+        monkeypatch.setattr(top, "parse_args", recorded)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--gens", "4,6,13", "extra"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "monocurve: error: unrecognized arguments: extra"
+        )
+        monkeypatch.setattr(sys, "argv", ["monocurve", "-h"])
+        with pytest.raises(SystemExit) as exc:
+            main(None)
+        assert exc.value.code == 0
+        assert seen == [["analyze", "--gens", "4,6,13", "extra"], ["-h"]]
 
 
 class TestAnalyzeDocument:

@@ -357,14 +357,44 @@ class TestEnumDigits:
         assert listed == [range(1, 2), range(2, 3)] * 2
 
     def test_budget_threshold(self):
-        # The charge is the number of tails n_1*...*n_{i-1} the search covers:
-        # with n = (10, 10, 10, 10, 2, 2), level 5 covers DIGIT_LIST_CAP =
-        # 10**4 tail sums and runs, level 6 would cover 2 * 10**4 and raises.
+        # The charge is the number of tail sums the search lists.  Level 2 of
+        # n = (10**4, 2) has a single tail level, so it scans all of its
+        # n_1 sums: DIGIT_LIST_CAP of them run, one more raises.
+        sg = least_chain([DIGIT_LIST_CAP, 2])
+        assert enum_digits(sg.n[2] * sg.gens[2], 2, sg) == sg.digits[1]
+        sg = least_chain([DIGIT_LIST_CAP + 1, 2])
+        with pytest.raises(BudgetExceeded, match="^digit search lists 10001 tail sums, over 10000$"):
+            enum_digits(sg.n[2] * sg.gens[2], 2, sg)
+
+    def test_split_charged_with_the_sums_it_lists(self, monkeypatch):
+        # Level 3 of n = (5000, 5000, 2) has 25 * 10**6 tails and splits into
+        # two lists of 5000 sums: DIGIT_LIST_CAP in all, so it is searched.
+        # With n_2 = 5001 the two lists hold one sum over the cap.
+        sg = least_chain([5000, 5000, 2])
+        listed = []
+
+        def counted(s, sg, levels):
+            sums, radices = honest(s, sg, levels)
+            listed.append(len(sums))
+            return sums, radices
+
+        honest = monocurve.oracle._tail_sums
+        monkeypatch.setattr(monocurve.oracle, "_tail_sums", counted)
+        assert enum_digits(sg.n[3] * sg.gens[3], 3, sg) == sg.digits[2]
+        assert listed == [5000, 5000]
+        sg = least_chain([5000, 5001, 2])
+        with pytest.raises(BudgetExceeded, match="^digit search lists 10001 tail sums, over 10000$"):
+            enum_digits(sg.n[3] * sg.gens[3], 3, sg)
+
+    def test_searches_past_10_to_the_4_tails(self):
+        # Level 6 of n = (10, 10, 10, 10, 2, 2) has 2 * 10**4 tails, which the
+        # split lists as 10**2 + 2 * 10**2 sums, so it runs.  So does level 3
+        # of n = (5001, 2, 2): its 10002 tails are too few for the split to
+        # halve them, but only the split, 5001 + 2 sums, fits the cap.
         sg = least_chain([10, 10, 10, 10, 2, 2])
-        assert math.prod(sg.n[1:5]) == DIGIT_LIST_CAP
-        assert enum_digits(sg.n[5] * sg.gens[5], 5, sg) == sg.digits[4]
-        with pytest.raises(BudgetExceeded, match="covers 20000 tail sums, over 10000$"):
-            enum_digits(sg.n[6] * sg.gens[6], 6, sg)
+        assert enum_digits(sg.n[6] * sg.gens[6], 6, sg) == sg.digits[5]
+        sg = least_chain([5001, 2, 2])
+        assert enum_digits(sg.n[3] * sg.gens[3], 3, sg) == sg.digits[2]
 
     def test_split_lists_the_square_root(self, monkeypatch):
         # At level 5 of the same chain the 10**4 tails split into two parts of
