@@ -44,7 +44,6 @@ from .qspace import (
 )
 from .resolution import (
     GraphLevel,
-    LocalType,
     ResolutionGraph,
     Stratum,
     build_resolution,
@@ -72,7 +71,6 @@ __all__ = [
     "HypothesisViolated",
     "IllFormed",
     "InternalInconsistency",
-    "LocalType",
     "MonocurveError",
     "NotCoprime",
     "NotDivisible",

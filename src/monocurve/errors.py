@@ -79,9 +79,8 @@ def _json_text(doc) -> str:
     tuples, str (ASCII-escaped), int, ``True``, ``False`` and ``None``; any
     other value raises :class:`TypeError`.  The json module writes indented
     text through a chain of pure-Python generators; this appends every token
-    to one list and joins it once, and takes 0.31-0.32 of that time on the
-    analyze, graph and conjecture documents of 600 analyze-wide inputs (Python
-    3.11.7).  An int past the digit limit raises BudgetExceeded.
+    to one list and joins it once.  An int past the digit limit raises
+    BudgetExceeded.
     """
     out: list[str] = []
     try:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, InternalInconsistency, NotPolynomial, NotRepresentable
 from .qspace import CyclicQuotientType, count_solutions_fixed_tail, count_solutions_total
-from .semigroup import PlaneSemigroup
+from .semigroup import PlaneSemigroup, _require_int
 from .zeta import FactorProduct, _sparse_product
 
 __all__ = [
@@ -32,11 +32,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnumerationBudget:
+    """Bounds of the enumeration: group order ``d``, exponents ``k_i`` and rank.
+
+    Raises:
+        ValueError: a bound is not an ``int``, is a ``bool`` or is below 1.
+    """
+
     max_group_order: int = 12
     max_exponent: int = 6
     max_rank: int = 3
 
     def __post_init__(self):
+        for name in ("max_group_order", "max_exponent", "max_rank"):
+            _require_int(getattr(self, name), name)
         if min(self.max_group_order, self.max_exponent, self.max_rank) < 1:
             raise ValueError("all budget bounds must be positive")
 
@@ -132,10 +140,7 @@ def _count_orbits(perm) -> int:
 def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
     """Exhaustive digit search: ``s = sum_{j<i} c_j*b_j`` with ``0 <= c_j < n_j``.
 
-    Returns the unique digit vector; raises :class:`NotRepresentable` when no
-    vector exists, :class:`InternalInconsistency` if more than one does, and
-    :class:`BudgetExceeded` when the search would list more than
-    :data:`DIGIT_LIST_CAP` tail sums.
+    Returns the unique digit vector.
 
     The search is exhaustive and never reads ``sg.digits``.  It meets in the
     middle: the tail ``sum_{1<=j<i} c_j*b_j`` splits into the sum over the
@@ -153,7 +158,18 @@ def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
     scanned instead, each tested with one modulo for a ``c_0``.  The cap is
     charged with the sums of the path taken: ``n_1*...*n_{i-1}`` on the
     scan, the two parts' ``n_1*...*n_{h-1} + n_h*...*n_{i-1}`` on the split.
+
+    Raises:
+        ValueError: ``s`` or ``i`` is not an ``int`` or is a ``bool``, or
+            ``i`` is outside ``1..G``.
+        NotRepresentable: no digit vector exists.
+        InternalInconsistency: more than one digit vector exists.
+        BudgetExceeded: the search would list more than
+            :data:`DIGIT_LIST_CAP` tail sums.
     """
+    if type(s) is not int or type(i) is not int:
+        _require_int(s, "s")
+        _require_int(i, "index i")
     if not 1 <= i <= sg.g:
         raise ValueError(f"index i must be in 1..{sg.g}")
     n, b0 = sg.n, sg.gens[0]
@@ -303,8 +319,10 @@ def grid_discrepancies(
     Returns a list of human-readable discrepancy descriptions (empty = pass).
 
     Raises:
-        ValueError: ``draws < 1``, which would compare nothing.
+        ValueError: ``draws`` is not an ``int`` or is a ``bool``, or
+            ``draws < 1``, which would compare nothing.
     """
+    _require_int(draws, "draws")
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     rng = random.Random(seed)

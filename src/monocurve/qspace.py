@@ -63,16 +63,6 @@ class CyclicQuotientType:
         A = [_ints(row, "weights") for row in A]
         if len(set(map(len, A))) > 1:
             raise IllFormed("weight rows must have equal length")
-        self._store(d, A)
-
-    @classmethod
-    def _reduced(cls, d: tuple[int, ...], A) -> CyclicQuotientType:
-        """Core for integer orders ``d_t >= 1`` and rows of equal length; no checks."""
-        t = object.__new__(cls)
-        t._store(d, A)
-        return t
-
-    def _store(self, d, A):
         object.__setattr__(self, "d", d)
         object.__setattr__(
             self, "A", tuple([tuple([a % dt for a in row]) for dt, row in zip(d, A)])
@@ -89,7 +79,15 @@ def _ints(xs, what: str) -> tuple[int, ...]:
 
 
 def l_factor(t: CyclicQuotientType, i: int) -> int:
-    """Smallest ``l`` with ``x_i^l`` invariant: ``lcm_t d_t / gcd(d_t, a_ti)``."""
+    """Smallest ``l`` with ``x_i^l`` invariant: ``lcm_t d_t / gcd(d_t, a_ti)``.
+
+    Raises:
+        IllFormed: ``i`` is not an ``int``, is a ``bool`` or is not a
+            coordinate of ``t``; a type with no rows takes any ``i >= 0``.
+    """
+    _ints((i,), "coordinates")
+    if i < 0 or (t.A and i >= len(t.A[0])):
+        raise IllFormed(f"coordinate {i} out of range")
     return math.lcm(*[_row_l(dt, row[i]) for dt, row in zip(t.d, t.A)])
 
 
@@ -103,6 +101,7 @@ def divisor_multiplicity(m: int, t: CyclicQuotientType, i: int) -> int:
     ``m`` is the vanishing order upstairs; the division must be exact.
 
     Raises:
+        IllFormed: ``i`` is not a coordinate of ``t``, as :func:`l_factor` says.
         NotDivisible: ``l_factor(t, i)`` does not divide ``m`` (inconsistent
             chart description upstream).
     """
@@ -286,8 +285,11 @@ def curve_axis_intersections(spec: WeightedCurveSpec, axis: int) -> tuple[int, i
     symmetric component count ``m_2*...*m_r / lcm(m_2, ..., m_r)``; the chart
     checks of that count run in :func:`curve_component_count`, which a
     caller that wants them calls on the same spec.
+
+    Raises:
+        IllFormed: ``axis`` is not the ``int`` 0 or 1.
     """
-    if axis not in (0, 1):
+    if not isinstance(axis, int) or isinstance(axis, bool) or axis not in (0, 1):
         raise IllFormed("axis must be 0 or 1")
     per = _axis_count(spec, axis, math.gcd(*spec.p[2:]))
     return per, per * _symmetric_component_count(spec)

@@ -4,13 +4,14 @@ From a plane semigroup this module builds the dual graph of the resolution
 obtained by ``g`` successive weighted blow-ups on a generic embedding
 surface: exceptional divisors ``E_k`` with their component counts ``r_k``,
 multiplicities ``N_k``/``M_k``, blow-up weight vectors, special-point strata
-with local quotient types (built on first read of ``local_types``), and
+with the integers ``(at, d, A)`` of their cyclic-quotient local types ``X(d; A)``
+(listed on first read of ``local_types``, which the JSON export writes), and
 open-stratum Euler characteristics.  Of the paper's recursion values
 ``b_i^(k)`` the construction reads only the diagonal ``b_k^(k-1) =
 n_k*b_k - n_{k-1}*b_{k-1}``, in its closed form.  Every closed-form count is
 cross-validated against the counting machinery of :mod:`monocurve.qspace`.
 The one-row chart types' orders and weight rows are computed once per graph;
-the checks read them, and so does :func:`_local_types`, the JSON export's source.
+the checks read them, and so do the local types.
 :func:`zeta_from_graph` is A'Campo's route to Z, which
 :func:`monocurve.crosscheck.cross_check` compares with the closed form.
 
@@ -26,14 +27,13 @@ from dataclasses import dataclass
 
 from . import qspace
 from .errors import BudgetExceeded, InternalInconsistency, _exact_div, _int_text, _json_text
-from .qspace import CyclicQuotientType, WeightedCurveSpec
+from .qspace import WeightedCurveSpec
 from .semigroup import PlaneSemigroup
 from .zeta import FactorProduct, resolution_multiplicities
 
 __all__ = [
     "GraphLevel",
     "Stratum",
-    "LocalType",
     "ResolutionGraph",
     "build_resolution",
     "zeta_from_graph",
@@ -82,20 +82,13 @@ class Stratum:
 
 
 @dataclass(frozen=True)
-class LocalType:
-    """Local ambient quotient type recorded at a family of special points."""
-
-    at: str
-    qtype: CyclicQuotientType
-
-
-@dataclass(frozen=True)
 class ResolutionGraph:
-    """Resolution dual graph of ``semigroup``; its local types are built on first read.
+    """Resolution dual graph of ``semigroup``; its local types are listed on first read.
 
     :func:`build_resolution` lays ``strata`` out as Q0, then Q_1, ..., Q_g,
-    then the g - 1 intersection strata, so ``strata[k]`` is Q_k for
-    ``k <= g``; the checks and the DOT export index it that way.
+    then the g - 1 intersection strata, and a stratum is looked up by that
+    layout: Q0 is ``strata[0]``, Q_k is ``strata[k]`` and Q_{k,k+1} is
+    ``strata[g + k]``.  The checks and the DOT export index it that way.
     """
 
     semigroup: PlaneSemigroup
@@ -112,16 +105,9 @@ class ResolutionGraph:
         return _one_row_data(self.semigroup)
 
     @functools.cached_property
-    def local_types(self) -> tuple[LocalType, ...]:
-        qtype = CyclicQuotientType._reduced
-        types = _local_types(self.semigroup, self._one_rows)
-        return tuple([LocalType(at, qtype(d, A)) for at, d, A in types])
-
-    def stratum(self, kind: str, k: int) -> Stratum:
-        for s in self.strata:
-            if s.kind == kind and s.k == k:
-                return s
-        raise KeyError((kind, k))
+    def local_types(self) -> tuple[tuple[str, tuple[int, ...], tuple], ...]:
+        """Each local type's ``(at, d, A)``, A reduced mod d: the list the JSON export writes."""
+        return tuple(_local_types(self.semigroup, self._one_rows))
 
 
 def _component_counts(sg: PlaneSemigroup) -> list[int]:
@@ -343,13 +329,12 @@ def _graph_doc(graph: ResolutionGraph) -> dict:
 
     A level or stratum entry holds its dataclass fields in declaration order."""
     _, edges = _listing(graph)
-    types = _local_types(graph.semigroup, graph._one_rows)
     return {
         "gens": graph.gens,
         "levels": [dict(vars(lvl)) for lvl in graph.levels],
         "edges": edges,
         "strata": [dict(vars(s)) for s in graph.strata],
-        "local_types": [{"at": at, "d": d, "A": A} for at, d, A in types],
+        "local_types": [{"at": at, "d": d, "A": A} for at, d, A in graph.local_types],
     }
 
 

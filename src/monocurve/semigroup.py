@@ -153,7 +153,12 @@ def decompose(sg: PlaneSemigroup, s: int, i: int) -> tuple[int, ...]:
 
     Raises:
         NotRepresentable: ``s`` is not of the required form.
+        ValueError: ``s`` or ``i`` is not an ``int`` or is a ``bool``, or
+            ``i`` is outside ``1..G``.
     """
+    if type(s) is not int or type(i) is not int:
+        _require_int(s, "s")
+        _require_int(i, "index i")
     if not 1 <= i <= sg.g:
         raise ValueError(f"index i must be in 1..{sg.g}, got {i}")
     if s < 0:

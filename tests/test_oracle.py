@@ -252,6 +252,17 @@ class TestEnumDigits:
         with pytest.raises(NotRepresentable):
             enum_digits(1, 1, sg)
 
+    @pytest.mark.parametrize("s, i, shown", [
+        (12.0, 1, "s must be an integer, got 12.0"),
+        (12, 1.5, "index i must be an integer, got 1.5"),
+        (12, True, "index i must be an integer, got True"),
+    ])
+    def test_arguments_not_integers(self, s, i, shown):
+        # Never run on a float or a bool: 12.0 at level 1 gave the digits (3.0,).
+        with pytest.raises(ValueError) as info:
+            enum_digits(s, i, build_semigroup((4, 6, 13)))
+        assert str(info.value) == shown
+
     def test_fuzzed_agreement(self):
         rng = random.Random(5)
         for seed in range(30):
@@ -525,7 +536,23 @@ class TestGrid:
         with pytest.raises(ValueError):
             EnumerationBudget(max_group_order=0)
 
+    @pytest.mark.parametrize("bounds, shown", [
+        ({"max_group_order": 2.5}, "max_group_order must be an integer, got 2.5"),
+        ({"max_rank": True}, "max_rank must be an integer, got True"),
+        ({"max_group_order": "3"}, "max_group_order must be an integer, got '3'"),
+    ])
+    def test_bound_not_an_integer(self, bounds, shown):
+        with pytest.raises(ValueError) as info:
+            EnumerationBudget(**bounds)
+        assert str(info.value) == shown
+
     @pytest.mark.parametrize("draws", [0, -1])
     def test_no_draws_rejected(self, draws):
         with pytest.raises(ValueError, match="draws must be >= 1"):
             grid_discrepancies(draws=draws)
+
+    @pytest.mark.parametrize("draws", [1.5, True])
+    def test_draws_not_an_integer(self, draws):
+        with pytest.raises(ValueError) as info:
+            grid_discrepancies(draws=draws)
+        assert str(info.value) == f"draws must be an integer, got {draws!r}"

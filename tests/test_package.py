@@ -40,7 +40,7 @@ def test_imports_are_stdlib_only():
 CALCULATOR = sorted([
     "build_semigroup", "build_resolution", "zeta_closed_form", "characteristic_polynomial",
     "verify_conjecture", "cross_check",
-    "PlaneSemigroup", "ResolutionGraph", "GraphLevel", "Stratum", "LocalType",
+    "PlaneSemigroup", "ResolutionGraph", "GraphLevel", "Stratum",
     "ConjectureReport", "PoleEntry", "CharacteristicPolynomial", "FactorProduct",
     "BudgetExceeded", "HypothesisViolated", "IllFormed", "InternalInconsistency",
     "MonocurveError", "NotCoprime", "NotDivisible", "NotPlane", "NotPolynomial",
@@ -66,7 +66,7 @@ MODULE_ONLY = {
 
 
 def test_package_namespace_is_the_calculator():
-    assert len(CALCULATOR) == 29
+    assert len(CALCULATOR) == 28
     assert sorted(monocurve.__all__) == CALCULATOR
     for name in CALCULATOR:
         assert getattr(monocurve, name).__name__ == name

@@ -166,6 +166,20 @@ class TestLFactorAndMultiplicity:
         t = CyclicQuotientType((4, 6), ((1, 2), (2, 3)))
         assert (l_factor(t, 0), l_factor(t, 1)) == (12, 2)
 
+    @pytest.mark.parametrize("i, shown", [
+        (-1, "coordinate -1 out of range"),
+        (2, "coordinate 2 out of range"),
+        (5, "coordinate 5 out of range"),
+        (True, "coordinates must be integers, got True"),
+    ])
+    def test_coordinate_not_of_the_type(self, i, shown):
+        # -1 read the last coordinate and True coordinate 1; 2 and 5 raised IndexError.
+        t = one_row(4, 1, 2)
+        for call in (lambda: l_factor(t, i), lambda: divisor_multiplicity(4, t, i)):
+            with pytest.raises(IllFormed) as info:
+                call()
+            assert str(info.value) == shown
+
     def test_multiplicity(self):
         assert divisor_multiplicity(12, one_row(4, 1, 2), 0) == 3
         assert divisor_multiplicity(7, one_row(1, 0, 0), 0) == 7
@@ -259,6 +273,12 @@ class TestCurveCounts:
         spec = _e1_spec((4, 6, 13))
         assert curve_axis_intersections(spec, 0) == (2, 2)  # meets previous axis
         assert curve_axis_intersections(spec, 1) == (1, 1)
+
+    @pytest.mark.parametrize("axis", [True, 1.0, 2])
+    def test_axis_not_0_or_1(self, axis):
+        # True was read as axis 1; 1.0 raised TypeError.
+        with pytest.raises(IllFormed, match="^axis must be 0 or 1$"):
+            curve_axis_intersections(_e1_spec((4, 6, 13)), axis)
 
     def test_axis_intersections_g3(self):
         spec = _e1_spec((8, 12, 26, 53))

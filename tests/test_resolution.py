@@ -61,7 +61,7 @@ class TestBuildResolutionG2:
         assert [l.r for l in lv] == [1, 1]
         assert [l.N for l in lv] == [6, 26]
         assert [l.M for l in lv] == [6, 13]
-        assert self.graph.stratum("Q0", 0).multiplicity == 2
+        assert self.graph.strata[0].multiplicity == 2
 
     def test_weights(self):
         assert self.graph.levels[0].weights == (4, 6, 6)
@@ -71,11 +71,11 @@ class TestBuildResolutionG2:
         assert [l.chi_open for l in self.graph.levels] == [-2, -1]
 
     def test_strata(self):
-        assert self.graph.stratum("Q0", 0).count == 2
-        assert self.graph.stratum("Qk", 1).count == 1
-        assert self.graph.stratum("Qk", 2).count == 1
-        assert self.graph.stratum("Qkk1", 1).count == 1
-        assert self.graph.stratum("Qkk1", 1).multiplicity is None
+        # Q0 at 0, Q_k at k and Q_{k,k+1} at g + k, with g = 2.
+        strata = self.graph.strata
+        assert [(s.kind, s.k) for s in strata] == [("Q0", 0), ("Qk", 1), ("Qk", 2), ("Qkk1", 1)]
+        assert [s.count for s in strata] == [2, 1, 1, 1]
+        assert strata[3].multiplicity is None
 
     def test_chain_shape(self):
         edges = json.loads(export_graph(self.graph))["edges"]
@@ -88,14 +88,14 @@ class TestBuildResolutionG2:
         ]
 
     def test_local_types_recorded(self):
-        ats = {t.at for t in self.graph.local_types}
+        ats = {at for at, _, _ in self.graph.local_types}
         assert ats == {"Q0", "Q1", "Q2", "Egen1", "Egen2", "E1E2"}
 
 
 def test_local_types_in_positional_order():
     # The order is the layout of the JSON export's "local_types" list.
     for sg in plane_semigroups(40):
-        labels = [t.at for t in build_resolution(sg).local_types]
+        labels = [at for at, _, _ in build_resolution(sg).local_types]
         per_level = [at for k in range(1, sg.g + 1) for at in (f"Q{k}", f"Egen{k}")]
         assert labels == ["Q0", *per_level, *(f"E{k - 1}E{k}" for k in range(2, sg.g + 1))]
 
@@ -121,6 +121,17 @@ class TestLazyLocalTypes:
         types = graph.local_types
         assert built == [graph.semigroup] and len(types) == 3 * 3
         assert graph.local_types is types and len(built) == 1
+
+    def test_json_export_and_read_build_once(self, monkeypatch):
+        # The JSON export writes graph.local_types, so a read after it lists nothing anew.
+        built = []
+        build = resolution._local_types
+        monkeypatch.setattr(resolution, "_local_types",
+                            lambda sg, rows: built.append(sg) or build(sg, rows))
+        graph = build_resolution(build_semigroup((8, 12, 26, 53)))
+        export_graph(graph, "json")
+        assert len(graph.local_types) == 3 * 3
+        assert built == [graph.semigroup]
 
     def test_one_row_data_once_per_graph(self, monkeypatch):
         # The checks in build_resolution and the local types of the JSON
@@ -156,13 +167,6 @@ class TestLazyLocalTypes:
 
 class TestChecksFire:
     """Each check of the graph fires when one of its inputs is patched to a wrong value."""
-
-    def test_missing_stratum(self):
-        graph = build_resolution(build_semigroup((4, 6, 13)))
-        for kind, k in [("Qkk1", 2), ("Qk", 0), ("Q0", 1), ("Ek", 1)]:
-            with pytest.raises(KeyError) as caught:
-                graph.stratum(kind, k)
-            assert caught.value.args == ((kind, k),)
 
     @pytest.mark.parametrize("gens", [(4, 6, 13), (8, 12, 26, 53)])
     def test_last_two_component_counts(self, gens):
@@ -241,24 +245,12 @@ class TestChecksFire:
 
 class TestExportedLocalTypes:
     def test_json_matches_local_types(self):
-        # The export and graph.local_types read the same integers.
+        # The export's list is exactly graph.local_types, entry by entry.
         for sg in plane_semigroups(120):
             graph = build_resolution(sg)
             exported = json.loads(export_graph(graph, "json"))["local_types"]
-            want = [{"at": t.at, "d": t.qtype.d, "A": t.qtype.A} for t in graph.local_types]
-            assert exported == json.loads(json.dumps(want))
-
-    def test_json_export_builds_no_types(self, monkeypatch, capsys):
-        def refuse(*args):
-            raise AssertionError("LocalType built by the JSON export")
-
-        monkeypatch.setattr(resolution, "LocalType", refuse)
-        graph = build_resolution(build_semigroup((8, 12, 26, 53)))
-        assert len(json.loads(export_graph(graph, "json"))["local_types"]) == 3 * 3
-        assert main(["analyze", "--gens", "8,12,26,53", "--format", "json"]) == 0
-        assert len(json.loads(capsys.readouterr().out)["resolution"]["local_types"]) == 3 * 3
-        with pytest.raises(AssertionError, match="LocalType built"):
-            graph.local_types
+            listed = [(t["at"], tuple(t["d"]), tuple(map(tuple, t["A"]))) for t in exported]
+            assert listed == list(graph.local_types)
 
 
 class TestBuildResolutionG3:
@@ -269,7 +261,7 @@ class TestBuildResolutionG3:
         assert [l.r for l in self.graph.levels] == [2, 1, 1]
 
     def test_q0(self):
-        assert self.graph.stratum("Q0", 0).count == 4
+        assert self.graph.strata[0].count == 4
 
     def test_e2_meets_both_e1_components(self):
         edges = json.loads(export_graph(self.graph))["edges"]
@@ -292,7 +284,7 @@ class TestBuildResolutionG3:
     def test_axis_counts_split_evenly(self):
         # |E_1 cap H_0| = 4 splits as 2 per component of E_1.
         r1 = self.graph.levels[0].r
-        assert self.graph.stratum("Q0", 0).count % r1 == 0
+        assert self.graph.strata[0].count % r1 == 0
 
 
 class TestZetaFromGraph:

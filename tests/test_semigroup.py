@@ -109,6 +109,17 @@ class TestDecompose:
         with pytest.raises(NotRepresentable):
             decompose(sg, 1, 1)
 
+    @pytest.mark.parametrize("s, i, shown", [
+        (12.0, 1, "s must be an integer, got 12.0"),
+        (12, 1.5, "index i must be an integer, got 1.5"),
+        (12, True, "index i must be an integer, got True"),
+    ])
+    def test_arguments_not_integers(self, s, i, shown):
+        # Never run on a float or a bool: 12.0 at level 1 gave the digits (3.0,).
+        with pytest.raises(ValueError) as info:
+            decompose(build_semigroup((4, 6, 13)), s, i)
+        assert str(info.value) == shown
+
     def test_round_trip_exhaustive(self):
         sg = build_semigroup((8, 12, 26, 53))
         for i in range(1, sg.g + 1):
