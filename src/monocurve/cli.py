@@ -32,7 +32,7 @@ from .errors import MonocurveError, _int_text, _json_text
 from .oracle import EnumerationBudget, grid_discrepancies
 from .resolution import _graph_doc, build_resolution, export_graph
 from .semigroup import build_semigroup, min_last_generator, random_semigroup
-from .zeta import characteristic_polynomial, zeta_closed_form
+from .zeta import characteristic_polynomial
 
 __all__ = ["main", "build_parser"]
 
@@ -135,10 +135,10 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _zeta_delta_doc(z, delta) -> dict:
+def _zeta_delta_doc(delta) -> dict:
     """The ``zeta`` and ``delta`` entries of the ``analyze`` and ``zeta`` JSON."""
     return {
-        "zeta": {"factors": z.to_json(), "rendered": z.render()},
+        "zeta": {"factors": delta.zeta.to_json(), "rendered": delta.zeta.render()},
         "delta": {
             "factors": delta.product.to_json(),
             "rendered": delta.product.render("t_minus_one"),
@@ -154,7 +154,7 @@ def _analyze(sg, fmt: str) -> tuple[str, bool]:
     graph = build_resolution(sg)
     resolution = _graph_doc(graph) if fmt == "json" else None
     report = verify_conjecture(sg)
-    z, delta = report.zeta, report.delta
+    delta = report.delta
     if fmt == "json":
         doc = {
             "gens": sg.gens,
@@ -163,7 +163,7 @@ def _analyze(sg, fmt: str) -> tuple[str, bool]:
             "n": sg.n,
             "digits": sg.digits,
             "mu": delta.mu,
-            **_zeta_delta_doc(z, delta),
+            **_zeta_delta_doc(delta),
             "resolution": resolution,
             "poles": [p.to_json() for p in report.poles],
             "conjecture_pass": report.passed,
@@ -175,7 +175,7 @@ def _analyze(sg, fmt: str) -> tuple[str, bool]:
         "e = " + ", ".join(str(x) for x in sg.e),
         "n = " + ", ".join(str(x) for x in sg.n),
         f"mu = {_int_text(delta.mu)}",
-        f"Z = {z.render()}",
+        f"Z = {delta.zeta.render()}",
         f"Delta = {delta.product.render('t_minus_one')}",
         "poles:",
     ]
@@ -224,14 +224,13 @@ def _run(args, sg) -> int:
         return 0 if passed else 1
 
     if args.command == "zeta":
-        z = zeta_closed_form(sg)
         delta = characteristic_polynomial(sg)
         if args.format == "json":
-            doc = {**_zeta_delta_doc(z, delta), "mu": delta.mu}
+            doc = {**_zeta_delta_doc(delta), "mu": delta.mu}
             _emit(_json_text(doc), args.output)
         else:
             _emit(
-                f"Z = {z.render()}\n"
+                f"Z = {delta.zeta.render()}\n"
                 f"Delta = {delta.product.render('t_minus_one')}\n"
                 f"mu = {_int_text(delta.mu)}",
                 args.output,

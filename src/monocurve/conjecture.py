@@ -14,7 +14,8 @@ characteristic polynomial into exact factors ``P_k`` that
 checks that the eigenvalue attached to every non-integer pole (a primitive root of
 unity of order ``q_k``, the reduced denominator) is a zero of ``P_k`` and of
 ``Delta``.  No complex arithmetic is used: being a zero only depends on the
-cyclotomic exponent at ``q_k``.
+cyclotomic exponent at ``q_k``.  The report carries that one Delta, with
+its ``P_k`` and the zeta function as ``report.delta.pk`` and ``.zeta``.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from .errors import InternalInconsistency, _int_text, _json_text
 from .semigroup import PlaneSemigroup
 from .zeta import (
     CharacteristicPolynomial,
-    FactorProduct,
     characteristic_polynomial,
     cyclotomic_exponent,
     resolution_multiplicities,
-    zeta_closed_form,
 )
 
 __all__ = ["PoleEntry", "ConjectureReport", "candidate_poles", "verify_conjecture"]
@@ -76,15 +75,13 @@ class PoleEntry:
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Pole verdicts with the closed-form ``zeta``, ``delta`` and ``pk`` (P_1..P_g)
-    they were certified from, each built once; callers read them here.
-    ``pk`` is ``delta.pk``, the same tuple."""
+    """Pole verdicts with the ``delta`` they were certified from, built once;
+    callers read Delta, its split ``delta.pk`` (P_1..P_g) and the zeta
+    function ``delta.zeta`` here."""
 
     gens: tuple[int, ...]
     poles: tuple[PoleEntry, ...]
-    pk: tuple[FactorProduct, ...]
     delta: CharacteristicPolynomial
-    zeta: FactorProduct
 
     @property
     def passed(self) -> bool:
@@ -144,14 +141,12 @@ def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
 
     Integer poles are trivial.  For a non-integer pole with reduced
     denominator ``q_k``, the verdict requires the cyclotomic exponent of
-    ``Phi_{q_k}`` to be at least 1 both in ``P_k`` and in ``Delta``; the
-    ``Delta`` check is double-checked against the pole multiplicities of the
-    zeta function.  A false verdict is reported, never silently dropped.
+    ``Phi_{q_k}`` to be at least 1 both in ``P_k`` and in ``Delta``.  A
+    false verdict is reported, never silently dropped.
     """
     M, N = resolution_multiplicities(sg)
     delta = characteristic_polynomial(sg)
     pks = delta.pk
-    z = zeta_closed_form(sg)
     delta_at_one = cyclotomic_exponent(delta.product, 1)
 
     entries = []
@@ -169,13 +164,9 @@ def verify_conjecture(sg: PlaneSemigroup) -> ConjectureReport:
         case = ("i", "ii", "iii", "iv")[(M[k] % q == 0) + 2 * (sg.L[k] % q == 0)]
         mult_pk = cyclotomic_exponent(pks[k - 1], q)
         mult_delta = cyclotomic_exponent(delta.product, q)
-        if cyclotomic_exponent(z, q) != -mult_delta:
-            raise InternalInconsistency(
-                f"Delta multiplicity at order {q} inconsistent with zeta poles"
-            )
         verdict = mult_pk >= 1 and mult_delta >= 1
         entries.append(PoleEntry(k, value, display, False, q, case, mult_delta, verdict))
-    return ConjectureReport(sg.gens, tuple(entries), pks, delta, z)
+    return ConjectureReport(sg.gens, tuple(entries), delta)
 
 
 def _display(value: Fraction, Nk: int, k: int) -> str:

@@ -2,8 +2,8 @@
 :func:`campaign` over a stream of them, as the ``fuzz`` CLI command and the
 property-based tests run it.  Failures are collected as human-readable
 strings instead of raising, so a campaign reports every offending instance.
-It is the one place where the two routes to Z meet: the closed form in the
-conjecture report and A'Campo's stratum product over the resolution graph.
+It is the one place where the two routes to Z meet: the closed form read
+from the report's Delta and A'Campo's stratum product over the resolution graph.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
     Delta's degree mu and certifies its polynomiality by the exact per-level
     factor splitting: every ``P_k`` a polynomial, their product Delta) with a
     passing pole verdict, :func:`zeta_from_graph` (A'Campo's stratum product) equal to
-    the closed-form Z in that report (Z is built once, so this check is
-    skipped when either call fails), the dense expansion of that same Delta
+    the closed-form ``Z = (t - 1)/Delta`` read from that report's Delta, at every
+    order (skipped when either call fails), the dense expansion of that same Delta
     when mu is at most :data:`DENSE_MU_CAP`, and agreement of the modular digits stored in
     ``sg.digits`` with :func:`monocurve.oracle.enum_digits`, an exhaustive search that
     meets in the middle: it lists about ``2*sqrt(n_1*...*n_{i-1})`` tail sums at level
@@ -50,7 +50,7 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
     except MonocurveError as exc:
         failures.append(f"gens={sg.gens}: Delta, P_k and pole verification: {exc}")
     else:
-        if graph is not None and zeta_from_graph(graph) != report.zeta:
+        if graph is not None and zeta_from_graph(graph) != report.delta.zeta:
             failures.append(
                 f"gens={sg.gens}: resolution graph: graph zeta differs from closed form"
             )

@@ -101,10 +101,12 @@ def divisor_multiplicity(m: int, t: CyclicQuotientType, i: int) -> int:
     ``m`` is the vanishing order upstairs; the division must be exact.
 
     Raises:
-        IllFormed: ``i`` is not a coordinate of ``t``, as :func:`l_factor` says.
+        IllFormed: ``m`` is not an ``int`` or is a ``bool``, or ``i`` is not
+            a coordinate of ``t``, as :func:`l_factor` says.
         NotDivisible: ``l_factor(t, i)`` does not divide ``m`` (inconsistent
             chart description upstream).
     """
+    _ints((m,), "vanishing orders")
     return _exact_div(m, l_factor(t, i), "divisor multiplicity at coordinate {0}", i)
 
 

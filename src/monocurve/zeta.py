@@ -17,6 +17,8 @@ factors ``P_k`` (:func:`characteristic_polynomial`): each ``P_k`` passes
 that check and their product is Delta, so Delta's ``c_d``, the sum of
 theirs, is never negative.  The split reads Delta's own quotients
 ``n_k*b_k/N_k`` and ``b_k/M_k``; it divides only the ``L`` exponents.  The
+zeta function is read from Delta as ``Z = (t - 1)/Delta``
+(:attr:`CharacteristicPolynomial.zeta`), so the closed form is divided once.  The
 dense expansion of the characteristic polynomial is a separate exact path of
 whole-slice list steps: each ``(1 - t^b)`` paired with a pending ``(1 - t^a)``,
 ``a | b``, is one multiplication by the comb ``1 + t^a + ... + t^(b-a)``,
@@ -30,6 +32,7 @@ deflation to a unit cofactor (:func:`monocurve.oracle.expand_and_verify`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -56,16 +59,16 @@ DEFAULT_EXPANSION_CAP = 10**6
 class FactorProduct:
     """``sign * prod (1 - t^a)^{e_a}`` with nonzero exponents, sorted by a.
 
-    Each ``a`` and ``e_a`` must be an ``int`` and not a ``bool``, and each ``a``
-    positive; the constructor and :meth:`from_map` raise ``ValueError`` otherwise.
+    Each ``a`` and ``e_a`` must be an ``int`` and not a ``bool``, each ``a``
+    positive, and ``sign`` the ``int`` +1 or -1; the constructor and
+    :meth:`from_map` raise ``ValueError`` otherwise.
     """
 
     factors: tuple[tuple[int, int], ...] = ()
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        _check_sign(self.sign)
         merged: dict[int, int] = {}
         for a, e in self.factors:  # the pairs denote a product: a repeated a adds its exponents
             _check_factor(a, e)  # before the sum, which would turn a bool into an int
@@ -75,8 +78,7 @@ class FactorProduct:
     @classmethod
     def from_map(cls, factors: dict[int, int], sign: int = 1) -> "FactorProduct":
         """As the constructor on ``factors.items()``; canonicalises once, skips ``__init__``."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        _check_sign(sign)
         fp = object.__new__(cls)
         fp.__dict__.update(factors=_canonical(factors), sign=sign)
         return fp
@@ -137,6 +139,14 @@ def _canonical(factors: dict[int, int]) -> tuple[tuple[int, int], ...]:
             canon.append((a, e))
     canon.sort()
     return tuple(canon)
+
+
+def _check_sign(sign) -> None:
+    """Refuse a sign that is not the ``int`` +1 or -1 (a ``bool`` or a float is not)."""
+    if type(sign) is not int:
+        _require_int(sign, "sign")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
 
 
 def _check_factor(a, e) -> None:
@@ -207,20 +217,12 @@ def resolution_multiplicities(sg: PlaneSemigroup) -> tuple[tuple[int, ...], tupl
 
 
 def zeta_closed_form(sg: PlaneSemigroup) -> FactorProduct:
-    """Monodromy zeta function
+    """Monodromy zeta function ``characteristic_polynomial(sg).zeta``,
 
         Z(t) = prod_{k=0..g} (1 - t^{M_k})^{b_k/M_k}
              / prod_{k=1..g} (1 - t^{N_k})^{n_k*b_k/N_k}.
     """
-    M, N = resolution_multiplicities(sg)
-    factors: dict[int, int] = {}
-    for k in range(sg.g + 1):
-        q = _exact_div(sg.gens[k], M[k], "b_{0} / M_{0}", k)
-        factors[M[k]] = factors.get(M[k], 0) + q
-    for k in range(1, sg.g + 1):
-        q = _exact_div(sg.n[k] * sg.gens[k], N[k - 1], "n_{0}*b_{0} / N_{0}", k)
-        factors[N[k - 1]] = factors.get(N[k - 1], 0) - q
-    return FactorProduct.from_map(factors)
+    return characteristic_polynomial(sg).zeta
 
 
 def milnor_number(sg: PlaneSemigroup) -> int:
@@ -240,12 +242,19 @@ class CharacteristicPolynomial:
     ``P_1, ..., P_g`` whose product is ``Delta``, the certificate of its
     polynomiality (empty unless built by :func:`characteristic_polynomial`).
     :meth:`expand` produces the dense integer coefficient vector by exact
-    sparse multiplication/division.
+    sparse multiplication/division, and :attr:`zeta` the zeta function.
     """
 
     product: FactorProduct
     mu: int
     pk: tuple[FactorProduct, ...] = ()
+
+    @functools.cached_property
+    def zeta(self) -> FactorProduct:
+        """Zeta function ``Z = (t - 1)/Delta``: ``{1: 1}`` minus Delta's exponents, sign +1."""
+        factors = {a: -e for a, e in self.product.factors}
+        factors[1] = factors.get(1, 0) + 1
+        return FactorProduct.from_map(factors)
 
     def expand(self) -> tuple[int, ...]:
         """Dense coefficients (constant term first), length ``mu + 1``; at most

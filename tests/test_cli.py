@@ -295,7 +295,7 @@ class TestLibraryError:
         def broken(*args, **kwargs):
             raise InternalInconsistency("two routes disagree")
 
-        for name in ("verify_conjecture", "zeta_closed_form", "build_resolution"):
+        for name in ("verify_conjecture", "characteristic_polynomial", "build_resolution"):
             monkeypatch.setattr(monocurve.cli, name, broken)
         code, out, err = run(capsys, command, "--gens", "4,6,13")
         assert code == 1
@@ -419,6 +419,13 @@ class TestParser:
         (line,) = [line for line in captured.err.splitlines() if "error:" in line]
         assert line.endswith(f"error: argument --gens: b_1 is not an integer: {shown}")
         assert len(line) < 200
+
+    def test_gens_parts_read_by_int(self, capsys):
+        # Each part goes through int(): surrounding whitespace and underscores
+        # are accepted, as the README says.
+        expected = run(capsys, "analyze", "--gens", "4,6,13")
+        assert run(capsys, "analyze", "--gens", " 4, 6,1_3") == expected
+        assert expected[0] == 0
 
     def test_parser_reused_without_leaking_options(self, capsys, tmp_path):
         target = tmp_path / "graph.json"

@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 
 from monocurve import zeta
-from monocurve.conjecture import PoleEntry, candidate_poles, verify_conjecture
+from monocurve.conjecture import ConjectureReport, PoleEntry, candidate_poles, verify_conjecture
 from monocurve.errors import InternalInconsistency, NotPolynomial
 from monocurve.oracle import expand_and_verify
+from monocurve.resolution import build_resolution, zeta_from_graph
 from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 from monocurve.zeta import (
     FactorProduct,
@@ -108,14 +109,14 @@ class TestPolesAgainstFormula:
 class TestPkFactorization:
     def test_example_g2(self):
         sg = build_semigroup((4, 6, 13))
-        p1, p2 = verify_conjecture(sg).pk
+        p1, p2 = verify_conjecture(sg).delta.pk
         assert p1.as_map() == {6: 1, 2: -1}
         assert p2.as_map() == {26: 1, 1: 1, 13: -1, 2: -1}
 
     def test_product_is_delta(self):
         for seed in range(40):
             sg = random_semigroup(seed, 2 + seed % 4, 10**6)
-            pks = verify_conjecture(sg).pk
+            pks = verify_conjecture(sg).delta.pk
             exponents = Counter()
             for pk in pks:
                 exponents.update(pk.as_map())
@@ -156,7 +157,7 @@ class TestPkFactorization:
     def test_last_factor_carries_t_minus_one(self):
         # The (t - 1) factor of Delta sits in P_g via the L_{g+1} = 1 term.
         for gens in ((4, 6, 13), (8, 12, 26, 53), (12, 18, 37)):
-            pks = verify_conjecture(build_semigroup(gens)).pk
+            pks = verify_conjecture(build_semigroup(gens)).delta.pk
             assert pks[-1].as_map().get(1) == 1
             for pk in pks[:-1]:
                 assert 1 not in pk.as_map()
@@ -165,7 +166,7 @@ class TestPkFactorization:
         # Exact dense division (NotPolynomial on a remainder) on every
         # semigroup with b_g <= 60.
         for sg in plane_semigroups(60):
-            for pk in verify_conjecture(sg).pk:
+            for pk in verify_conjecture(sg).delta.pk:
                 coeffs, _ = expand_and_verify(pk)
                 assert len(coeffs) == pk.degree() + 1
 
@@ -241,9 +242,22 @@ def _pk_formula(sg):
     return out
 
 
+def _zeta_formula(sg):
+    """Z read straight off the closed form, prod_k (1 - t^{M_k})^{b_k/M_k} over
+    prod_k (1 - t^{N_k})^{n_k*b_k/N_k}."""
+    M, N = resolution_multiplicities(sg)
+    exps = Counter()
+    for k in range(sg.g + 1):
+        exps[M[k]] += sg.gens[k] // M[k]
+    for k in range(1, sg.g + 1):
+        exps[N[k - 1]] -= sg.n[k] * sg.gens[k] // N[k - 1]
+    return FactorProduct.from_map(dict(exps))
+
+
 class TestReportCarriesQuantities:
-    """The report's Z and Delta equal what the stand-alone functions build, and
-    its P_k what the paper's formula gives."""
+    """The report's Delta equals what the stand-alone function builds, its Z
+    what the closed form and A'Campo's stratum product give, and its P_k what
+    the paper's formula gives."""
 
     @staticmethod
     def semigroups():
@@ -254,10 +268,14 @@ class TestReportCarriesQuantities:
     def test_zeta_delta_and_pk(self):
         for sg in self.semigroups():
             report = verify_conjecture(sg)
-            assert report.zeta == zeta_closed_form(sg)
             assert report.delta == characteristic_polynomial(sg)
-            assert report.pk is report.delta.pk
-            assert list(report.pk) == _pk_formula(sg)
+            assert report.delta.zeta == _zeta_formula(sg) == zeta_closed_form(sg)
+            assert report.delta.zeta == zeta_from_graph(build_resolution(sg))
+            assert list(report.delta.pk) == _pk_formula(sg)
+
+    def test_report_keeps_no_copies(self):
+        # P_k and Z are read from the one Delta, not kept beside it.
+        assert [f.name for f in dataclasses.fields(ConjectureReport)] == ["gens", "poles", "delta"]
 
 
 class TestPoleEntryRecord:

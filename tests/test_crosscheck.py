@@ -1,5 +1,6 @@
 """Tests for the cross-check battery: each quantity built once, failures reported."""
 
+import functools
 import sys
 from collections import Counter
 
@@ -76,6 +77,14 @@ class TestComputedOnce:
         assert len(calls) == 4 * sg.g + 1
 
     @pytest.mark.parametrize("gens", GENS)
+    def test_verify_conjecture_divides_the_closed_form_once(self, monkeypatch, gens):
+        # Delta's 4g + 1 divisions, and none for Z, which is read from Delta.
+        sg = build_semigroup(gens)
+        calls = count_calls(monkeypatch, "monocurve.zeta", "_exact_div")
+        monocurve.conjecture.verify_conjecture(sg)
+        assert len(calls) == 4 * sg.g + 1
+
+    @pytest.mark.parametrize("gens", GENS)
     def test_cross_check_reads_stored_digits(self, monkeypatch, gens):
         sg = build_semigroup(gens)
         calls = count_calls(monkeypatch, "monocurve.semigroup", "decompose")
@@ -103,9 +112,35 @@ class TestComputedOnce:
 
     @pytest.mark.parametrize("gens", GENS)
     def test_cross_check_builds_zeta_once(self, monkeypatch, gens):
+        # Z is read once from the report's Delta; the closed form is not called.
+        original = zeta.CharacteristicPolynomial.zeta.func
+        built = []
+
+        def counted(self):
+            built.append(self)
+            return original(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(zeta.CharacteristicPolynomial, "zeta")
+        monkeypatch.setattr(zeta.CharacteristicPolynomial, "zeta", prop)
         calls = count_calls(monkeypatch, "monocurve.zeta", "zeta_closed_form")
         assert cross_check(build_semigroup(gens)) == []
-        assert len(calls) == 1
+        assert calls == []
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("argv", [
+        *([command, "--gens", "8,12,26,53", "--format", fmt] for command, fmt in (
+            ("analyze", "text"), ("analyze", "json"), ("zeta", "text"), ("zeta", "json"),
+            ("conjecture", "text"), ("conjecture", "json"), ("graph", "json"))),
+        ["fuzz", "--count", "3"],
+        ["oracle", "--max-group-order", "3", "--max-exponent", "2", "--max-rank", "1",
+         "--draws", "1"],
+    ])
+    def test_commands_read_zeta_from_delta(self, monkeypatch, capsys, argv):
+        calls = count_calls(monkeypatch, "monocurve.zeta", "zeta_closed_form")
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == []
 
     @pytest.mark.parametrize("gens", GENS)
     def test_cross_validation_reads_graph_weights(self, monkeypatch, gens):
@@ -151,6 +186,15 @@ class TestFailureLines:
     def test_graph_zeta_mismatch_is_one_line(self, monkeypatch):
         wrong = zeta.FactorProduct.from_map({1: 1})
         monkeypatch.setattr(monocurve.crosscheck, "zeta_from_graph", lambda graph: wrong)
+        failures = cross_check(build_semigroup((4, 6, 13)))
+        assert failures == [
+            "gens=(4, 6, 13): resolution graph: graph zeta differs from closed form"
+        ]
+
+    def test_delta_zeta_mismatch_is_one_line(self, monkeypatch):
+        # The stratum product is checked against the Z read from Delta.
+        wrong = zeta.FactorProduct.from_map({1: 1})
+        monkeypatch.setattr(zeta.CharacteristicPolynomial, "zeta", property(lambda self: wrong))
         failures = cross_check(build_semigroup((4, 6, 13)))
         assert failures == [
             "gens=(4, 6, 13): resolution graph: graph zeta differs from closed form"

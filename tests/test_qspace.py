@@ -186,6 +186,13 @@ class TestLFactorAndMultiplicity:
         with pytest.raises(NotDivisible):
             divisor_multiplicity(13, one_row(4, 1, 2), 0)
 
+    @pytest.mark.parametrize("m", [12.0, True, "12"])
+    def test_multiplicity_not_an_integer(self, m):
+        # 12.0 gave the float 3.0 and True was read as 1.
+        with pytest.raises(IllFormed) as info:
+            divisor_multiplicity(m, one_row(4, 1, 2), 0)
+        assert str(info.value) == f"vanishing orders must be integers, got {m!r}"
+
     def test_multiplicity_first_divisor_type(self):
         # Multiplicity of the first exceptional divisor at its boundary
         # points on the axis {x_1 = 0}, from the recorded chart type.

@@ -98,8 +98,18 @@ class TestFromMap:
             FactorProduct(tuple(factors.items()))
 
     def test_rejects_a_bad_sign(self):
-        with pytest.raises(ValueError, match="sign must be"):
-            FactorProduct.from_map({2: 1}, 0)
+        # A bool or a float sign was accepted, and to_json then wrote it.
+        for sign, message in [
+            (0, "sign must be +1 or -1"),
+            (True, "sign must be an integer, got True"),
+            (1.0, "sign must be an integer, got 1.0"),
+            (-1.0, "sign must be an integer, got -1.0"),
+        ]:
+            for build in (lambda: FactorProduct.from_map({2: 1}, sign),
+                          lambda: FactorProduct(((2, 1),), sign)):
+                with pytest.raises(ValueError) as info:
+                    build()
+                assert str(info.value) == message
 
     @pytest.mark.parametrize("factors, message", [
         ({2.5: 1}, "factor exponent of t must be an integer, got 2.5"),
@@ -253,7 +263,7 @@ class TestSparseCyclotomic:
             z_mults = {d: (d == 1) - delta_mults.get(d, 0) for d in {1, *delta_mults}}
             self._assert_exponents_agree(delta, delta_mults)
             self._assert_exponents_agree(z, {d: c for d, c in z_mults.items() if c})
-            for pk in verify_conjecture(sg).pk:
+            for pk in verify_conjecture(sg).delta.pk:
                 self._assert_exponents_agree(pk, expand_and_verify(pk)[1])
 
     def test_exponent_matches_vector_seeded(self):
@@ -263,7 +273,7 @@ class TestSparseCyclotomic:
         for seed in range(30):
             sg = random_semigroup(seed, 2 + seed % 4, 10**6)
             products = [characteristic_polynomial(sg).product, zeta_closed_form(sg),
-                        *verify_conjecture(sg).pk]
+                        *verify_conjecture(sg).delta.pk]
             for fp in products:
                 self._assert_exponents_agree(fp, _divisor_sum_vector(fp))
 
@@ -276,7 +286,7 @@ class TestSparseCyclotomic:
         checked = 0
         for sg in plane_semigroups(120):
             report = verify_conjecture(sg)
-            for i, fp in enumerate([report.delta.product, *report.pk]):
+            for i, fp in enumerate([report.delta.product, *report.delta.pk]):
                 coeffs, mults = expand_and_verify(fp)
                 assert len(coeffs) == fp.degree() + 1, (sg.gens, i)
                 orders = {d for a, _ in fp.factors for d in _divisors(a)}
@@ -290,7 +300,8 @@ class TestSparseCyclotomic:
         for seed in range(30):
             sg = random_semigroup(seed, 2 + seed % 4, 10**6)
             assert negative_cyclotomic_orders(characteristic_polynomial(sg).product) == []
-            assert all(negative_cyclotomic_orders(pk) == [] for pk in verify_conjecture(sg).pk)
+            pks = verify_conjecture(sg).delta.pk
+            assert all(negative_cyclotomic_orders(pk) == [] for pk in pks)
             # Z has its poles at the orders where Delta has zeros.
             assert negative_cyclotomic_orders(zeta_closed_form(sg)) != []
 
