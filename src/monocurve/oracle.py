@@ -52,6 +52,7 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 MAX_EXPAND_DEGREE = 5000  # degree cap of expand_and_verify and of cross_check's dense leg
 DIGIT_LIST_CAP = 10**4  # cap on the tail sums enum_digits lists at one level
+_NOT_CONVERTED = (ArithmeticError, TypeError, ValueError)  # what int() and Fraction() raise
 
 
 def enum_count_solutions(
@@ -69,16 +70,39 @@ def enum_count_solutions(
     unity and extends its permutation of the mixed-radix points; ``mode`` is
     ``"total"`` (count all orbits) or ``"fixed_tail"`` (count classes of ``x_0``
     with a concrete tail solution fixed).
+
+    Raises:
+        InternalInconsistency: ``t`` has more than one row; an exponent does
+            not convert to an ``int`` without losing value (a ``str`` converts
+            or not at all); a constant does not convert to a ``Fraction``; the
+            lengths differ; an exponent is below 1; ``d`` does not divide some
+            ``a_i*k_i``; or ``"fixed_tail"`` has fewer than two coordinates.
+        BudgetExceeded: ``d``, the rank or an exponent is past ``budget``.
+        ValueError: ``mode`` is neither ``"total"`` nor ``"fixed_tail"``.
     """
     if len(t.d) != 1:
         raise InternalInconsistency("oracle expects a one-row type")
     d, a = t.d[0], t.A[0]
-    given, k = k, tuple(map(int, k))
-    if k != tuple(given):  # a str converts exactly or not at all; a number must not lose value
-        for x, ki in zip(given, k):
-            if ki != x and not isinstance(x, str):
+    given = tuple(k)
+    try:
+        k = tuple(map(int, given))
+    except _NOT_CONVERTED:
+        k = None
+    if k != given:  # a str converts exactly or not at all; a number must not lose value
+        for x in given:
+            try:
+                exact = int(x) == x or isinstance(x, str)
+            except _NOT_CONVERTED:
+                exact = False
+            if not exact:
                 raise InternalInconsistency(f"exponents must be integers, got {x!r}")
-    c = [x if isinstance(x, Fraction) else Fraction(x) for x in c]
+    constants = []
+    for x in c:
+        try:
+            constants.append(x if isinstance(x, Fraction) else Fraction(x))
+        except _NOT_CONVERTED:
+            raise InternalInconsistency(f"constants must be rational, got {x!r}") from None
+    c = constants
     n = len(a)
     if not (len(k) == n == len(c)):
         raise InternalInconsistency("k, a, c must have equal length")

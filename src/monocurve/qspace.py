@@ -17,7 +17,8 @@ and ``x_3 != 0`` against its symmetric form, in :func:`curve_component_count`
 alone; the per-component axis count, its chart-2 form, is checked against
 the chart-3 form.  The public constructors and counters reject entries that
 are not an ``int`` or are a ``bool``; the pipeline passes numbers it has
-already checked to private integer cores, which for a divisor multiplicity need no type.
+already checked to private integer cores, such as the one divisor-multiplicity
+formula ``m / (d / gcd(d, a))`` on a one-row chart that the resolution checks.
 
 All counts are exact integers; failed divisibility raises structured errors.
 """
@@ -32,8 +33,6 @@ from .errors import HypothesisViolated, IllFormed, InternalInconsistency, _exact
 __all__ = [
     "CyclicQuotientType",
     "WeightedCurveSpec",
-    "l_factor",
-    "divisor_multiplicity",
     "count_solutions_total",
     "count_solutions_fixed_tail",
     "curve_component_count",
@@ -78,41 +77,10 @@ def _ints(xs, what: str) -> tuple[int, ...]:
     return xs
 
 
-def l_factor(t: CyclicQuotientType, i: int) -> int:
-    """Smallest ``l`` with ``x_i^l`` invariant: ``lcm_t d_t / gcd(d_t, a_ti)``.
-
-    Raises:
-        IllFormed: ``i`` is not an ``int``, is a ``bool`` or is not a
-            coordinate of ``t``; a type with no rows takes any ``i >= 0``.
-    """
-    _ints((i,), "coordinates")
-    if i < 0 or (t.A and i >= len(t.A[0])):
-        raise IllFormed(f"coordinate {i} out of range")
-    return math.lcm(*[_row_l(dt, row[i]) for dt, row in zip(t.d, t.A)])
-
-
-def _row_l(d: int, a: int) -> int:
-    return d // math.gcd(d, a)  # one row's term of l_factor; a need not be reduced mod d
-
-
-def divisor_multiplicity(m: int, t: CyclicQuotientType, i: int) -> int:
-    """Multiplicity ``m / l_i`` of the divisor ``{x_i = 0}`` on ``X(d; A)``.
-
-    ``m`` is the vanishing order upstairs; the division must be exact.
-
-    Raises:
-        IllFormed: ``m`` is not an ``int`` or is a ``bool``, or ``i`` is not
-            a coordinate of ``t``, as :func:`l_factor` says.
-        NotDivisible: ``l_factor(t, i)`` does not divide ``m`` (inconsistent
-            chart description upstream).
-    """
-    _ints((m,), "vanishing orders")
-    return _exact_div(m, l_factor(t, i), "divisor multiplicity at coordinate {0}", i)
-
-
 def _one_row_multiplicity(m: int, d: int, a: int, i: int) -> int:
-    # Core of divisor_multiplicity for a one-row type X(d; ...) with weight a at coordinate i.
-    return _exact_div(m, _row_l(d, a), "divisor multiplicity at coordinate {0}", i)
+    # Multiplicity m / (d / gcd(d, a)) of {x_i = 0} on a one-row X(d; ...) with weight a at
+    # coordinate i (a need not be reduced mod d); m is the vanishing order upstairs.
+    return _exact_div(m, d // math.gcd(d, a), "divisor multiplicity at coordinate {0}", i)
 
 
 def _check_one_row_system(t: CyclicQuotientType, k) -> tuple[int, tuple[int, ...]]:

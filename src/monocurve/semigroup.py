@@ -238,10 +238,11 @@ def random_semigroup(seed: int, g: int, max_size: int) -> PlaneSemigroup:
     fails.  Deterministic for a fixed seed; :func:`build_semigroup` validates.
 
     Raises:
-        ValueError: ``g`` or ``max_size`` is not an ``int`` or is a ``bool``;
-            ``g < 2``; or ``max_size`` is below :func:`min_last_generator`,
-            so no semigroup exists.
+        ValueError: ``seed``, ``g`` or ``max_size`` is not an ``int`` or is a
+            ``bool``; ``g < 2``; or ``max_size`` is below
+            :func:`min_last_generator`, so no semigroup exists.
     """
+    _require_int(seed, "seed")
     _require_int(g, "g")
     _require_int(max_size, "max_size")
     if g < 2:

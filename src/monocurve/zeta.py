@@ -89,9 +89,6 @@ class FactorProduct:
         total = sum(factors.values())
         return cls.from_map(factors, -1 if total % 2 else 1)
 
-    def as_map(self) -> dict[int, int]:
-        return dict(self.factors)
-
     def degree(self) -> int:
         """Degree as a rational function: ``sum a * e_a``."""
         return sum(a * e for a, e in self.factors)

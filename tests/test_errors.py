@@ -15,11 +15,10 @@ import monocurve
 import monocurve.cli
 import monocurve.conjecture
 import monocurve.resolution
-from monocurve import zeta
+from monocurve import qspace, zeta
 from monocurve.cli import main
 from monocurve.crosscheck import cross_check
 from monocurve.errors import BudgetExceeded, NotDivisible, _exact_div, _int_text, _json_text
-from monocurve.qspace import CyclicQuotientType, divisor_multiplicity
 from monocurve.semigroup import build_semigroup, plane_semigroups
 
 EDGE_CASES = [
@@ -143,7 +142,7 @@ class TestExactDiv:
     # call site passed an f-string.
     def test_qspace_message(self):
         with pytest.raises(NotDivisible) as info:
-            divisor_multiplicity(5, CyclicQuotientType((2,), ((1,),)), 0)
+            qspace._one_row_multiplicity(5, 2, 1, 0)
         assert str(info.value) == "divisor multiplicity at coordinate 0: 5 not divisible by 2"
 
     def test_zeta_messages(self, monkeypatch):

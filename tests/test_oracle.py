@@ -147,9 +147,13 @@ class TestEnumCountSolutions:
         ((Fraction(5, 2), 2), "Fraction(5, 2)"),
         ((2, 2.5), "2.5"),
         (("2", 1.5), "1.5"),
-    ], ids=["float", "fraction", "second coordinate", "after a str"])
+        ((float("inf"), 2), "inf"),
+        ((2, float("nan")), "nan"),
+        (("a", 2), "'a'"),
+    ], ids=["float", "fraction", "second coordinate", "after a str", "inf", "nan", "str"])
     def test_non_integral_exponent_refused(self, k, shown):
-        # int() would truncate these; count_solutions_total refuses them with IllFormed.
+        # int() would truncate the first four and fails on the last three with its own
+        # error types; count_solutions_total refuses them all with IllFormed.
         t = one_row(2, 1, 1)
         with pytest.raises(IllFormed, match="^exponents must be integers"):
             count_solutions_total(t, k)
@@ -157,6 +161,19 @@ class TestEnumCountSolutions:
             with pytest.raises(InternalInconsistency) as info:
                 enum_count_solutions(t, k, (0, 0), mode)
             assert str(info.value) == f"exponents must be integers, got {shown}"
+
+    @pytest.mark.parametrize("c, shown", [
+        ((float("inf"), 0), "inf"),
+        ((0, float("nan")), "nan"),
+        (("x", 0), "'x'"),
+        (("1/0", 0), "'1/0'"),
+    ], ids=["inf", "nan", "str", "zero denominator"])
+    def test_non_rational_constant_refused(self, c, shown):
+        # Fraction() fails on each with OverflowError, ValueError or ZeroDivisionError.
+        for mode in ("total", "fixed_tail"):
+            with pytest.raises(InternalInconsistency) as info:
+                enum_count_solutions(one_row(2, 1, 1), (2, 2), c, mode)
+            assert str(info.value) == f"constants must be rational, got {shown}"
 
     def test_converted_inputs_accepted(self):
         t = one_row(2, 1, 1)
@@ -497,8 +514,8 @@ class TestExpandAndVerify:
 
     def test_trivial_quotient(self):
         # (1 - t) / (1 - t): the quotient's exponent map is the difference.
-        exponents = Counter(FactorProduct.from_map({1: 1}).as_map())
-        exponents.subtract(FactorProduct.from_map({1: 1}).as_map())
+        exponents = Counter(dict(FactorProduct.from_map({1: 1}).factors))
+        exponents.subtract(dict(FactorProduct.from_map({1: 1}).factors))
         fp = FactorProduct.from_map(exponents)
         coeffs, mults = expand_and_verify(fp)
         assert coeffs == (1,)

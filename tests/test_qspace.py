@@ -14,8 +14,6 @@ from monocurve.qspace import (
     curve_axis_intersections,
     curve_component_count,
     curve_open_euler,
-    divisor_multiplicity,
-    l_factor,
 )
 from monocurve.resolution import _homogeneous_spec, build_resolution
 from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
@@ -141,7 +139,6 @@ class TestValidation:
 
     def test_empty_type_is_trivial(self):
         assert CyclicQuotientType((), ()) == CyclicQuotientType([], [])
-        assert l_factor(CyclicQuotientType((), ()), 0) == 1
 
     def test_spec_keeps_action_weights_unreduced(self):
         spec = WeightedCurveSpec(d=2, a=[-1, 4, 4], p=[1, 1, 1], m=[2, 2, 2])
@@ -150,48 +147,23 @@ class TestValidation:
 
 
 class TestLFactorAndMultiplicity:
+    """The one divisor-multiplicity formula ``m / l`` with ``l = d / gcd(d, a)``."""
+
     def test_trivial_action_on_coordinate(self):
-        assert l_factor(one_row(5, 0, 3), 0) == 1
+        assert qspace._one_row_multiplicity(7, 5, 0, 0) == 7
 
     def test_one_row(self):
-        assert l_factor(one_row(4, 1, 2), 0) == 4
-        assert l_factor(one_row(4, 1, 2), 1) == 2
-
-    def test_two_rows(self):
-        t = CyclicQuotientType((2, 3), ((1, 0), (1, 0)))
-        assert l_factor(t, 0) == 6
-        # Each row's entry is read against its own order.
-        t = CyclicQuotientType((4, 6), ((2, 0), (0, 3)))
-        assert (l_factor(t, 0), l_factor(t, 1)) == (2, 2)
-        t = CyclicQuotientType((4, 6), ((1, 2), (2, 3)))
-        assert (l_factor(t, 0), l_factor(t, 1)) == (12, 2)
-
-    @pytest.mark.parametrize("i, shown", [
-        (-1, "coordinate -1 out of range"),
-        (2, "coordinate 2 out of range"),
-        (5, "coordinate 5 out of range"),
-        (True, "coordinates must be integers, got True"),
-    ])
-    def test_coordinate_not_of_the_type(self, i, shown):
-        # -1 read the last coordinate and True coordinate 1; 2 and 5 raised IndexError.
-        t = one_row(4, 1, 2)
-        for call in (lambda: l_factor(t, i), lambda: divisor_multiplicity(4, t, i)):
-            with pytest.raises(IllFormed) as info:
-                call()
-            assert str(info.value) == shown
+        assert qspace._one_row_multiplicity(8, 4, 1, 0) == 2
+        assert qspace._one_row_multiplicity(8, 4, 2, 1) == 4
+        # The weight need not be reduced mod d.
+        assert qspace._one_row_multiplicity(8, 4, -3, 0) == 2
+        assert qspace._one_row_multiplicity(8, 4, 6, 1) == 4
 
     def test_multiplicity(self):
-        assert divisor_multiplicity(12, one_row(4, 1, 2), 0) == 3
-        assert divisor_multiplicity(7, one_row(1, 0, 0), 0) == 7
+        assert qspace._one_row_multiplicity(12, 4, 1, 0) == 3
+        assert qspace._one_row_multiplicity(7, 1, 0, 0) == 7
         with pytest.raises(NotDivisible):
-            divisor_multiplicity(13, one_row(4, 1, 2), 0)
-
-    @pytest.mark.parametrize("m", [12.0, True, "12"])
-    def test_multiplicity_not_an_integer(self, m):
-        # 12.0 gave the float 3.0 and True was read as 1.
-        with pytest.raises(IllFormed) as info:
-            divisor_multiplicity(m, one_row(4, 1, 2), 0)
-        assert str(info.value) == f"vanishing orders must be integers, got {m!r}"
+            qspace._one_row_multiplicity(13, 4, 1, 0)
 
     def test_multiplicity_first_divisor_type(self):
         # Multiplicity of the first exceptional divisor at its boundary
@@ -199,8 +171,7 @@ class TestLFactorAndMultiplicity:
         sg = build_semigroup((4, 6, 13))
         n = sg.order
         d = math.gcd(*(n // sg.n[i] for i in range(1, sg.g + 1)))
-        t = one_row(d, n // sg.n[0], -1)
-        assert divisor_multiplicity(n, t, 1) == math.lcm(*sg.n[1:])
+        assert qspace._one_row_multiplicity(n, d, -1, 1) == math.lcm(*sg.n[1:])
 
 
 class TestCountSolutions:
@@ -372,6 +343,8 @@ class TestChartIndependence:
         levels = build_resolution(sg).levels[:-1]
         for level in levels:
             spec = _homogeneous_spec(sg, level)
+            # The trusted core skips the type checks that the public constructor makes.
+            assert WeightedCurveSpec(spec.d, spec.a, spec.p, spec.m) == spec
             n_comp = curve_component_count(spec)
             assert n_comp == level.r
             for axis in (0, 1):

@@ -235,10 +235,14 @@ class TestRandomSemigroup:
     @pytest.mark.parametrize("g, max_size, name", [
         (2, 1e6, "max_size"), (2.0, 10**6, "g"), (True, 10**6, "g"), (2, False, "max_size"),
         (2, "1000000", "max_size"), (2, 10**6 + 0.5, "max_size"),
+        # A seed row holds the seed in the g column and draws with g = 2.
+        (None, 10**6, "seed"), (1.5, 10**6, "seed"), ("x", 10**6, "seed"), (True, 10**6, "seed"),
     ])
     def test_non_int_argument_is_value_error(self, g, max_size, name):
+        # A None seed would draw from system entropy, a new semigroup on each call.
+        seed, g = (g, 2) if name == "seed" else (0, g)
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
-            random_semigroup(0, g, max_size)
+            random_semigroup(seed, g, max_size)
 
     def test_integer_root(self):
         for k in (1, 3, 5, 11):
