@@ -16,8 +16,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, InternalInconsistency, NotPolynomial, NotRepresentable
-from .qspace import CyclicQuotientType, count_solutions_fixed_tail, count_solutions_total
+from .errors import (
+    BudgetExceeded, IllFormed, InternalInconsistency, NotPolynomial, NotRepresentable,
+)
+from .qspace import (
+    CyclicQuotientType, _check_one_row_system, count_solutions_fixed_tail, count_solutions_total,
+)
 from .semigroup import PlaneSemigroup, _require_int
 from .zeta import FactorProduct, _sparse_product
 
@@ -52,7 +56,7 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 MAX_EXPAND_DEGREE = 5000  # degree cap of expand_and_verify and of cross_check's dense leg
 DIGIT_LIST_CAP = 10**4  # cap on the tail sums enum_digits lists at one level
-_NOT_CONVERTED = (ArithmeticError, TypeError, ValueError)  # what int() and Fraction() raise
+_NOT_CONVERTED = (ArithmeticError, TypeError, ValueError)  # what Fraction() raises
 
 
 def enum_count_solutions(
@@ -72,55 +76,37 @@ def enum_count_solutions(
     with a concrete tail solution fixed).
 
     Raises:
-        InternalInconsistency: ``t`` has more than one row; an exponent does
-            not convert to an ``int`` without losing value (a ``str`` converts
-            or not at all); a constant does not convert to a ``Fraction``; the
-            lengths differ; an exponent is below 1; ``d`` does not divide some
-            ``a_i*k_i``; or ``"fixed_tail"`` has fewer than two coordinates.
+        IllFormed: ``k`` fails the validator of the closed forms (an
+            exponent is not an ``int``, is a ``bool`` or is below 1, there is
+            not one per coordinate, or ``d`` does not divide some
+            ``a_i*k_i``); a constant does not convert to a ``Fraction``, or
+            there is not one per coordinate; or ``"fixed_tail"`` has fewer
+            than two coordinates.
         BudgetExceeded: ``d``, the rank or an exponent is past ``budget``.
         ValueError: ``mode`` is neither ``"total"`` nor ``"fixed_tail"``.
     """
-    if len(t.d) != 1:
-        raise InternalInconsistency("oracle expects a one-row type")
     d, a = t.d[0], t.A[0]
-    given = tuple(k)
-    try:
-        k = tuple(map(int, given))
-    except _NOT_CONVERTED:
-        k = None
-    if k != given:  # a str converts exactly or not at all; a number must not lose value
-        for x in given:
-            try:
-                exact = int(x) == x or isinstance(x, str)
-            except _NOT_CONVERTED:
-                exact = False
-            if not exact:
-                raise InternalInconsistency(f"exponents must be integers, got {x!r}")
+    k = _check_one_row_system(d, a, k)
     constants = []
     for x in c:
         try:
             constants.append(x if isinstance(x, Fraction) else Fraction(x))
         except _NOT_CONVERTED:
-            raise InternalInconsistency(f"constants must be rational, got {x!r}") from None
+            raise IllFormed(f"constants must be rational, got {x!r}") from None
     c = constants
     n = len(a)
-    if not (len(k) == n == len(c)):
-        raise InternalInconsistency("k, a, c must have equal length")
-    if k and min(k) < 1:
-        raise InternalInconsistency(f"exponents must be >= 1: {k}")
+    if len(c) != n:
+        raise IllFormed("one constant per coordinate required")
     if d > budget.max_group_order:
         raise BudgetExceeded(f"group order {d} exceeds {budget.max_group_order}")
     if n - 1 > budget.max_rank:
         raise BudgetExceeded(f"rank {n - 1} exceeds {budget.max_rank}")
     if k and max(k) > budget.max_exponent:
         raise BudgetExceeded(f"exponent in {k} exceeds {budget.max_exponent}")
-    for i in range(n):
-        if a[i] * k[i] % d:
-            raise InternalInconsistency(f"d does not divide a_{i}*k_{i}")
     h = 1  # the generator is the h-th power of exp(2*pi*i/d)
     if mode == "fixed_tail":
         if n < 2:
-            raise InternalInconsistency("fixed_tail needs at least two coordinates")
+            raise IllFormed("fixed-tail count needs at least two coordinates")
         # With the tail fixed at the first root of each constant, x_0 classes are orbits
         # of its pointwise stabilizer, generated by the least h >= 1 with d | h*a_i, i >= 1.
         for h in range(1, d + 1):
@@ -343,22 +329,29 @@ def grid_discrepancies(
     Returns a list of human-readable discrepancy descriptions (empty = pass).
 
     Raises:
-        ValueError: ``draws`` is not an ``int`` or is a ``bool``, or
-            ``draws < 1``, which would compare nothing.
+        ValueError: ``draws`` or ``seed`` is not an ``int`` or is a ``bool``,
+            or ``draws < 1``, which would compare nothing.
     """
     _require_int(draws, "draws")
+    _require_int(seed, "seed")
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     rng = random.Random(seed)
     failures: list[str] = []
 
-    def compare(t, k, mode, closed):
+    def compare(combo, mode):
+        a, k = zip(*combo)
+        t = CyclicQuotientType((d,), (a,))
+        if mode == "total":
+            closed = count_solutions_total(t, k)
+        else:
+            closed = count_solutions_fixed_tail(t, k[0])
         for _ in range(draws):
             c = tuple(_random_constant(rng) for _ in k)
             got = enum_count_solutions(t, k, c, mode, budget)
             if got != closed:
                 failures.append(
-                    f"X({t.d[0]}; {t.A[0]}) k={k} c={c} {mode}: "
+                    f"X({d}; {t.A[0]}) k={k} c={c} {mode}: "
                     f"enumerated {got} != closed form {closed}"
                 )
 
@@ -366,18 +359,9 @@ def grid_discrepancies(
         pairs = _admissible_pairs(d, budget)
         for ncoords in range(1, budget.max_rank + 2):
             for combo in itertools.combinations_with_replacement(pairs, ncoords):
-                a = tuple(x for x, _ in combo)
-                k = tuple(x for _, x in combo)
-                t = CyclicQuotientType((d,), (a,))
-                compare(t, k, "total", count_solutions_total(t, k))
+                compare(combo, "total")
         for ncoords in range(2, budget.max_rank + 2):
             for head in pairs:
-                for tail in itertools.combinations_with_replacement(
-                    pairs, ncoords - 1
-                ):
-                    combo = (head, *tail)
-                    a = tuple(x for x, _ in combo)
-                    k = tuple(x for _, x in combo)
-                    t = CyclicQuotientType((d,), (a,))
-                    compare(t, k, "fixed_tail", count_solutions_fixed_tail(t, k[0]))
+                for tail in itertools.combinations_with_replacement(pairs, ncoords - 1):
+                    compare((head, *tail), "fixed_tail")
     return failures

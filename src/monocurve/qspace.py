@@ -1,9 +1,9 @@
 """Cyclic quotient spaces and weighted monomial-curve counting formulas.
 
-A quotient type ``X(d; A)`` is a product of cyclic group actions on affine
-space: row ``t`` of ``A`` describes the action of a ``d_t``-th root of unity
-``xi`` by ``x_i -> xi^{A[t][i]} * x_i``.  One-row types ``X(d; a_0, ..., a_r)``
-support exact counting of solution classes of diagonal monomial systems
+A quotient type ``X(d; a_0, ..., a_r)`` is affine space divided by one cyclic
+group action: a ``d``-th root of unity ``xi`` acts by ``x_i -> xi^{a_i} * x_i``.
+Types have exactly one row; the counts are exact numbers of solution classes
+of diagonal monomial systems
 
     x_0^{k_0} = c_0, ..., x_r^{k_r} = c_r        (well-formed iff d | a_i*k_i)
 
@@ -16,7 +16,9 @@ For ``r >= 3`` the component count is checked on the charts ``x_2 != 0``
 and ``x_3 != 0`` against its symmetric form, in :func:`curve_component_count`
 alone; the per-component axis count, its chart-2 form, is checked against
 the chart-3 form.  The public constructors and counters reject entries that
-are not an ``int`` or are a ``bool``; the pipeline passes numbers it has
+are not an ``int`` or are a ``bool``, and the two solution counts and the
+enumeration oracle share one validator of a system, which refuses with
+:class:`IllFormed`; the pipeline passes numbers it has
 already checked to private integer cores, such as the one divisor-multiplicity
 formula ``m / (d / gcd(d, a))`` on a one-row chart that the resolution checks.
 
@@ -43,34 +45,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CyclicQuotientType:
-    """Quotient type ``X(d; A)`` with one weight row per cyclic factor.
+    """One-row quotient type ``X(d_0; a)``, held as the 1-tuples ``d = (d_0,)`` and ``A = (a,)``.
 
-    Row entries are stored reduced modulo the row order ``d_t``.  Types are
-    kept as given, not normalized to the small group acting.
+    The weights are stored reduced modulo ``d_0``; types are kept as given, not
+    normalized to the small group acting.  :class:`IllFormed` unless ``d`` and
+    ``A`` hold one order ``>= 1`` and one row, of ``int`` entries and no ``bool``.
     """
 
-    d: tuple[int, ...]
-    A: tuple[tuple[int, ...], ...]
+    d: tuple[int]
+    A: tuple[tuple[int, ...]]
 
     def __init__(self, d, A):
-        d = _ints(d, "row orders")
-        A = tuple(A)
-        if len(d) != len(A):
-            raise IllFormed("one order per weight row required")
-        if d and min(d) < 1:
-            raise IllFormed(f"row orders must be >= 1: {d}")
-        A = [_ints(row, "weights") for row in A]
-        if len(set(map(len, A))) > 1:
-            raise IllFormed("weight rows must have equal length")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(
-            self, "A", tuple([tuple([a % dt for a in row]) for dt, row in zip(d, A)])
-        )
+        try:
+            (d,), (a,) = d, A
+        except (TypeError, ValueError):
+            raise IllFormed("counting requires a one-row type") from None
+        (d,) = _ints((d,), "row orders")
+        if d < 1:
+            raise IllFormed(f"row order must be >= 1, got {d}")
+        object.__setattr__(self, "d", (d,))
+        object.__setattr__(self, "A", (tuple([x % d for x in _ints(a, "weights")]),))
 
 
 def _ints(xs, what: str) -> tuple[int, ...]:
-    """``xs`` as a tuple; an entry that is not an ``int``, or is a ``bool``, raises."""
-    xs = tuple(xs)
+    """``xs`` as a tuple; a non-iterable, or an entry that is a ``bool`` or no ``int``, raises."""
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise IllFormed(f"{what} must be a sequence of integers, got {xs!r}") from None
     for x in xs:
         if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
             raise IllFormed(f"{what} must be integers, got {x!r}")
@@ -83,21 +85,23 @@ def _one_row_multiplicity(m: int, d: int, a: int, i: int) -> int:
     return _exact_div(m, d // math.gcd(d, a), "divisor multiplicity at coordinate {0}", i)
 
 
-def _check_one_row_system(t: CyclicQuotientType, k) -> tuple[int, tuple[int, ...]]:
-    if len(t.d) != 1:
-        raise IllFormed("counting requires a one-row type")
-    d, a = t.d[0], t.A[0]
+def _check_one_row_system(d: int, a: tuple[int, ...], k) -> tuple[int, ...]:
+    """The exponents ``k`` of ``x_i^{k_i} = c_i`` in ``X(d; a)`` as a checked tuple.
+
+    The one validator of a solution system: the closed forms and the
+    enumeration oracle all refuse a bad system here, with :class:`IllFormed`.
+    """
     k = _ints(k, "exponents")
     if len(k) != len(a):
         raise IllFormed("one exponent per coordinate required")
     if k and min(k) < 1:
-        raise IllFormed(f"exponents must be >= 1: {k}")
+        raise IllFormed(f"exponents must be >= 1, got {min(k)}")
     for i in range(len(k)):
         if a[i] * k[i] % d:
             raise IllFormed(
                 f"system not well defined: d={d} does not divide a_{i}*k_{i}={a[i] * k[i]}"
             )
-    return d, k
+    return k
 
 
 def count_solutions_total(t: CyclicQuotientType, k) -> int:
@@ -106,8 +110,8 @@ def count_solutions_total(t: CyclicQuotientType, k) -> int:
     Equals ``k_0*...*k_r * gcd(d, a_0, ..., a_r) / d``, independently of the
     nonzero constants ``c_i``.
     """
-    d, k = _check_one_row_system(t, k)
-    return _count_total(d, t.A[0], k)
+    d, a = t.d[0], t.A[0]
+    return _count_total(d, a, _check_one_row_system(d, a, k))
 
 
 def _count_total(d: int, a, k) -> int:
@@ -120,18 +124,10 @@ def count_solutions_fixed_tail(t: CyclicQuotientType, k0: int) -> int:
 
     Equals ``k_0 * gcd(d, a_0, ..., a_r) / gcd(d, a_1, ..., a_r)``.
     """
-    if len(t.d) != 1:
-        raise IllFormed("counting requires a one-row type")
     d, a = t.d[0], t.A[0]
     if len(a) < 2:
         raise IllFormed("fixed-tail count needs at least two coordinates")
-    (k0,) = _ints((k0,), "exponents")
-    if k0 < 1:
-        raise IllFormed(f"exponent must be >= 1: {k0}")
-    if (a[0] * k0) % d:
-        raise IllFormed(
-            f"system not well defined: d={d} does not divide a_0*k_0={a[0] * k0}"
-        )
+    (k0,) = _check_one_row_system(d, a[:1], (k0,))
     return _exact_div(
         k0 * math.gcd(d, *a), math.gcd(d, *a[1:]), "fixed-tail solution-class count"
     )

@@ -86,8 +86,10 @@ class FactorProduct:
     @classmethod
     def from_t_minus_one(cls, factors: dict[int, int]) -> "FactorProduct":
         """Build from ``prod (t^a - 1)^{e_a}``; each factor flips the sign."""
-        total = sum(factors.values())
-        return cls.from_map(factors, -1 if total % 2 else 1)
+        fp = cls.from_map(factors)  # checks the types before the parity sum below
+        if sum(factors.values()) % 2:
+            fp.__dict__["sign"] = -1
+        return fp
 
     def degree(self) -> int:
         """Degree as a rational function: ``sum a * e_a``."""

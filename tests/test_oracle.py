@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -92,40 +93,50 @@ class TestEnumCountSolutions:
             enum_count_solutions(t, (1,) * 5, (Fraction(0),) * 5)
 
     @pytest.mark.parametrize("t, k, c, mode, error, message", [
-        (CyclicQuotientType((2, 3), ((1, 0), (1, 0))), (2, 3), (0, 0), "total",
-         InternalInconsistency, "oracle expects a one-row type"),
-        (one_row(2, 1, 1), (2,), (0, 0), "total",
-         InternalInconsistency, "k, a, c must have equal length"),
-        (one_row(2, 1, 1), (2, 2), (0,), "total",
-         InternalInconsistency, "k, a, c must have equal length"),
-        (one_row(13, 1), (13,), (0,), "total", BudgetExceeded, "group order 13 exceeds 12"),
-        (one_row(1, 0, 0, 0, 0, 0), (1,) * 5, (0,) * 5, "total",
+        (((2, 3), ((1, 0), (1, 0))), (2, 3), (0, 0), "total",
+         IllFormed, "counting requires a one-row type"),
+        (((2,), ((1, 1),)), (2,), (0, 0), "total",
+         IllFormed, "one exponent per coordinate required"),
+        (((2,), ((1, 1),)), (2, 2), (0,), "total",
+         IllFormed, "one constant per coordinate required"),
+        (((13,), ((1,),)), (13,), (0,), "total", BudgetExceeded, "group order 13 exceeds 12"),
+        (((1,), ((0,) * 5,)), (1,) * 5, (0,) * 5, "total",
          BudgetExceeded, "rank 4 exceeds 3"),
-        (one_row(1, 0, 0), (2, 7), (0, 0), "total",
+        (((1,), ((0, 0),)), (2, 7), (0, 0), "total",
          BudgetExceeded, "exponent in (2, 7) exceeds 6"),
-        (one_row(4, 1, 2), (4, 3), (0, 0), "total",
-         InternalInconsistency, "d does not divide a_1*k_1"),
-        (one_row(2, 1, 1), (2, 2), (0, 0), "all", ValueError, "unknown mode 'all'"),
-        (one_row(2, 1), (2,), (0,), "fixed_tail",
-         InternalInconsistency, "fixed_tail needs at least two coordinates"),
-        # Two bad inputs: the check that runs first wins.
-        (one_row(13, 1), (2,), (0,), "total", BudgetExceeded, "group order 13 exceeds 12"),
-        (one_row(1, 0, 0, 0, 0, 0), (1,) * 5, (0,) * 5, "all",
+        (((4,), ((1, 2),)), (4, 3), (0, 0), "total",
+         IllFormed, "system not well defined: d=4 does not divide a_1*k_1=6"),
+        (((2,), ((1, 1),)), (2, 2), (0, 0), "all", ValueError, "unknown mode 'all'"),
+        (((2,), ((1,),)), (2,), (0,), "fixed_tail",
+         IllFormed, "fixed-tail count needs at least two coordinates"),
+        # Two bad inputs: the check that runs first wins.  The system's own
+        # checks come first, then the constants, the budget and the mode.
+        (((13,), ((1,),)), (2,), (0,), "total",
+         IllFormed, "system not well defined: d=13 does not divide a_0*k_0=2"),
+        (((1,), ((0,) * 5,)), (1,) * 5, (0,) * 5, "all",
          BudgetExceeded, "rank 4 exceeds 3"),
-        (one_row(4, 1, 2), (4, 3), (0, 0), "all",
-         InternalInconsistency, "d does not divide a_1*k_1"),
-        (one_row(4, 2), (1,), (0,), "fixed_tail",
-         InternalInconsistency, "d does not divide a_0*k_0"),
-        (one_row(2, 1, 1), (0,), (0,), "total",
-         InternalInconsistency, "k, a, c must have equal length"),
+        (((4,), ((1, 2),)), (4, 3), (0, 0), "all",
+         IllFormed, "system not well defined: d=4 does not divide a_1*k_1=6"),
+        (((4,), ((2,),)), (1,), (0,), "fixed_tail",
+         IllFormed, "system not well defined: d=4 does not divide a_0*k_0=2"),
+        (((2,), ((1, 1),)), (0,), (0,), "total",
+         IllFormed, "one exponent per coordinate required"),
+        (((13,), ((1,),)), (13,), ("x",), "total",
+         IllFormed, "constants must be rational, got 'x'"),
+        (((13,), ((1,),)), (13,), (0, 0), "total",
+         IllFormed, "one constant per coordinate required"),
+        (((13,), ((1,),)), (13,), (0,), "fixed_tail",
+         BudgetExceeded, "group order 13 exceeds 12"),
     ], ids=["two rows", "short k", "short c", "group order", "rank", "exponent",
             "divisibility", "unknown mode", "fixed tail, one coordinate",
-            "group order before divisibility", "rank before mode",
+            "divisibility before group order", "rank before mode",
             "divisibility before mode", "divisibility before fixed tail",
-            "length before exponent sign"])
+            "length before exponent sign", "constant type before budget",
+            "constant count before budget", "budget before fixed tail"])
     def test_refusals(self, t, k, c, mode, error, message):
+        # t holds the (d, A) arguments: a type with two rows is refused as it is built.
         with pytest.raises(error) as info:
-            enum_count_solutions(t, k, c, mode)
+            enum_count_solutions(CyclicQuotientType(*t), k, c, mode)
         assert type(info.value) is error
         assert str(info.value) == message
 
@@ -135,32 +146,38 @@ class TestEnumCountSolutions:
         (one_row(13, 1), (0,)),
     ], ids=["zero", "negative", "before the budget"])
     def test_nonpositive_exponent_refused(self, t, k):
-        # count_solutions_total refuses the same exponents with IllFormed.
+        # count_solutions_total refuses the same exponents with the same error.
+        message = f"exponents must be >= 1, got {min(k)}"
+        with pytest.raises(IllFormed, match=f"^{message}$"):
+            count_solutions_total(t, k)
         c = (Fraction(0),) * len(k)
         for mode in ("total", "fixed_tail")[: len(k)]:
-            with pytest.raises(InternalInconsistency) as info:
+            with pytest.raises(IllFormed) as info:
                 enum_count_solutions(t, k, c, mode)
-            assert str(info.value) == f"exponents must be >= 1: {k}"
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("k, shown", [
         ((2.9, 2), "2.9"),
         ((Fraction(5, 2), 2), "Fraction(5, 2)"),
         ((2, 2.5), "2.5"),
-        (("2", 1.5), "1.5"),
+        (("2", 1.5), "'2'"),
         ((float("inf"), 2), "inf"),
         ((2, float("nan")), "nan"),
         (("a", 2), "'a'"),
-    ], ids=["float", "fraction", "second coordinate", "after a str", "inf", "nan", "str"])
+        ((2.0, 2), "2.0"),
+    ], ids=["float", "fraction", "second coordinate", "str that int() converts", "inf", "nan",
+            "str", "integral float"])
     def test_non_integral_exponent_refused(self, k, shown):
-        # int() would truncate the first four and fails on the last three with its own
-        # error types; count_solutions_total refuses them all with IllFormed.
+        # No exponent is converted: one that int() would truncate, convert or
+        # fail on is refused, by the oracle as by count_solutions_total.
         t = one_row(2, 1, 1)
-        with pytest.raises(IllFormed, match="^exponents must be integers"):
+        message = f"exponents must be integers, got {shown}"
+        with pytest.raises(IllFormed, match=f"^{re.escape(message)}$"):
             count_solutions_total(t, k)
         for mode in ("total", "fixed_tail"):
-            with pytest.raises(InternalInconsistency) as info:
+            with pytest.raises(IllFormed) as info:
                 enum_count_solutions(t, k, (0, 0), mode)
-            assert str(info.value) == f"exponents must be integers, got {shown}"
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("c, shown", [
         ((float("inf"), 0), "inf"),
@@ -171,16 +188,20 @@ class TestEnumCountSolutions:
     def test_non_rational_constant_refused(self, c, shown):
         # Fraction() fails on each with OverflowError, ValueError or ZeroDivisionError.
         for mode in ("total", "fixed_tail"):
-            with pytest.raises(InternalInconsistency) as info:
+            with pytest.raises(IllFormed) as info:
                 enum_count_solutions(one_row(2, 1, 1), (2, 2), c, mode)
             assert str(info.value) == f"constants must be rational, got {shown}"
 
     def test_converted_inputs_accepted(self):
+        # Constants convert to a Fraction; exponents are refused unless they are ints.
         t = one_row(2, 1, 1)
         assert enum_count_solutions(t, (2, 2), (0, "1/2")) == 2
-        assert enum_count_solutions(t, ("2", 2.0), (1, Fraction(3, 2))) == 2
+        assert enum_count_solutions(t, (2, 2), (1, Fraction(3, 2))) == 2
         assert enum_count_solutions(t, (2, 2), (0.5, 0), "fixed_tail") == 2
         assert enum_count_solutions(one_row(3, 1, 1), (3, 3), ("-2/3", 0)) == 3
+        for k in (("2", 2), (2, 2.0)):
+            with pytest.raises(IllFormed, match="^exponents must be integers, got "):
+                enum_count_solutions(t, k, (0, 0))
 
 
 def listed_count(d, a, k, c, mode):
@@ -573,3 +594,12 @@ class TestGrid:
         with pytest.raises(ValueError) as info:
             grid_discrepancies(draws=draws)
         assert str(info.value) == f"draws must be an integer, got {draws!r}"
+
+    @pytest.mark.parametrize("seed", [None, 1.5, "x", True])
+    def test_seed_not_an_integer(self, seed):
+        # None would draw the constants from system entropy, so the grid would
+        # not repeat; the small budget keeps a missed refusal fast.
+        budget = EnumerationBudget(max_group_order=2, max_exponent=2, max_rank=1)
+        with pytest.raises(ValueError) as info:
+            grid_discrepancies(budget, draws=1, seed=seed)
+        assert str(info.value) == f"seed must be an integer, got {seed!r}"

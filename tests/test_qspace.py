@@ -72,26 +72,33 @@ class TestValidation:
     """Each malformed type or spec raises one exception class with one message."""
 
     @pytest.mark.parametrize("d, A, message", [
-        ((2, 3), ((1, 0),), "one order per weight row required"),
-        ((2,), ((1,), (1,)), "one order per weight row required"),
-        ((0,), ((1,),), "row orders must be >= 1: (0,)"),
-        ((4, -2), ((1,), (1,)), "row orders must be >= 1: (4, -2)"),
-        ((2, 3), ((1, 0), (1,)), "weight rows must have equal length"),
-        ((2, 3, 5), ((1,), (1,), ()), "weight rows must have equal length"),
+        ((2, 3), ((1, 0),), "counting requires a one-row type"),
+        ((2,), ((1,), (1,)), "counting requires a one-row type"),
+        ((0,), ((1,),), "row order must be >= 1, got 0"),
+        ((-2,), ((1,),), "row order must be >= 1, got -2"),
+        ((2, 3), ((1, 0), (1,)), "counting requires a one-row type"),
+        ((2, 3, 5), ((1,), (1,), ()), "counting requires a one-row type"),
         ((6.9,), ((1.7, 2.2),), "row orders must be integers, got 6.9"),
         ((True,), ((1,),), "row orders must be integers, got True"),
         ((4,), ((1, 2.5),), "weights must be integers, got 2.5"),
-        ((4, 6), ((1, 2), (False, 3)), "weights must be integers, got False"),
+        ((4,), ((False, 3),), "weights must be integers, got False"),
         ((4,), (("1",),), "weights must be integers, got '1'"),
-        ((2, 3), ((1.5,),), "one order per weight row required"),
-        ((2, 0), ((1.5,), (1,)), "row orders must be >= 1: (2, 0)"),
-        ((2, 3, 5), ((1,), (1, 2), (2.5,)), "weights must be integers, got 2.5"),
+        ((2, 3), ((1.5,),), "counting requires a one-row type"),
+        ((0,), ((1.5,),), "row order must be >= 1, got 0"),
+        ((2, 3, 5), ((1,), (1, 2), (2.5,)), "counting requires a one-row type"),
+        ((), (), "counting requires a one-row type"),
+        (2, ((1,),), "counting requires a one-row type"),
+        ((2,), 1, "counting requires a one-row type"),
+        ((2,), (1,), "weights must be a sequence of integers, got 1"),
+        ((2,), (None,), "weights must be a sequence of integers, got None"),
     ], ids=["fewer rows", "fewer orders", "order 0", "negative order",
             "short second row", "empty third row", "float order", "bool order",
             "float weight", "bool weight", "string weight",
             "row count before weight type", "order before weight type",
-            "weight type before row length"])
+            "row count before weight type, three rows", "zero rows",
+            "non-iterable orders", "non-iterable rows", "non-iterable row", "row None"])
     def test_malformed_type(self, d, A, message):
+        # A type has exactly one order and one weight row; any other count is refused.
         with pytest.raises(IllFormed) as info:
             CyclicQuotientType(d, A)
         assert str(info.value) == message
@@ -125,12 +132,18 @@ class TestValidation:
             count(t, k)
         assert str(info.value) == f"exponents must be integers, got {bad}"
 
+    @pytest.mark.parametrize("k", [None, 2], ids=["None", "int"])
+    def test_exponents_not_iterable(self, k):
+        with pytest.raises(IllFormed) as info:
+            count_solutions_total(one_row(2, 1), k)
+        assert str(info.value) == f"exponents must be a sequence of integers, got {k!r}"
+
     @pytest.mark.parametrize("d, A, reduced", [
         ((4,), ((-1, 5, 4, 0),), ((3, 1, 0, 0),)),
-        ([2, 3], [[-1, 7], [-1, 7]], ((1, 1), (2, 1))),
+        ([3], [[-1, 7]], ((2, 1),)),
         ((1,), ((-5, 9),), ((0, 0),)),
-        ((), (), ()),
-    ], ids=["negative and out of range", "two rows as lists", "trivial group", "empty type"])
+        ((3,), ((),), ((),)),
+    ], ids=["negative and out of range", "lists", "trivial group", "empty type"])
     def test_type_weights_reduced_mod_row_order(self, d, A, reduced):
         t = CyclicQuotientType(d, A)
         assert t.d == tuple(d)
@@ -138,7 +151,10 @@ class TestValidation:
         assert all(type(x) is tuple for x in (t.d, t.A, *t.A))
 
     def test_empty_type_is_trivial(self):
-        assert CyclicQuotientType((), ()) == CyclicQuotientType([], [])
+        # A type with no coordinates: one solution class, the empty point.
+        t = CyclicQuotientType([1], [[]])
+        assert t == one_row(1)
+        assert count_solutions_total(t, ()) == 1
 
     def test_spec_keeps_action_weights_unreduced(self):
         spec = WeightedCurveSpec(d=2, a=[-1, 4, 4], p=[1, 1, 1], m=[2, 2, 2])
@@ -194,24 +210,24 @@ class TestCountSolutions:
             count_solutions_total(one_row(2, 1, 1), (0, 2))
 
     @pytest.mark.parametrize("count, t, k, message", [
-        (count_solutions_total, CyclicQuotientType((2, 3), ((1,), (1,))), (True,),
+        (count_solutions_total, ((2, 3), ((1,), (1,))), (True,),
          "counting requires a one-row type"),
-        (count_solutions_total, one_row(2, 1, 1), (True,),
+        (count_solutions_total, ((2,), ((1, 1),)), (True,),
          "exponents must be integers, got True"),
-        (count_solutions_total, one_row(2, 1, 1), (0,), "one exponent per coordinate required"),
-        (count_solutions_total, one_row(4, 1, 2), (0, 3), "exponents must be >= 1: (0, 3)"),
-        (count_solutions_total, one_row(4, 1, 2), (4, 3),
+        (count_solutions_total, ((2,), ((1, 1),)), (0,), "one exponent per coordinate required"),
+        (count_solutions_total, ((4,), ((1, 2),)), (0, 3), "exponents must be >= 1, got 0"),
+        (count_solutions_total, ((4,), ((1, 2),)), (4, 3),
          "system not well defined: d=4 does not divide a_1*k_1=6"),
-        (count_solutions_total, one_row(4, 2, 1, 2), (1, 4, 3),
+        (count_solutions_total, ((4,), ((2, 1, 2),)), (1, 4, 3),
          "system not well defined: d=4 does not divide a_0*k_0=2"),
-        (count_solutions_fixed_tail, CyclicQuotientType((2, 3), ((1,), (1,))), 2.5,
+        (count_solutions_fixed_tail, ((2, 3), ((1,), (1,))), 2.5,
          "counting requires a one-row type"),
-        (count_solutions_fixed_tail, one_row(2, 1), 2.5,
+        (count_solutions_fixed_tail, ((2,), ((1,),)), 2.5,
          "fixed-tail count needs at least two coordinates"),
-        (count_solutions_fixed_tail, one_row(2, 1, 1), -1.5,
+        (count_solutions_fixed_tail, ((2,), ((1, 1),)), -1.5,
          "exponents must be integers, got -1.5"),
-        (count_solutions_fixed_tail, one_row(4, 1, 2), 0, "exponent must be >= 1: 0"),
-        (count_solutions_fixed_tail, one_row(4, 1, 2), 3,
+        (count_solutions_fixed_tail, ((4,), ((1, 2),)), 0, "exponents must be >= 1, got 0"),
+        (count_solutions_fixed_tail, ((4,), ((1, 2),)), 3,
          "system not well defined: d=4 does not divide a_0*k_0=3"),
     ], ids=["total, rows before type", "total, type before length",
             "total, length before sign", "total, sign before divisibility",
@@ -220,8 +236,9 @@ class TestCountSolutions:
             "fixed tail, type before sign", "fixed tail, sign before divisibility",
             "fixed tail, divisibility"])
     def test_refusal_order(self, count, t, k, message):
+        # t holds the (d, A) arguments: a type with two rows is refused as it is built.
         with pytest.raises(IllFormed) as info:
-            count(t, k)
+            count(CyclicQuotientType(*t), k)
         assert str(info.value) == message
 
     def test_empty_system(self):

@@ -68,6 +68,8 @@ class TestFactorProduct:
         assert fp.sign == -1
         assert FactorProduct.from_t_minus_one({4: 1, 6: 1}).sign == 1
         assert FactorProduct.from_t_minus_one({4: 1, 6: -2}).sign == -1
+        assert FactorProduct.from_t_minus_one({4: 1, 6: 0}).sign == -1
+        assert FactorProduct.from_t_minus_one({}).sign == 1
 
     def test_render(self):
         fp = FactorProduct.from_map({2: 2, 13: 1, 6: -1, 26: -1})
@@ -119,11 +121,14 @@ class TestFromMap:
         ({2: True}, "factor multiplicity must be an integer, got True"),
         ({2: Fraction(1)}, "factor multiplicity must be an integer, got Fraction(1, 1)"),
         ({3: 1, 2: 0.0}, "factor multiplicity must be an integer, got 0.0"),
+        ({2: "1"}, "factor multiplicity must be an integer, got '1'"),
     ])
     def test_rejects_a_non_int_exponent_or_multiplicity(self, factors, message):
         # A float, a bool, a string or a fraction is refused, never rounded or
-        # read as 0 and 1; the constructor and from_map refuse alike.
-        for build in (FactorProduct.from_map, lambda f: FactorProduct(tuple(f.items()))):
+        # read as 0 and 1; the constructor, from_map and from_t_minus_one
+        # refuse alike (the last checks the types before its sign-parity sum).
+        for build in (FactorProduct.from_map, lambda f: FactorProduct(tuple(f.items())),
+                      FactorProduct.from_t_minus_one):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build(factors)
 
