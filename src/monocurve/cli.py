@@ -34,7 +34,7 @@ from .resolution import _graph_doc, build_resolution, export_graph
 from .semigroup import build_semigroup, min_last_generator, random_semigroup
 from .zeta import characteristic_polynomial
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 def _parse_gens(text: str) -> tuple[int, ...]:
@@ -59,12 +59,12 @@ def _parse_gens(text: str) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the ``{command: parser}`` map of its subparsers.
 
-
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the ``{command: parser}`` map of its subparsers."""
+    Built once per process for in-process callers of :func:`main`.
+    """
     parser = argparse.ArgumentParser(
         prog="monocurve",
         description="Exact invariants of plane-branch monomial curves: "
@@ -102,14 +102,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers, built once per process for in-process callers of :func:`main`."""
-    return _build_parsers()
-
-
 def _parse(argv) -> argparse.Namespace:
-    """Parse ``argv`` as ``build_parser().parse_args(argv)`` does.
+    """Parse ``argv`` as the top-level parser's ``parse_args(argv)`` does.
 
     The top-level parser has no option but ``-h`` and hands every token after
     the command name, unchanged, to the command's parser, so a command-first

@@ -79,14 +79,18 @@ def enum_count_solutions(
         IllFormed: ``k`` fails the validator of the closed forms (an
             exponent is not an ``int``, is a ``bool`` or is below 1, there is
             not one per coordinate, or ``d`` does not divide some
-            ``a_i*k_i``); a constant does not convert to a ``Fraction``, or
-            there is not one per coordinate; or ``"fixed_tail"`` has fewer
-            than two coordinates.
+            ``a_i*k_i``); ``c`` is not iterable, a constant does not convert
+            to a ``Fraction``, or there is not one per coordinate; or
+            ``"fixed_tail"`` has fewer than two coordinates.
         BudgetExceeded: ``d``, the rank or an exponent is past ``budget``.
         ValueError: ``mode`` is neither ``"total"`` nor ``"fixed_tail"``.
     """
     d, a = t.d[0], t.A[0]
     k = _check_one_row_system(d, a, k)
+    try:
+        c = tuple(c)
+    except TypeError:
+        raise IllFormed(f"constants must be a sequence of rationals, got {c!r}") from None
     constants = []
     for x in c:
         try:

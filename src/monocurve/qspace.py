@@ -13,9 +13,9 @@ axis intersections and Euler characteristics for chained systems of the shape
     x_0^{m_0} + x_1^{m_1} + x_2^{m_2} = 0,  x_i^{m_i} + x_{i+1}^{m_{i+1}} = 0.
 
 For ``r >= 3`` the component count is checked on the charts ``x_2 != 0``
-and ``x_3 != 0`` against its symmetric form, in :func:`curve_component_count`
-alone; the per-component axis count, its chart-2 form, is checked against
-the chart-3 form.  The public constructors and counters reject entries that
+and ``x_3 != 0`` against its symmetric form, in :func:`curve_component_count`;
+the per-component axis count, its chart-2 form, is checked against the
+chart-3 form.  The public constructors and counters reject entries that
 are not an ``int`` or are a ``bool``, and the two solution counts and the
 enumeration oracle share one validator of a system, which refuses with
 :class:`IllFormed`; the pipeline passes numbers it has
@@ -38,7 +38,6 @@ __all__ = [
     "count_solutions_total",
     "count_solutions_fixed_tail",
     "curve_component_count",
-    "curve_axis_intersections",
     "curve_open_euler",
 ]
 
@@ -185,16 +184,18 @@ class WeightedCurveSpec:
             raise IllFormed("a, p, m must have equal length")
         if d < 1 or min(p) < 1 or min(m) < 1:
             raise IllFormed("orders, weights and exponents must be positive")
-        for i, am in enumerate([ai * mi for ai, mi in zip(a, m)]):
-            if am % d:
-                raise IllFormed(f"d={d} does not divide a_{i}*m_{i}={am}")
+        am = [ai * mi for ai, mi in zip(a, m)]
+        for i, x in enumerate(am):
+            if x % d:
+                raise IllFormed(f"d={d} does not divide a_{i}*m_{i}={x}")
         if len({pi * mi for pi, mi in zip(p, m)}) > 1:
             raise IllFormed("curve is not weighted homogeneous: p_i*m_i differ")
         # With every p_i > 0, a_i*p_j = a_j*p_i for all i, j >= 1 holds iff it
-        # holds for i = 1, and the first failing pair (i, j) has i = 1.
-        a1, p1 = a[1], p[1]
+        # holds for i = 1.  With every p_i*m_i = P > 0, multiplying by
+        # m_1*m_j > 0 turns a_1*p_j = a_j*p_1 into a_1*m_1*P = a_j*m_j*P, so
+        # it holds iff a_1*m_1 = a_j*m_j, and fails at the same first j.
         for j in range(2, r + 1):
-            if a1 * p[j] != a[j] * p1:
+            if am[j] != am[1]:
                 raise HypothesisViolated(
                     f"commutation a_1*p_{j} = a_{j}*p_1 fails exactly"
                 )
@@ -209,10 +210,10 @@ def curve_component_count(spec: WeightedCurveSpec) -> int:
 
     Returns 1 when ``r = 2``.  For ``r >= 3`` the chart-local computation is
     repeated on charts ``x_2 != 0`` and ``x_3 != 0`` and checked against the
-    symmetric formula.  These chart checks run here and nowhere else:
-    :func:`curve_axis_intersections` takes the symmetric count without them.
+    symmetric formula.
     """
-    symmetric = _symmetric_component_count(spec)
+    m = spec.m
+    symmetric = _exact_div(math.prod(m[2:]), math.lcm(*m[2:]), "component count")
     if spec.r >= 3:
         for c in (2, 3):
             local = _chart_component_count(spec, c)
@@ -223,11 +224,6 @@ def curve_component_count(spec: WeightedCurveSpec) -> int:
     return symmetric
 
 
-def _symmetric_component_count(spec: WeightedCurveSpec) -> int:
-    m = spec.m
-    return _exact_div(math.prod(m[2:]), math.lcm(*m[2:]), "component count")
-
-
 def _chart_component_count(spec: WeightedCurveSpec, c: int) -> int:
     # On the chart x_c != 0 the tail system lives in X(p_c; p_2, ..., p_r) (coordinate c
     # omitted) with exponents m_i, i != c.  count_solutions_total's checks follow from the
@@ -236,10 +232,11 @@ def _chart_component_count(spec: WeightedCurveSpec, c: int) -> int:
     return _count_total(p[c], p[2:c] + p[c + 1:], m[2:c] + m[c + 1:])
 
 
-def curve_axis_intersections(spec: WeightedCurveSpec, axis: int) -> tuple[int, int]:
-    """Intersections of the curve with ``{x_axis = 0}`` for axis in {0, 1}.
+def _axis_count(spec: WeightedCurveSpec, axis: int, tail_gcd: int) -> int:
+    """Intersections of one curve component with ``{x_axis = 0}``, ``axis`` 0 or 1.
 
-    Returns ``(per_component, total)``.  The per-component count is
+    ``tail_gcd`` is ``gcd(p_2, ..., p_r)``, which the resolution's
+    cross-validation takes once per spec for both axes.  The count is
 
         m_w * gcd(d*P*gcd(p_w, p_2, ..., p_r), |a_w*P - p_w*Q|*gcd(p_2..p_r))
             / (d*P*gcd(p_2, ..., p_r))
@@ -247,25 +244,8 @@ def curve_axis_intersections(spec: WeightedCurveSpec, axis: int) -> tuple[int, i
     with ``w = 1 - axis``, ``P = p_2`` and ``Q = a_2``: the chart-2 form.  The
     product form ``P = p_2*...*p_r``, ``Q = a_2*p_3*...*p_r`` gives the same
     value, since its common factor ``p_3*...*p_r`` cancels.  For ``r >= 3``
-    the chart-3 form must agree.  The total is per-component times the
-    symmetric component count ``m_2*...*m_r / lcm(m_2, ..., m_r)``; the chart
-    checks of that count run in :func:`curve_component_count`, which a
-    caller that wants them calls on the same spec.
-
-    Raises:
-        IllFormed: ``axis`` is not the ``int`` 0 or 1.
-    """
-    if not isinstance(axis, int) or isinstance(axis, bool) or axis not in (0, 1):
-        raise IllFormed("axis must be 0 or 1")
-    per = _axis_count(spec, axis, math.gcd(*spec.p[2:]))
-    return per, per * _symmetric_component_count(spec)
-
-
-def _axis_count(spec: WeightedCurveSpec, axis: int, tail_gcd: int) -> int:
-    """Core of :func:`curve_axis_intersections`: the per-component count, chart-checked.
-
-    ``axis`` is 0 or 1 and ``tail_gcd`` is ``gcd(p_2, ..., p_r)``; the
-    resolution's cross-validation takes it once per spec for both axes.
+    the chart-3 form must agree.  The count over the whole curve is this
+    times :func:`curve_component_count`.
     """
     per = _axis_count_chart(spec, axis, 2, tail_gcd)
     if spec.r >= 3:

@@ -12,7 +12,7 @@ import pytest
 
 import monocurve.cli
 import monocurve.crosscheck
-from monocurve.cli import build_parser, main
+from monocurve.cli import main
 from monocurve.errors import InternalInconsistency
 from monocurve.oracle import EnumerationBudget
 
@@ -242,7 +242,7 @@ class TestOracle:
         assert "0 discrepancies" in out
 
     def test_defaults_are_the_library_budget(self):
-        args = build_parser().parse_args(["oracle"])
+        args = monocurve.cli._parser()[0].parse_args(["oracle"])
         budget = EnumerationBudget()
         assert args.max_group_order == budget.max_group_order
         assert args.max_exponent == budget.max_exponent
@@ -484,7 +484,7 @@ class TestParseRoutes:
         # Command-first argvs skip the top-level parser: each must still give
         # the namespace, or the exit code and output bytes, of the full parse.
         got = _outcome(monocurve.cli._parse, list(argv))
-        assert got == _outcome(build_parser().parse_args, list(argv))
+        assert got == _outcome(monocurve.cli._parser()[0].parse_args, list(argv))
 
     def test_command_argv_skips_the_top_level_parse(self, capsys, monkeypatch):
         def refused(argv=None, namespace=None):

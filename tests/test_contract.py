@@ -4,6 +4,7 @@ Each row is one hostile exponent or one hostile set of type rows, put into a
 system that is otherwise well formed.  Built through :class:`CyclicQuotientType`,
 the system must be refused by both closed-form counts and by the enumeration
 oracle in both modes, each with :class:`IllFormed` and the row's one message.
+A second table holds hostile constant vectors, which the oracle alone takes.
 The base group order is past the oracle's default budget, so a refusal that
 ran after the budget check would show as :class:`BudgetExceeded`, and no row
 reaches an enumeration.
@@ -38,6 +39,12 @@ ROWS = [
     ("two rows", ((D, D), ((1, 1), (1, 1))), D, ONE_ROW),
 ]
 
+# (id, constants, message)
+CONSTANT_ROWS = [
+    ("None", None, "constants must be a sequence of rationals, got None"),
+    ("int", 0, "constants must be a sequence of rationals, got 0"),
+]
+
 CALLS = {
     "total": lambda t, x: count_solutions_total(t, (x, D)),
     "fixed tail": lambda t, x: count_solutions_fixed_tail(t, x),
@@ -60,5 +67,15 @@ def test_one_refusal(rows, x, message, call):
     # Every call builds its type from the row, so a type row is refused by the constructor.
     with pytest.raises(IllFormed) as info:
         call(CyclicQuotientType(*rows), x)
+    assert type(info.value) is IllFormed
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mode", ["total", "fixed_tail"])
+@pytest.mark.parametrize("c, message", [r[1:] for r in CONSTANT_ROWS],
+                         ids=[r[0] for r in CONSTANT_ROWS])
+def test_one_constant_refusal(c, message, mode):
+    with pytest.raises(IllFormed) as info:
+        enum_count_solutions(CyclicQuotientType(*TYPE), (D, D), c, mode)
     assert type(info.value) is IllFormed
     assert str(info.value) == message

@@ -262,3 +262,9 @@ class TestCampaign:
         draws = [random_semigroup(i, 2 + i % 4, 10**6) for i in range(1000)]
         assert campaign(draws) == []
         assert outcomes == {"ran": sum(sg.g for sg in draws)} == {"ran": 3500}
+
+    def test_wide_and_deep_draws_are_clean(self):
+        # 500 draws with g = 2..16 and b_g up to 2**1024, well past the fuzz
+        # defaults (g <= 5, b_g <= 10**6): every check that runs passes.
+        draws = (random_semigroup(i, 2 + i % 15, 2**1024) for i in range(500))
+        assert campaign(draws) == []

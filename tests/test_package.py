@@ -50,13 +50,11 @@ CALCULATOR = sorted([
 ])
 
 MODULE_ONLY = {
+    "cli": ["main"],
     "conjecture": ["candidate_poles"],
     "crosscheck": ["DENSE_MU_CAP", "campaign"],
     "oracle": ["EnumerationBudget", "enum_digits", "expand_and_verify", "grid_discrepancies"],
-    "qspace": [
-        "WeightedCurveSpec", "curve_axis_intersections", "curve_component_count",
-        "curve_open_euler",
-    ],
+    "qspace": ["WeightedCurveSpec", "curve_component_count", "curve_open_euler"],
     "resolution": ["export_graph", "zeta_from_graph"],
     "semigroup": ["decompose", "min_last_generator", "plane_semigroups", "random_semigroup"],
     "zeta": [

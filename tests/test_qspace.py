@@ -1,6 +1,7 @@
 """Tests for quotient-space arithmetic and weighted-curve counting."""
 
 import math
+import random
 
 import pytest
 
@@ -11,7 +12,6 @@ from monocurve.qspace import (
     WeightedCurveSpec,
     count_solutions_fixed_tail,
     count_solutions_total,
-    curve_axis_intersections,
     curve_component_count,
     curve_open_euler,
 )
@@ -21,6 +21,11 @@ from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigr
 
 def one_row(d, *a):
     return CyclicQuotientType((d,), (tuple(a),))
+
+
+def axis_count(spec, axis):
+    """Intersections of one component of ``spec`` with ``{x_axis = 0}``."""
+    return qspace._axis_count(spec, axis, math.gcd(*spec.p[2:]))
 
 
 # Malformed specs whose entries are all ints, each with its one exception.
@@ -161,6 +166,76 @@ class TestValidation:
         assert (spec.a, spec.p, spec.m) == ((-1, 4, 4), (1, 1, 1), (2, 2, 2))
         assert spec.r == 2
 
+    def test_commutation_matches_cross_multiplication(self):
+        # _check decides a_1*p_j = a_j*p_1 from the products a_i*m_i; on specs
+        # that fail at each check in turn, r = 2..4, the outcome is the one of
+        # the cross-multiplied test.
+        rng = random.Random(0)
+        seen = set()
+        for _ in range(3000):
+            d, a, p, m = _drawn_spec(rng)
+            want = _cross_multiplied_outcome(d, a, p, m)
+            seen.add(want and want[1])
+            for build in (WeightedCurveSpec, WeightedCurveSpec._checked):
+                try:
+                    build(d, a, p, m)
+                    got = None
+                except (IllFormed, HypothesisViolated) as exc:
+                    got = type(exc), str(exc)
+                assert got == want, (d, a, p, m)
+        for prefix in ("a, p, m", "orders", "d=2 does not divide", "curve is not",
+                       *(f"commutation a_1*p_{j} " for j in (2, 3, 4))):
+            assert any(msg and msg.startswith(prefix) for msg in seen), prefix
+        assert None in seen
+
+
+def _drawn_spec(rng):
+    """A spec with r = 2..4 that passes every check, then broken at one check or none."""
+    r = rng.randint(2, 4)
+    m = [rng.randint(1, 6) for _ in range(r + 1)]
+    P = math.lcm(*m) * rng.randint(1, 2)
+    p = [P // mi for mi in m]
+    C = math.lcm(*m[1:]) * rng.randint(-3, 3)  # a_j*m_j = C for j >= 1
+    a = [rng.randint(-6, 6)] + [C // mi for mi in m[1:]]
+    g = math.gcd(a[0] * m[0], C)
+    d = rng.choice([x for x in range(1, g + 1) if g % x == 0] if g else range(1, 7))
+    broken = rng.choice(["none", "length", "positivity", "divisibility", "homogeneity",
+                         "commutation"])
+    if broken == "length":
+        rng.choice([a, m]).pop()
+    elif broken == "positivity":
+        d = rng.choice([d, 0])
+        rng.choice([p, m])[rng.randrange(r + 1)] = rng.randint(-1, 0)
+    elif broken == "divisibility":
+        d = 2
+        a[rng.randrange(r + 1)] = 1
+    elif broken == "homogeneity":
+        p[rng.randrange(r + 1)] += 1
+    elif broken == "commutation":
+        for j in rng.sample(range(1, r + 1), rng.randint(1, r)):
+            a[j] += d * rng.choice([-2, -1, 1, 2])  # keeps d | a_j*m_j
+    return d, tuple(a), tuple(p), tuple(m)
+
+
+def _cross_multiplied_outcome(d, a, p, m):
+    """``WeightedCurveSpec``'s value checks with ``a_1*p_j = a_j*p_1`` tested as written."""
+    r = len(p) - 1
+    if r < 2:
+        return IllFormed, "curve specs need at least three coordinates"
+    if not (len(a) == len(p) == len(m)):
+        return IllFormed, "a, p, m must have equal length"
+    if d < 1 or min(p) < 1 or min(m) < 1:
+        return IllFormed, "orders, weights and exponents must be positive"
+    for i in range(r + 1):
+        if a[i] * m[i] % d:
+            return IllFormed, f"d={d} does not divide a_{i}*m_{i}={a[i] * m[i]}"
+    if len({pi * mi for pi, mi in zip(p, m)}) > 1:
+        return IllFormed, "curve is not weighted homogeneous: p_i*m_i differ"
+    for j in range(2, r + 1):
+        if a[1] * p[j] != a[j] * p[1]:
+            return HypothesisViolated, f"commutation a_1*p_{j} = a_{j}*p_1 fails exactly"
+    return None
+
 
 class TestLFactorAndMultiplicity:
     """The one divisor-multiplicity formula ``m / l`` with ``l = d / gcd(d, a)``."""
@@ -266,20 +341,14 @@ class TestCurveCounts:
 
     def test_axis_intersections_g2(self):
         spec = _e1_spec((4, 6, 13))
-        assert curve_axis_intersections(spec, 0) == (2, 2)  # meets previous axis
-        assert curve_axis_intersections(spec, 1) == (1, 1)
-
-    @pytest.mark.parametrize("axis", [True, 1.0, 2])
-    def test_axis_not_0_or_1(self, axis):
-        # True was read as axis 1; 1.0 raised TypeError.
-        with pytest.raises(IllFormed, match="^axis must be 0 or 1$"):
-            curve_axis_intersections(_e1_spec((4, 6, 13)), axis)
+        assert curve_component_count(spec) == 1
+        assert axis_count(spec, 0) == 2  # meets previous axis
+        assert axis_count(spec, 1) == 1
 
     def test_axis_intersections_g3(self):
         spec = _e1_spec((8, 12, 26, 53))
-        assert curve_axis_intersections(spec, 0)[1] == 4
-        per, total = curve_axis_intersections(spec, 1)
-        assert total == per * curve_component_count(spec)
+        assert axis_count(spec, 0) * curve_component_count(spec) == 4
+        assert axis_count(spec, 1) * curve_component_count(spec) == 2
 
     def test_commutation_flag(self):
         with pytest.raises(HypothesisViolated):
@@ -311,12 +380,12 @@ class TestChartChecksAtThreeTailCoordinates:
     @pytest.mark.parametrize("axis", [0, 1])
     def test_axis_count_chart_3_mismatch(self, monkeypatch, spec, axis):
         honest = qspace._axis_count_chart
-        per, _ = curve_axis_intersections(spec, axis)
+        per = axis_count(spec, axis)
         monkeypatch.setattr(qspace, "_axis_count_chart",
                             lambda *args: honest(*args) + (args[2] == 3))
         with pytest.raises(InternalInconsistency,
                            match=f"^axis-{axis} count differs on chart 3: {per + 1} != {per}$"):
-            curve_axis_intersections(spec, axis)
+            axis_count(spec, axis)
 
 
 class TestEulerCharacteristics:
@@ -349,10 +418,9 @@ def _product_open_euler(spec):
 
 class TestChartIndependence:
     # curve_component_count runs the chart checks (x2 != 0 vs x3 != 0) of
-    # the component count and raises on a mismatch; curve_axis_intersections
-    # takes its per-component count on chart x2 != 0, checks it against chart
-    # x3 != 0 and multiplies by the symmetric component count, so both are
-    # called on each spec.  The axis counts and the open Euler characteristic
+    # the component count and raises on a mismatch; qspace._axis_count takes
+    # its per-component count on chart x2 != 0 and checks it against chart
+    # x3 != 0.  The axis counts and the open Euler characteristic
     # use level-local P and Q; each is also compared with its product form,
     # whose common factor cancels.
     @staticmethod
@@ -365,9 +433,7 @@ class TestChartIndependence:
             n_comp = curve_component_count(spec)
             assert n_comp == level.r
             for axis in (0, 1):
-                per, total = curve_axis_intersections(spec, axis)
-                assert total == per * n_comp
-                assert per == _product_axis_count(spec, axis)
+                assert axis_count(spec, axis) == _product_axis_count(spec, axis)
             assert curve_open_euler(spec) == _product_open_euler(spec) == level.chi_open
         return len(levels)
 
