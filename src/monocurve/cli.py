@@ -31,7 +31,7 @@ from .crosscheck import campaign
 from .errors import MonocurveError, _int_text, _json_text
 from .oracle import EnumerationBudget, grid_discrepancies
 from .resolution import _graph_doc, build_resolution, export_graph
-from .semigroup import build_semigroup, min_last_generator, random_semigroup
+from .semigroup import _require_feasible, build_semigroup, random_semigroup
 from .zeta import characteristic_polynomial
 
 __all__ = ["main"]
@@ -249,15 +249,12 @@ def _run(args, sg) -> int:
         return 0 if report.passed else 1
 
     if args.command == "fuzz":
-        if args.count < 1 or args.max_g < 2:
-            sys.stderr.write("error: count >= 1 and max-g >= 2 required\n")
-            return 2
-        top_g = min(args.max_g, args.count + 1)  # the largest g sampled
-        # b_g > 4^(g-1), so a g past the bit length of max-size needs no bound.
-        if (2 * top_g - 2 > args.max_size.bit_length()
-                or args.max_size < min_last_generator(top_g)):
-            sys.stderr.write(f"error: no plane semigroup with g={top_g} "
-                             f"has generators <= {args.max_size}\n")
+        try:
+            if args.count < 1 or args.max_g < 2:
+                raise ValueError("count >= 1 and max-g >= 2 required")
+            _require_feasible(min(args.max_g, args.count + 1), args.max_size)  # largest g drawn
+        except ValueError as exc:
+            sys.stderr.write(f"error: {exc}\n")
             return 2
         failures = campaign(_draws(args))
         summary = f"fuzz: {args.count} instances, {len(failures)} failures"
@@ -265,19 +262,16 @@ def _run(args, sg) -> int:
         return 0 if not failures else 1
 
     if args.command == "oracle":
-        try:
+        try:  # both refuse a bad bound or draw count with ValueError
             budget = EnumerationBudget(
                 max_group_order=args.max_group_order,
                 max_exponent=args.max_exponent,
                 max_rank=args.max_rank,
             )
+            discrepancies = grid_discrepancies(budget, draws=args.draws, seed=args.seed)
         except ValueError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
-        if args.draws < 1:
-            sys.stderr.write(f"error: draws must be >= 1, got {args.draws}\n")
-            return 2
-        discrepancies = grid_discrepancies(budget, draws=args.draws, seed=args.seed)
         lines = [f"DISCREPANCY {msg}" for msg in discrepancies]
         lines.append(f"oracle grid: {len(discrepancies)} discrepancies")
         _emit("\n".join(lines), args.output)

@@ -22,7 +22,7 @@ from .errors import (
 from .qspace import (
     CyclicQuotientType, _check_one_row_system, count_solutions_fixed_tail, count_solutions_total,
 )
-from .semigroup import PlaneSemigroup, _require_int
+from .semigroup import PlaneSemigroup, _check_level, _require_int
 from .zeta import FactorProduct, _sparse_product
 
 __all__ = [
@@ -181,11 +181,7 @@ def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
         BudgetExceeded: the search would list more than
             :data:`DIGIT_LIST_CAP` tail sums.
     """
-    if type(s) is not int or type(i) is not int:
-        _require_int(s, "s")
-        _require_int(i, "index i")
-    if not 1 <= i <= sg.g:
-        raise ValueError(f"index i must be in 1..{sg.g}")
+    _check_level(s, i, sg)
     n, b0 = sg.n, sg.gens[0]
     length = math.prod(n[1:i])
     h, lower = 1, 1

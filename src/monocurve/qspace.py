@@ -18,9 +18,10 @@ the per-component axis count, its chart-2 form, is checked against the
 chart-3 form.  The public constructors and counters reject entries that
 are not an ``int`` or are a ``bool``, and the two solution counts and the
 enumeration oracle share one validator of a system, which refuses with
-:class:`IllFormed`; the pipeline passes numbers it has
-already checked to private integer cores, such as the one divisor-multiplicity
-formula ``m / (d / gcd(d, a))`` on a one-row chart that the resolution checks.
+:class:`IllFormed`.  A curve spec has one constructor, types then values, and
+no private core; the pipeline passes numbers it has already checked to
+private integer cores, such as the one divisor-multiplicity formula
+``m / (d / gcd(d, a))`` on a one-row chart that the resolution checks.
 
 All counts are exact integers; failed divisibility raises structured errors.
 """
@@ -132,7 +133,7 @@ def count_solutions_fixed_tail(t: CyclicQuotientType, k0: int) -> int:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightedCurveSpec:
     """A weighted-homogeneous monomial curve in a one-row quotient space.
 
@@ -152,7 +153,9 @@ class WeightedCurveSpec:
     construction and :class:`HypothesisViolated` is raised when it fails.
     The action weights are kept as the given integers (possibly negative),
     *not* reduced mod ``d``: the quantities ``a_w*P - p_w*Q`` enter the
-    counting formulas as true integers.
+    counting formulas as true integers.  One constructor, the pipeline's
+    too, with no private core: an entry that is not an ``int`` or is a
+    ``bool`` raises :class:`IllFormed`, then every value check above runs.
     """
 
     d: int
@@ -160,20 +163,11 @@ class WeightedCurveSpec:
     p: tuple[int, ...]
     m: tuple[int, ...]
 
-    def __post_init__(self):
-        _ints((self.d,), "orders")
-        for name, what in (("a", "action weights"), ("p", "weights"), ("m", "exponents")):
-            object.__setattr__(self, name, _ints(getattr(self, name), what))
+    def __init__(self, d, a, p, m):
+        (d,) = _ints((d,), "orders")
+        self.__dict__.update(d=d, a=_ints(a, "action weights"), p=_ints(p, "weights"),
+                             m=_ints(m, "exponents"))
         self._check()
-
-    @classmethod
-    def _checked(cls, d: int, a: tuple[int, ...], p: tuple[int, ...],
-                 m: tuple[int, ...]) -> WeightedCurveSpec:
-        """Core for an ``int`` order and tuples of ``int``: every value check, no type checks."""
-        spec = object.__new__(cls)
-        spec.__dict__.update(d=d, a=a, p=p, m=m)
-        spec._check()
-        return spec
 
     def _check(self):
         d, a, p, m = self.d, self.a, self.p, self.m

@@ -139,11 +139,10 @@ def _homogeneous_spec(sg: PlaneSemigroup, level: GraphLevel) -> WeightedCurveSpe
     g = sg.g
     n = sg.n
     k, p = level.k, level.weights
-    spec = WeightedCurveSpec._checked  # the semigroup's integers need no type checks
     if k == 1:
-        return spec(1, (0,) * (g + 1), p, tuple(n))
+        return WeightedCurveSpec(1, (0,) * (g + 1), p, n)
     prev = n[k - 1] * sg.gens[k - 1]
-    return spec(
+    return WeightedCurveSpec(
         sg.e[k - 1],
         (-1, *(prev // n[i] for i in range(k, g + 1))),
         p,

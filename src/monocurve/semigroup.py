@@ -22,12 +22,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import (
-    InternalInconsistency,
-    NotCoprime,
-    NotPlane,
-    NotRepresentable,
-)
+from .errors import InternalInconsistency, NotCoprime, NotPlane, NotRepresentable, _exact_div
 
 __all__ = [
     "PlaneSemigroup",
@@ -88,11 +83,15 @@ def build_semigroup(gens) -> PlaneSemigroup:
     Raises:
         NotCoprime: the generators have a common factor.
         NotPlane: the generators fail one of the plane-branch conditions.
-        ValueError: fewer than three generators, an entry that is not an
-            ``int`` (a ``bool``, a fraction or a string is rejected, never
-            truncated or converted), or a non-positive entry.
+        ValueError: ``gens`` is not iterable, fewer than three generators,
+            an entry that is not an ``int`` (a ``bool``, a fraction or a
+            string is rejected, never truncated or converted), or a
+            non-positive entry.
     """
-    gens = tuple(gens)
+    try:
+        gens = tuple(gens)
+    except TypeError:
+        raise ValueError(f"generators must be a sequence of integers, got {gens!r}") from None
     for x in gens:
         if not isinstance(x, int) or isinstance(x, bool):
             raise ValueError(f"generators must be integers, got {x!r}")
@@ -113,16 +112,12 @@ def build_semigroup(gens) -> PlaneSemigroup:
     for i in range(1, g + 1):
         if e[i] == e[i - 1]:
             raise NotPlane(f"e_{i} = e_{i - 1} = {e[i]}: n_{i} would be 1")
-        n[i], rem = divmod(e[i - 1], e[i])
-        if rem:  # impossible for a gcd chain; defensive
-            raise InternalInconsistency("gcd chain is not a divisor chain")
+        # e_i divides e_{i-1} in a gcd chain: this division cannot fail.
+        n[i] = _exact_div(e[i - 1], e[i], "gcd chain step e_{0}/e_{1}", i - 1, i)
         if n[i] < 2:
             raise NotPlane(f"n_{i} = {n[i]} < 2")
-    # n0 is the leading digit of n1*b1 = n0*b0; always an exact quotient here.
-    n0, rem = divmod(n[1] * gens[1], gens[0])
-    if rem:
-        raise InternalInconsistency("n1*b1 is not a multiple of b0")
-    n[0] = n0
+    # n0 is the leading digit of n1*b1 = lcm(b0, b1) = n0*b0: an exact quotient.
+    n0 = n[0] = _exact_div(n[1] * gens[1], gens[0], "n_1*b_1 by b_0")
 
     # Strictness between consecutive characteristic terms.
     for i in range(1, g):
@@ -156,11 +151,7 @@ def decompose(sg: PlaneSemigroup, s: int, i: int) -> tuple[int, ...]:
         ValueError: ``s`` or ``i`` is not an ``int`` or is a ``bool``, or
             ``i`` is outside ``1..G``.
     """
-    if type(s) is not int or type(i) is not int:
-        _require_int(s, "s")
-        _require_int(i, "index i")
-    if not 1 <= i <= sg.g:
-        raise ValueError(f"index i must be in 1..{sg.g}, got {i}")
+    _check_level(s, i, sg)
     if s < 0:
         raise NotRepresentable(f"{s} is negative")
     if s % sg.e[i - 1]:
@@ -193,6 +184,13 @@ def min_last_generator(g: int) -> int:
     if g < 1:
         raise ValueError("g must be >= 1")
     return (10 * 4 ** (g - 1) - 1) // 3
+
+
+def _require_feasible(g: int, max_size: int) -> None:
+    """Refuse a ``max_size`` below :func:`min_last_generator` of ``g`` (an ``int`` >= 1).  That
+    exceeds ``4^(g-1)``: a ``g`` past the bit length of ``max_size`` is refused without it."""
+    if 2 * g - 2 > max_size.bit_length() or max_size < min_last_generator(g):
+        raise ValueError(f"no plane semigroup with g={g} has generators <= {max_size}")
 
 
 def plane_semigroups(max_last: int) -> Iterator[PlaneSemigroup]:
@@ -240,15 +238,15 @@ def random_semigroup(seed: int, g: int, max_size: int) -> PlaneSemigroup:
     Raises:
         ValueError: ``seed``, ``g`` or ``max_size`` is not an ``int`` or is a
             ``bool``; ``g < 2``; or ``max_size`` is below
-            :func:`min_last_generator`, so no semigroup exists.
+            :func:`min_last_generator`, so no semigroup exists (refused at
+            any ``g`` without building ``4^(g-1)``).
     """
     _require_int(seed, "seed")
     _require_int(g, "g")
     _require_int(max_size, "max_size")
     if g < 2:
         raise ValueError("g must be >= 2")
-    if max_size < min_last_generator(g):
-        raise ValueError(f"no plane semigroup with g={g} has generators <= {max_size}")
+    _require_feasible(g, max_size)
     rng = random.Random(seed)
     r = _iroot(max_size, 2 * g - 1)
     ns = [2] * g
@@ -270,6 +268,15 @@ def _require_int(value, name: str) -> None:
     :func:`build_semigroup` refuses such a generator."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_level(s, i, sg: PlaneSemigroup) -> None:
+    """The level rule of :func:`decompose` and the digit search: ``int`` ``s`` and ``i`` in 1..G."""
+    if type(s) is not int or type(i) is not int:
+        _require_int(s, "s")
+        _require_int(i, "index i")
+    if not 1 <= i <= sg.g:
+        raise ValueError(f"index i must be in 1..{sg.g}, got {i}")
 
 
 def _iroot(x: int, k: int) -> int:

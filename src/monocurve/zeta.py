@@ -61,7 +61,8 @@ class FactorProduct:
 
     Each ``a`` and ``e_a`` must be an ``int`` and not a ``bool``, each ``a``
     positive, and ``sign`` the ``int`` +1 or -1; the constructor and
-    :meth:`from_map` raise ``ValueError`` otherwise.
+    :meth:`from_map` raise ``ValueError`` otherwise, and for ``factors`` that
+    are not ``(a, e_a)`` pairs (for :meth:`from_map`, not a mapping).
     """
 
     factors: tuple[tuple[int, int], ...] = ()
@@ -69,8 +70,12 @@ class FactorProduct:
 
     def __post_init__(self):
         _check_sign(self.sign)
+        try:
+            pairs = [(a, e) for a, e in self.factors]
+        except (TypeError, ValueError):
+            raise ValueError(f"factors must be (a, e_a) pairs, got {self.factors!r}") from None
         merged: dict[int, int] = {}
-        for a, e in self.factors:  # the pairs denote a product: a repeated a adds its exponents
+        for a, e in pairs:  # the pairs denote a product: a repeated a adds its exponents
             _check_factor(a, e)  # before the sum, which would turn a bool into an int
             merged[a] = merged.get(a, 0) + e
         object.__setattr__(self, "factors", _canonical(merged))
@@ -128,8 +133,12 @@ class FactorProduct:
 
 
 def _canonical(factors: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    try:
+        items = factors.items()
+    except AttributeError:
+        raise ValueError(f"factors must be a mapping, got {factors!r}") from None
     canon = []
-    for a, e in factors.items():
+    for a, e in items:
         if type(a) is not int or type(e) is not int:
             _check_factor(a, e)
         if a < 1:

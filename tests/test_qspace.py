@@ -55,8 +55,8 @@ SPEC_VALUE_CASES = [
                                 "commutation a_1*p_3 = a_3*p_1 fails exactly")),
     ]
 ]
-# Specs with an entry that is not an int or is a bool: the public
-# constructor alone refuses them.
+# Specs with an entry that is not an int or is a bool, refused before any
+# value check.
 SPEC_TYPE_CASES = [
     pytest.param(*case, IllFormed, message, id=name) for name, case, message in [
         ("float order", (2.0, (0, 0, 0), (1, 1, 1), (2, 2, 2)),
@@ -115,15 +115,6 @@ class TestValidation:
         assert type(info.value) is error
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("d, a, p, m, error, message", SPEC_VALUE_CASES)
-    def test_checked_core_refuses_the_same_values(self, d, a, p, m, error, message):
-        # The pipeline's core skips the type checks alone: each value check
-        # of the constructor raises the same class and message there.
-        with pytest.raises(error) as info:
-            WeightedCurveSpec._checked(d, a, p, m)
-        assert type(info.value) is error
-        assert str(info.value) == message
-
     @pytest.mark.parametrize("count, t, k, bad", [
         (count_solutions_total, one_row(4, 2, 2), (2.9, 2.5), "2.9"),
         (count_solutions_total, one_row(2, 1, 1), (True, 2), "True"),
@@ -176,13 +167,12 @@ class TestValidation:
             d, a, p, m = _drawn_spec(rng)
             want = _cross_multiplied_outcome(d, a, p, m)
             seen.add(want and want[1])
-            for build in (WeightedCurveSpec, WeightedCurveSpec._checked):
-                try:
-                    build(d, a, p, m)
-                    got = None
-                except (IllFormed, HypothesisViolated) as exc:
-                    got = type(exc), str(exc)
-                assert got == want, (d, a, p, m)
+            try:
+                WeightedCurveSpec(d, a, p, m)
+                got = None
+            except (IllFormed, HypothesisViolated) as exc:
+                got = type(exc), str(exc)
+            assert got == want, (d, a, p, m)
         for prefix in ("a, p, m", "orders", "d=2 does not divide", "curve is not",
                        *(f"commutation a_1*p_{j} " for j in (2, 3, 4))):
             assert any(msg and msg.startswith(prefix) for msg in seen), prefix

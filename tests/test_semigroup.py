@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,22 @@ class TestRandomSemigroup:
     def test_g_too_small(self):
         with pytest.raises(ValueError):
             random_semigroup(0, 1, 100)
+
+    def test_huge_g_is_refused_without_building_the_least_size(self):
+        # The least b_g exceeds 4^(g-1), which has 2g - 1 bits: built for
+        # g = 10^8 it peaks at 93 MB, and for g = 10^12 it does not fit in
+        # memory.  g = 10^8 comes first, so code that builds it fails on the
+        # peak before it reaches 10^12.
+        for g in (10**8, 10**12):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError) as info:
+                    random_semigroup(0, g, 10**6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(info.value) == f"no plane semigroup with g={g} has generators <= 1000000"
+            assert peak < 2**20, (g, peak)
 
     @pytest.mark.parametrize("g, max_size, name", [
         (2, 1e6, "max_size"), (2.0, 10**6, "g"), (True, 10**6, "g"), (2, False, "max_size"),
