@@ -36,8 +36,19 @@ def _exact_div(num: int, den: int, what: str, *args) -> int:
     """
     q, r = divmod(num, den)
     if r:
-        raise NotDivisible(f"{what.format(*args)}: {num} not divisible by {den}")
+        raise NotDivisible(f"{what.format(*args)}: {_shown(num)} not divisible by {_shown(den)}")
     return q
+
+
+def _shown(x) -> str:
+    """``str(x)`` for a message, ``x`` an int or a tuple of ints, never raising: an int past the
+    int-to-str digit limit shows as its bit length."""
+    if type(x) is tuple:
+        return f"({', '.join(map(_shown, x))}{',' * (len(x) == 1)})"
+    try:
+        return f"{x}"
+    except ValueError:  # the only ValueError str of an int raises
+        return f"{'-' * (x < 0)}<int of {x.bit_length()} bits>"
 
 
 class NotPolynomial(MonocurveError):

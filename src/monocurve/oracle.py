@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    BudgetExceeded, IllFormed, InternalInconsistency, NotPolynomial, NotRepresentable,
+    BudgetExceeded, IllFormed, InternalInconsistency, NotPolynomial, NotRepresentable, _shown,
 )
 from .qspace import (
-    CyclicQuotientType, _check_one_row_system, count_solutions_fixed_tail, count_solutions_total,
+    CyclicQuotientType, _check_fixed_tail, _check_one_row_system, count_solutions_fixed_tail,
+    count_solutions_total,
 )
 from .semigroup import PlaneSemigroup, _check_level, _require_int
 from .zeta import FactorProduct, _sparse_product
@@ -68,22 +69,28 @@ def enum_count_solutions(
 ) -> int:
     """Count solution classes of ``x_i^{k_i} = c_i`` in ``X(d; a)`` by listing.
 
-    ``c`` is a tuple of ``Fraction`` exponents: ``c_i = exp(2*pi*i*c[i])``, and
-    every ``k_i >= 1``.  One pass over the coordinates lists the ``k_i``-th roots
-    as int residues, maps them through the generator of the ``d``-th roots of
-    unity and extends its permutation of the mixed-radix points; ``mode`` is
-    ``"total"`` (count all orbits) or ``"fixed_tail"`` (count classes of ``x_0``
-    with a concrete tail solution fixed).
+    ``c`` holds rational exponents, ``c_i = exp(2*pi*i*c[i])``, each converted
+    once to lowest terms ``p/q``; every ``k_i >= 1``.  One pass over the
+    coordinates lists the ``k_i``-th roots as int residues, maps them through
+    the generator of the ``d``-th roots of unity and extends its permutation of
+    the mixed-radix points; ``mode`` is ``"total"`` (count all orbits) or
+    ``"fixed_tail"`` (count classes of ``x_0`` with a concrete tail solution
+    fixed).  The roots of ``x_i^{k_i} = c_i`` have exponents ``(p/q + j)/k_i``;
+    times ``denom = k_i*q*d`` and mod ``denom`` these are the residues ``v =
+    p%q*d + j*gap``, ``0 <= j < k_i``, with ``gap = q*d``.  The generator adds
+    ``s = h*a_i*k_i*q``, a multiple of ``gap`` since ``d | a_i*k_i``, so a root's
+    image is a root, of index ``((v + s) % denom) // gap``: exact integer
+    arithmetic, no lookup.  That ``gap | s`` is tested once per coordinate.
 
     Raises:
-        IllFormed: ``k`` fails the validator of the closed forms (an
-            exponent is not an ``int``, is a ``bool`` or is below 1, there is
-            not one per coordinate, or ``d`` does not divide some
-            ``a_i*k_i``); ``c`` is not iterable, a constant does not convert
-            to a ``Fraction``, or there is not one per coordinate; or
-            ``"fixed_tail"`` has fewer than two coordinates.
+        IllFormed: ``k`` fails the validator of the closed forms (an exponent
+            is not an ``int``, is a ``bool`` or is below 1, there is not one per
+            coordinate, or ``d`` does not divide some ``a_i*k_i``); ``c`` is not
+            iterable, a constant is not rational, or there is not one per
+            coordinate; or ``"fixed_tail"`` has fewer than two coordinates.
         BudgetExceeded: ``d``, the rank or an exponent is past ``budget``.
         ValueError: ``mode`` is neither ``"total"`` nor ``"fixed_tail"``.
+        InternalInconsistency: a generator step is not a multiple of ``gap``.
     """
     d, a = t.d[0], t.A[0]
     k = _check_one_row_system(d, a, k)
@@ -91,15 +98,14 @@ def enum_count_solutions(
         c = tuple(c)
     except TypeError:
         raise IllFormed(f"constants must be a sequence of rationals, got {c!r}") from None
-    constants = []
+    ratios = []
     for x in c:
         try:
-            constants.append(x if isinstance(x, Fraction) else Fraction(x))
+            ratios.append((x if isinstance(x, Fraction) else Fraction(x)).as_integer_ratio())
         except _NOT_CONVERTED:
             raise IllFormed(f"constants must be rational, got {x!r}") from None
-    c = constants
     n = len(a)
-    if len(c) != n:
+    if len(ratios) != n:
         raise IllFormed("one constant per coordinate required")
     if d > budget.max_group_order:
         raise BudgetExceeded(f"group order {d} exceeds {budget.max_group_order}")
@@ -109,8 +115,7 @@ def enum_count_solutions(
         raise BudgetExceeded(f"exponent in {k} exceeds {budget.max_exponent}")
     h = 1  # the generator is the h-th power of exp(2*pi*i/d)
     if mode == "fixed_tail":
-        if n < 2:
-            raise IllFormed("fixed-tail count needs at least two coordinates")
+        _check_fixed_tail(a)
         # With the tail fixed at the first root of each constant, x_0 classes are orbits
         # of its pointwise stabilizer, generated by the least h >= 1 with d | h*a_i, i >= 1.
         for h in range(1, d + 1):
@@ -125,29 +130,26 @@ def enum_count_solutions(
     perm = [0]
     for i in range(n):
         ki = k[i]
-        p, q = c[i].as_integer_ratio()
-        # Root j of exp(2*pi*i*p/q) is (p/q + j)/k_i and the generator adds
-        # h*a_i/d; over denom = k_i*q*d both are ints, the root in [0, denom).
+        p, q = ratios[i]
         denom, gap = ki * q * d, q * d
-        row = range(p % q * d, denom, gap)
-        index = dict(zip(row, range(ki)))
         s = h * a[i] * ki * q
-        step = [index[(v + s) % denom] for v in row]
+        if s % gap:  # d | a_i*k_i: every image is a listed root, as the index assumes
+            raise InternalInconsistency(f"generator step {s} is not a multiple of {gap}")
+        step = [(v + s) % denom // gap for v in range(p % q * d, denom, gap)]
         # Point x of the coordinates before i and root j of x_i is point x*k_i + j.
         perm = [x * ki + j for x in perm for j in step] if i else step
     return _count_orbits(perm)
 
 
 def _count_orbits(perm) -> int:
-    """Orbits, as the cycles of the permutation ``perm``, each walked from its first point."""
-    seen = [False] * len(perm)
+    """Orbits, as the cycles of the permutation ``perm``, each walked from its first point.
+    Consumes ``perm``: the walk marks each point it reaches visited by setting its entry to -1."""
     orbits = 0
     for start, p in enumerate(perm):
-        if not seen[start]:
+        if p >= 0:
             orbits += 1
             while p != start:
-                seen[p] = True
-                p = perm[p]
+                perm[p], p = -1, perm[p]
     return orbits
 
 
@@ -215,9 +217,9 @@ def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
             if xs[kx] + y <= s
         ]
     if not hits:
-        raise NotRepresentable(f"{s} has no digit representation at level {i}")
+        raise NotRepresentable(f"{_shown(s)} has no digit representation at level {i}")
     if len(hits) > 1:
-        raise InternalInconsistency(f"digit representation of {s} is not unique")
+        raise InternalInconsistency(f"digit representation of {_shown(s)} is not unique")
     k = hits[0]  # the index of the tail in itertools.product order over levels 1..i-1
     tail = sums[k] if h == 1 else xs[k // width] + ys[k % width]
     digits = [(s - tail) // b0] + [0] * (i - 1)

@@ -63,8 +63,7 @@ class CyclicQuotientType:
         (d,) = _ints((d,), "row orders")
         if d < 1:
             raise IllFormed(f"row order must be >= 1, got {d}")
-        object.__setattr__(self, "d", (d,))
-        object.__setattr__(self, "A", (tuple([x % d for x in _ints(a, "weights")]),))
+        self.__dict__.update(d=(d,), A=(tuple([x % d for x in _ints(a, "weights")]),))
 
 
 def _ints(xs, what: str) -> tuple[int, ...]:
@@ -104,6 +103,12 @@ def _check_one_row_system(d: int, a: tuple[int, ...], k) -> tuple[int, ...]:
     return k
 
 
+def _check_fixed_tail(a: tuple[int, ...]) -> None:
+    """The fixed-tail rule of the closed form and the oracle: a head and a tail coordinate."""
+    if len(a) < 2:
+        raise IllFormed("fixed-tail count needs at least two coordinates")
+
+
 def count_solutions_total(t: CyclicQuotientType, k) -> int:
     """Number of solution classes of ``x_i^{k_i} = c_i`` (all i) in ``X(d; a)``.
 
@@ -125,8 +130,7 @@ def count_solutions_fixed_tail(t: CyclicQuotientType, k0: int) -> int:
     Equals ``k_0 * gcd(d, a_0, ..., a_r) / gcd(d, a_1, ..., a_r)``.
     """
     d, a = t.d[0], t.A[0]
-    if len(a) < 2:
-        raise IllFormed("fixed-tail count needs at least two coordinates")
+    _check_fixed_tail(a)
     (k0,) = _check_one_row_system(d, a[:1], (k0,))
     return _exact_div(
         k0 * math.gcd(d, *a), math.gcd(d, *a[1:]), "fixed-tail solution-class count"

@@ -22,7 +22,9 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import InternalInconsistency, NotCoprime, NotPlane, NotRepresentable, _exact_div
+from .errors import (
+    InternalInconsistency, NotCoprime, NotPlane, NotRepresentable, _exact_div, _shown,
+)
 
 __all__ = [
     "PlaneSemigroup",
@@ -100,9 +102,9 @@ def build_semigroup(gens) -> PlaneSemigroup:
     if any(x <= 0 for x in gens):
         raise ValueError("generators must be positive")
     if any(b >= c for b, c in zip(gens, gens[1:])):
-        raise NotPlane(f"generators must be strictly increasing: {gens}")
+        raise NotPlane(f"generators must be strictly increasing: {_shown(gens)}")
     if math.gcd(*gens) != 1:
-        raise NotCoprime(f"gcd of {gens} is {math.gcd(*gens)}, expected 1")
+        raise NotCoprime(f"gcd of {_shown(gens)} is {_shown(math.gcd(*gens))}, expected 1")
 
     g = len(gens) - 1
     e = [gens[0]]
@@ -111,11 +113,11 @@ def build_semigroup(gens) -> PlaneSemigroup:
     n = [0] * (g + 1)
     for i in range(1, g + 1):
         if e[i] == e[i - 1]:
-            raise NotPlane(f"e_{i} = e_{i - 1} = {e[i]}: n_{i} would be 1")
+            raise NotPlane(f"e_{i} = e_{i - 1} = {_shown(e[i])}: n_{i} would be 1")
         # e_i divides e_{i-1} in a gcd chain: this division cannot fail.
         n[i] = _exact_div(e[i - 1], e[i], "gcd chain step e_{0}/e_{1}", i - 1, i)
         if n[i] < 2:
-            raise NotPlane(f"n_{i} = {n[i]} < 2")
+            raise NotPlane(f"n_{i} = {_shown(n[i])} < 2")
     # n0 is the leading digit of n1*b1 = lcm(b0, b1) = n0*b0: an exact quotient.
     n0 = n[0] = _exact_div(n[1] * gens[1], gens[0], "n_1*b_1 by b_0")
 
@@ -123,7 +125,7 @@ def build_semigroup(gens) -> PlaneSemigroup:
     for i in range(1, g):
         if n[i] * gens[i] >= gens[i + 1]:
             raise NotPlane(
-                f"n_{i}*b_{i} = {n[i] * gens[i]} >= b_{i + 1} = {gens[i + 1]}"
+                f"n_{i}*b_{i} = {_shown(n[i] * gens[i])} >= b_{i + 1} = {_shown(gens[i + 1])}"
             )
 
     sg = PlaneSemigroup(gens=gens, e=tuple(e), n=tuple(n), digits=())
@@ -153,9 +155,9 @@ def decompose(sg: PlaneSemigroup, s: int, i: int) -> tuple[int, ...]:
     """
     _check_level(s, i, sg)
     if s < 0:
-        raise NotRepresentable(f"{s} is negative")
+        raise NotRepresentable(f"{_shown(s)} is negative")
     if s % sg.e[i - 1]:
-        raise NotRepresentable(f"{s} is not divisible by e_{i - 1} = {sg.e[i - 1]}")
+        raise NotRepresentable(f"{_shown(s)} is not divisible by e_{i - 1} = {_shown(sg.e[i - 1])}")
     digits = [0] * i
     for j in range(i - 1, 0, -1):
         # s is divisible by e_j at this point; solve for the digit mod n_j.
@@ -167,7 +169,7 @@ def decompose(sg: PlaneSemigroup, s: int, i: int) -> tuple[int, ...]:
             raise NotRepresentable("digit elimination left a bad remainder")
     c0, rem = divmod(s, sg.gens[0])
     if rem or c0 < 0:
-        raise NotRepresentable(f"remainder {s} is not a multiple of b0")
+        raise NotRepresentable(f"remainder {_shown(s)} is not a multiple of b0")
     digits[0] = c0
     return tuple(digits)
 
@@ -190,7 +192,9 @@ def _require_feasible(g: int, max_size: int) -> None:
     """Refuse a ``max_size`` below :func:`min_last_generator` of ``g`` (an ``int`` >= 1).  That
     exceeds ``4^(g-1)``: a ``g`` past the bit length of ``max_size`` is refused without it."""
     if 2 * g - 2 > max_size.bit_length() or max_size < min_last_generator(g):
-        raise ValueError(f"no plane semigroup with g={g} has generators <= {max_size}")
+        raise ValueError(
+            f"no plane semigroup with g={_shown(g)} has generators <= {_shown(max_size)}"
+        )
 
 
 def plane_semigroups(max_last: int) -> Iterator[PlaneSemigroup]:
@@ -276,7 +280,7 @@ def _check_level(s, i, sg: PlaneSemigroup) -> None:
         _require_int(s, "s")
         _require_int(i, "index i")
     if not 1 <= i <= sg.g:
-        raise ValueError(f"index i must be in 1..{sg.g}, got {i}")
+        raise ValueError(f"index i must be in 1..{sg.g}, got {_shown(i)}")
 
 
 def _iroot(x: int, k: int) -> int:

@@ -12,17 +12,23 @@ ran after the budget check would show as :class:`BudgetExceeded`, and no row
 reaches an enumeration.
 
 The last table starts from one valid call of each semigroup function, of the
-exhaustive digit search and of each :class:`FactorProduct` constructor, and
-puts one hostile value into one argument at a time.  Each row names the
-error class and the message; the class is a ``ValueError`` that the
-function's docstring names, or a :class:`MonocurveError` subclass.
+exhaustive digit search, of each :class:`FactorProduct` constructor and of
+the exact-division helper, and puts one hostile value into one argument at a
+time.  Each row names the error class and the message; the class is a
+``ValueError`` that the function's docstring names, or a
+:class:`MonocurveError` subclass.  An int past the int-to-str digit limit
+(``HUGE``) is refused with the function's own error, its message showing the
+int's bit length.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from monocurve.errors import BudgetExceeded, IllFormed, NotRepresentable
+from monocurve.errors import (
+    BudgetExceeded, IllFormed, NotCoprime, NotDivisible, NotPlane, NotRepresentable, _exact_div,
+)
 from monocurve.oracle import DEFAULT_BUDGET, enum_count_solutions, enum_digits
 from monocurve.qspace import CyclicQuotientType, count_solutions_fixed_tail, count_solutions_total
 from monocurve.semigroup import (
@@ -100,22 +106,26 @@ SG = build_semigroup((4, 6, 13))
 NOT_INT = "{name} must be an integer, got {x!r}"
 PAIRS = "factors must be (a, e_a) pairs, got {x!r}"
 MAPPING = "factors must be a mapping, got {x!r}"
+HUGE = 10**5000  # past the default int-to-str digit limit of 4300 digits
+LIMITED = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                             reason="no int-to-str digit limit")
+SHOWN = "<int of 16610 bits>"  # how a message shows HUGE, HUGE + 1 or HUGE + 2
 
 # (function, the arguments of one valid call)
 VALID_CALLS = [
     (build_semigroup, ((4, 6, 13),)), (decompose, (SG, 26, 2)), (enum_digits, (26, 2, SG)),
     (min_last_generator, (2,)), (random_semigroup, (0, 2, 100)), (plane_semigroups, (13,)),
     (FactorProduct, ((),)), (FactorProduct.from_map, ({},)),
-    (FactorProduct.from_t_minus_one, ({},)),
+    (FactorProduct.from_t_minus_one, ({},)), (_exact_div, (6, 2, "b_{0}", 1)),
 ]
 
 
-def _rows(func, name, args_of, values, error, message):
+def _rows(func, name, args_of, values, error, message, marks=()):
     """One row per ``(label, x)`` of ``values``: ``func(*args_of(x))`` raises
     ``error`` with ``message`` formatted with ``name`` and ``x``."""
     return [
         pytest.param(func, args_of(x), error, message.format(name=name, x=x),
-                     id=f"{func.__qualname__}({name}={label})")
+                     id=f"{func.__qualname__}({name}={label})", marks=marks)
         for label, x in values
     ]
 
@@ -136,6 +146,10 @@ ARGUMENT_ROWS = [
            "need at least three generators (g >= 2)"),
     *_rows(build_semigroup, "b_2", lambda x: ((4, 6, x),), _values(0, -1), ValueError,
            "generators must be positive"),
+    *_rows(build_semigroup, "b_2", lambda x: ((4, 6, x),), [("HUGE + 2", HUGE + 2)], NotCoprime,
+           f"gcd of (4, 6, {SHOWN}) is 2, expected 1", marks=LIMITED),
+    *_rows(build_semigroup, "b_1", lambda x: ((4, x, 6),), [("HUGE + 2", HUGE + 2)], NotPlane,
+           f"generators must be strictly increasing: (4, {SHOWN}, 6)", marks=LIMITED),
     # decompose(sg, s, i) and enum_digits(s, i, sg) share one level rule.
     *_rows(decompose, "s", lambda x: (SG, x, 2), NON_INTS, ValueError, NOT_INT),
     *_rows(decompose, "index i", lambda x: (SG, 26, x), NON_INTS, ValueError, NOT_INT),
@@ -143,12 +157,18 @@ ARGUMENT_ROWS = [
            "index i must be in 1..2, got {x}"),
     *_rows(decompose, "s", lambda x: (SG, x, 2), _values(-1), NotRepresentable,
            "-1 is negative"),
+    *_rows(decompose, "s", lambda x: (SG, x, 2), [("HUGE + 1", HUGE + 1)], NotRepresentable,
+           f"{SHOWN} is not divisible by e_1 = 2", marks=LIMITED),
+    *_rows(decompose, "i", lambda x: (SG, 26, x), [("HUGE + 1", HUGE + 1)], ValueError,
+           f"index i must be in 1..2, got {SHOWN}", marks=LIMITED),
     *_rows(enum_digits, "s", lambda x: (x, 2, SG), NON_INTS, ValueError, NOT_INT),
     *_rows(enum_digits, "index i", lambda x: (26, x, SG), NON_INTS, ValueError, NOT_INT),
     *_rows(enum_digits, "i", lambda x: (26, x, SG), _values(0, -1, 3), ValueError,
            "index i must be in 1..2, got {x}"),
     *_rows(enum_digits, "s", lambda x: (x, 2, SG), _values(-1), NotRepresentable,
            "-1 has no digit representation at level 2"),
+    *_rows(enum_digits, "s", lambda x: (x, 2, SG), [("HUGE + 1", HUGE + 1)], NotRepresentable,
+           f"{SHOWN} has no digit representation at level 2", marks=LIMITED),
     *_rows(min_last_generator, "g", lambda x: (x,), NON_INTS, ValueError, NOT_INT),
     *_rows(min_last_generator, "g", lambda x: (x,), _values(0, -1), ValueError,
            "g must be >= 1"),
@@ -160,6 +180,10 @@ ARGUMENT_ROWS = [
            "g must be >= 2"),
     *_rows(random_semigroup, "max_size", lambda x: (0, 2, x), _values(12, 0, -1), ValueError,
            "no plane semigroup with g=2 has generators <= {x}"),
+    *_rows(random_semigroup, "max_size", lambda x: (0, 2, x), [("-HUGE", -HUGE)], ValueError,
+           f"no plane semigroup with g=2 has generators <= -{SHOWN}", marks=LIMITED),
+    *_rows(random_semigroup, "g", lambda x: (0, x, 100), [("HUGE", HUGE)], ValueError,
+           f"no plane semigroup with g={SHOWN} has generators <= 100", marks=LIMITED),
     # plane_semigroups(max_last) refuses at the call.  A bound below 13 is no
     # refusal, by design: it lists nothing, which is the true answer.
     *_rows(plane_semigroups, "max_last", lambda x: (x,), NON_INTS, ValueError, NOT_INT),
@@ -186,6 +210,9 @@ ARGUMENT_ROWS = [
            ValueError, MAPPING),
     *_rows(FactorProduct.from_t_minus_one, "factor multiplicity", lambda x: ({1: x},),
            NON_INTS, ValueError, NOT_INT),
+    # _exact_div(num, den, what, *args) formats its operands only on the failure branch.
+    *_rows(_exact_div, "num", lambda x: (x, 2, "b_{0}", 1), [("HUGE + 1", HUGE + 1)],
+           NotDivisible, f"b_1: {SHOWN} not divisible by 2", marks=LIMITED),
 ]
 
 

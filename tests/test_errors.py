@@ -18,7 +18,9 @@ import monocurve.resolution
 from monocurve import qspace, zeta
 from monocurve.cli import main
 from monocurve.crosscheck import cross_check
-from monocurve.errors import BudgetExceeded, NotDivisible, _exact_div, _int_text, _json_text
+from monocurve.errors import (
+    BudgetExceeded, NotDivisible, _exact_div, _int_text, _json_text, _shown,
+)
 from monocurve.semigroup import build_semigroup, plane_semigroups
 
 EDGE_CASES = [
@@ -115,6 +117,14 @@ class TestDigitLimit:
         for write in writers:
             with pytest.raises(BudgetExceeded, match="int-to-str digit limit"):
                 write(big)
+
+    def test_message_ints_past_the_limit_show_their_bit_length(self):
+        big = 10 ** sys.get_int_max_str_digits()
+        for x in (0, -7, big - 1, (4, 6, 13), (5,), ()):
+            assert _shown(x) == str(x)
+        shown = f"<int of {big.bit_length()} bits>"
+        assert (_shown(big), _shown(-big)) == (shown, "-" + shown)
+        assert _shown((1, big)) == f"(1, {shown})"
 
 
 # At 4,6,13: M = (M_0, M_1, M_2) = (2, 6, 13) and N = (N_1, N_2) = (6, 26).

@@ -22,6 +22,7 @@ from monocurve.errors import (
 from monocurve.oracle import (
     DIGIT_LIST_CAP,
     EnumerationBudget,
+    _count_orbits,
     enum_count_solutions,
     enum_digits,
     expand_and_verify,
@@ -243,15 +244,26 @@ BUDGET_12 = EnumerationBudget(max_group_order=12)
 class TestAgainstListing:
     def test_seeded_systems(self):
         rng = random.Random(2024)
+
+        def seeded():
+            for _ in range(2000):
+                d = rng.randint(1, 12)
+                pairs = [(a, k) for a in range(-d, d) for k in range(1, 7) if a * k % d == 0]
+                combo = [rng.choice(pairs) for _ in range(rng.randint(1, 4))]
+                a = tuple(x for x, _ in combo)
+                k = tuple(x for _, x in combo)
+                yield d, a, k, tuple(Fraction(rng.randrange(-6, 12), rng.randint(1, 6)) for _ in k)
+
+        # The budget's edges: d = 12 with four coordinates at every k_i = 6 (1296 points),
+        # negative weights and denominators up to 6; and d = 1 with one coordinate.
+        edges = [
+            (12, a, (6,) * 4, tuple(Fraction(*x) for x in c))
+            for a in ((-2, -4, -6, -10), (2, -8, 0, -6), (-10, 4, -4, 2))
+            for c in (((-1, 1), (1, 2), (-2, 3), (5, 6)), ((7, 4), (-1, 5), (0, 1), (11, 6)))
+        ] + [(1, (0,), (k0,), (Fraction(p, q),)) for k0, p, q in ((1, 0, 1), (6, -5, 6), (4, 3, 4))]
         checked = {"total": 0, "fixed_tail": 0}
         kinds = set()
-        for _ in range(2000):
-            d = rng.randint(1, 12)
-            pairs = [(a, k) for a in range(-d, d) for k in range(1, 7) if a * k % d == 0]
-            combo = [rng.choice(pairs) for _ in range(rng.randint(1, 4))]
-            a = tuple(x for x, _ in combo)
-            k = tuple(x for _, x in combo)
-            c = tuple(Fraction(rng.randrange(-6, 12), rng.randint(1, 6)) for _ in k)
+        for d, a, k, c in itertools.chain(seeded(), edges):
             t = one_row(d, *a)
             for mode in ("total", "fixed_tail")[: min(len(k), 2)]:
                 got = enum_count_solutions(t, k, c, mode, BUDGET_12)
@@ -265,6 +277,13 @@ class TestAgainstListing:
         assert min(checked.values()) >= 1000
         assert kinds == {(name, flag) for name in ("d=1", "unequal cycles", "not free")
                          for flag in (False, True)}
+
+    def test_count_orbits_on_hand_built_permutations(self):
+        # The identity, one long cycle, and interleaved cycles of lengths 1, 2 and 3:
+        # 0 -> 3 -> 0, 1 -> 4 -> 6 -> 1, and the fixed points 2 and 5.
+        assert _count_orbits(list(range(7))) == 7
+        assert _count_orbits([*range(1, 12), 0]) == 1
+        assert _count_orbits([3, 4, 2, 0, 6, 5, 1]) == 4
 
     def test_hand_computed_non_free(self):
         # X(12; 6, 4, 0) with k = (2, 3, 5), c = 0: the generator moves x0 by 1/2,
