@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .conjecture import verify_conjecture
-from .errors import BudgetExceeded, MonocurveError
+from .errors import BudgetExceeded, MonocurveError, _shown
 from .oracle import MAX_EXPAND_DEGREE as DENSE_MU_CAP, enum_digits
 from .resolution import build_resolution, zeta_from_graph
 from .semigroup import PlaneSemigroup
@@ -37,31 +37,29 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
     ``i`` and runs where the sums it lists number at most
     :data:`monocurve.oracle.DIGIT_LIST_CAP`.  A stage that fails adds one line.
     """
-    failures: list[str] = []
+    failures: list[str] = []  # each line gets its gens= prefix at the end, on failure only
 
     graph = None
     try:
         graph = build_resolution(sg)
     except MonocurveError as exc:
-        failures.append(f"gens={sg.gens}: resolution graph: {exc}")
+        failures.append(f"resolution graph: {exc}")
 
     try:
         report = verify_conjecture(sg)
     except MonocurveError as exc:
-        failures.append(f"gens={sg.gens}: Delta, P_k and pole verification: {exc}")
+        failures.append(f"Delta, P_k and pole verification: {exc}")
     else:
         if graph is not None and zeta_from_graph(graph) != report.delta.zeta:
-            failures.append(
-                f"gens={sg.gens}: resolution graph: graph zeta differs from closed form"
-            )
+            failures.append("resolution graph: graph zeta differs from closed form")
         if not report.passed:
             bad = [p.display for p in report.poles if not p.verdict]
-            failures.append(f"gens={sg.gens}: pole verdict false at {bad}")
+            failures.append(f"pole verdict false at {bad}")
         try:
             if report.delta.mu <= DENSE_MU_CAP:
                 report.delta.expand()
         except MonocurveError as exc:
-            failures.append(f"gens={sg.gens}: dense expansion of Delta: {exc}")
+            failures.append(f"dense expansion of Delta: {exc}")
 
     for i in range(1, sg.g + 1):
         s = sg.n[i] * sg.gens[i]
@@ -70,14 +68,14 @@ def cross_check(sg: PlaneSemigroup) -> list[str]:
         except BudgetExceeded:
             continue
         except MonocurveError as exc:
-            failures.append(f"gens={sg.gens}: digit search at level {i}: {exc}")
+            failures.append(f"digit search at level {i}: {exc}")
             continue
         if brute != sg.digits[i - 1]:
             failures.append(
-                f"gens={sg.gens}: digit decomposition at level {i}: "
-                f"search {brute} != modular {sg.digits[i - 1]}"
+                f"digit decomposition at level {i}: "
+                f"search {_shown(brute)} != modular {_shown(sg.digits[i - 1])}"
             )
-    return failures
+    return [f"gens={_shown(sg.gens)}: {line}" for line in failures]
 
 
 def campaign(semigroups: Iterable[PlaneSemigroup]) -> list[str]:

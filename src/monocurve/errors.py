@@ -1,8 +1,10 @@
-"""Exception hierarchy for the monocurve package, its exact-division helper
-and its two text writers for integers and JSON documents.
+"""Exception hierarchy for the monocurve package, its exact-division helper,
+its integer-argument rule and its two text writers for integers and JSON documents.
 
 Every error raised by the library derives from :class:`MonocurveError` so
-callers (and the CLI) can distinguish bad input from internal failures.
+callers (and the CLI) can distinguish bad input from internal failures.  The
+rule "an ``int`` and not a ``bool``" is written only here, in :func:`_require_int`
+and :func:`_ints`; refusals show a caller's int through :func:`_shown`.
 """
 
 import sys
@@ -41,14 +43,32 @@ def _exact_div(num: int, den: int, what: str, *args) -> int:
 
 
 def _shown(x) -> str:
-    """``str(x)`` for a message, ``x`` an int or a tuple of ints, never raising: an int past the
+    """``repr(x)`` for a message, never raising for an int or a tuple: an int past the
     int-to-str digit limit shows as its bit length."""
     if type(x) is tuple:
         return f"({', '.join(map(_shown, x))}{',' * (len(x) == 1)})"
     try:
-        return f"{x}"
-    except ValueError:  # the only ValueError str of an int raises
+        return f"{x!r}"
+    except ValueError:  # the only ValueError repr of an int raises
         return f"{'-' * (x < 0)}<int of {x.bit_length()} bits>"
+
+
+def _require_int(value, name: str) -> None:
+    """Refuse a ``value`` that is not an ``int`` or is a ``bool``, with ``ValueError``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
+
+
+def _ints(xs, what: str, error: type[Exception]) -> tuple[int, ...]:
+    """``xs`` as a tuple; a non-iterable, or a ``bool`` or non-``int`` entry, raises ``error``."""
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        raise error(f"{what} must be a sequence of integers, got {_shown(xs)}") from None
+    for x in xs:
+        if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
+            raise error(f"{what} must be integers, got {_shown(x)}")
+    return xs
 
 
 class NotPolynomial(MonocurveError):

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    BudgetExceeded, IllFormed, InternalInconsistency, NotPolynomial, NotRepresentable, _shown,
+    BudgetExceeded, IllFormed, InternalInconsistency, NotPolynomial, NotRepresentable,
+    _require_int, _shown,
 )
 from .qspace import (
     CyclicQuotientType, _check_fixed_tail, _check_one_row_system, count_solutions_fixed_tail,
     count_solutions_total,
 )
-from .semigroup import PlaneSemigroup, _check_level, _require_int
+from .semigroup import PlaneSemigroup, _check_level
 from .zeta import FactorProduct, _sparse_product
 
 __all__ = [
@@ -97,7 +98,7 @@ def enum_count_solutions(
     try:
         c = tuple(c)
     except TypeError:
-        raise IllFormed(f"constants must be a sequence of rationals, got {c!r}") from None
+        raise IllFormed(f"constants must be a sequence of rationals, got {_shown(c)}") from None
     ratios = []
     for x in c:
         try:
@@ -108,11 +109,11 @@ def enum_count_solutions(
     if len(ratios) != n:
         raise IllFormed("one constant per coordinate required")
     if d > budget.max_group_order:
-        raise BudgetExceeded(f"group order {d} exceeds {budget.max_group_order}")
+        raise BudgetExceeded(f"group order {_shown(d)} exceeds {_shown(budget.max_group_order)}")
     if n - 1 > budget.max_rank:
         raise BudgetExceeded(f"rank {n - 1} exceeds {budget.max_rank}")
     if k and max(k) > budget.max_exponent:
-        raise BudgetExceeded(f"exponent in {k} exceeds {budget.max_exponent}")
+        raise BudgetExceeded(f"exponent in {_shown(k)} exceeds {_shown(budget.max_exponent)}")
     h = 1  # the generator is the h-th power of exp(2*pi*i/d)
     if mode == "fixed_tail":
         _check_fixed_tail(a)
@@ -197,7 +198,9 @@ def enum_digits(s: int, i: int, sg: PlaneSemigroup) -> tuple[int, ...]:
             h = 1
     listed = length if h == 1 else lower + length // lower
     if listed > DIGIT_LIST_CAP:
-        raise BudgetExceeded(f"digit search lists {listed} tail sums, over {DIGIT_LIST_CAP}")
+        raise BudgetExceeded(
+            f"digit search lists {_shown(listed)} tail sums, over {DIGIT_LIST_CAP}"
+        )
     if h == 1:  # one list of all the tail sums, scanned
         sums, radices = _tail_sums(s, sg, range(1, i))
         r = s % b0
@@ -337,7 +340,7 @@ def grid_discrepancies(
     _require_int(draws, "draws")
     _require_int(seed, "seed")
     if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+        raise ValueError(f"draws must be >= 1, got {_shown(draws)}")
     rng = random.Random(seed)
     failures: list[str] = []
 

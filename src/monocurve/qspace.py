@@ -15,9 +15,10 @@ axis intersections and Euler characteristics for chained systems of the shape
 For ``r >= 3`` the component count is checked on the charts ``x_2 != 0``
 and ``x_3 != 0`` against its symmetric form, in :func:`curve_component_count`;
 the per-component axis count, its chart-2 form, is checked against the
-chart-3 form.  The public constructors and counters reject entries that
-are not an ``int`` or are a ``bool``, and the two solution counts and the
-enumeration oracle share one validator of a system, which refuses with
+chart-3 form.  The public constructors and counters refuse an entry that is
+not an ``int`` or is a ``bool`` by the package's one integer rule, ``_ints``
+in :mod:`monocurve.errors`; that refusal, and the one validator of a system
+that the two solution counts and the enumeration oracle share, raise
 :class:`IllFormed`.  A curve spec has one constructor, types then values, and
 no private core; the pipeline passes numbers it has already checked to
 private integer cores, such as the one divisor-multiplicity formula
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import HypothesisViolated, IllFormed, InternalInconsistency, _exact_div
+from .errors import HypothesisViolated, IllFormed, InternalInconsistency, _exact_div, _ints, _shown
 
 __all__ = [
     "CyclicQuotientType",
@@ -60,22 +61,10 @@ class CyclicQuotientType:
             (d,), (a,) = d, A
         except (TypeError, ValueError):
             raise IllFormed("counting requires a one-row type") from None
-        (d,) = _ints((d,), "row orders")
+        (d,) = _ints((d,), "row orders", IllFormed)
         if d < 1:
-            raise IllFormed(f"row order must be >= 1, got {d}")
-        self.__dict__.update(d=(d,), A=(tuple([x % d for x in _ints(a, "weights")]),))
-
-
-def _ints(xs, what: str) -> tuple[int, ...]:
-    """``xs`` as a tuple; a non-iterable, or an entry that is a ``bool`` or no ``int``, raises."""
-    try:
-        xs = tuple(xs)
-    except TypeError:
-        raise IllFormed(f"{what} must be a sequence of integers, got {xs!r}") from None
-    for x in xs:
-        if type(x) is not int and (not isinstance(x, int) or isinstance(x, bool)):
-            raise IllFormed(f"{what} must be integers, got {x!r}")
-    return xs
+            raise IllFormed(f"row order must be >= 1, got {_shown(d)}")
+        self.__dict__.update(d=(d,), A=(tuple([x % d for x in _ints(a, "weights", IllFormed)]),))
 
 
 def _one_row_multiplicity(m: int, d: int, a: int, i: int) -> int:
@@ -90,16 +79,15 @@ def _check_one_row_system(d: int, a: tuple[int, ...], k) -> tuple[int, ...]:
     The one validator of a solution system: the closed forms and the
     enumeration oracle all refuse a bad system here, with :class:`IllFormed`.
     """
-    k = _ints(k, "exponents")
+    k = _ints(k, "exponents", IllFormed)
     if len(k) != len(a):
         raise IllFormed("one exponent per coordinate required")
     if k and min(k) < 1:
-        raise IllFormed(f"exponents must be >= 1, got {min(k)}")
+        raise IllFormed(f"exponents must be >= 1, got {_shown(min(k))}")
     for i in range(len(k)):
         if a[i] * k[i] % d:
-            raise IllFormed(
-                f"system not well defined: d={d} does not divide a_{i}*k_{i}={a[i] * k[i]}"
-            )
+            raise IllFormed(f"system not well defined: d={_shown(d)} does not divide "
+                            f"a_{i}*k_{i}={_shown(a[i] * k[i])}")
     return k
 
 
@@ -168,9 +156,9 @@ class WeightedCurveSpec:
     m: tuple[int, ...]
 
     def __init__(self, d, a, p, m):
-        (d,) = _ints((d,), "orders")
-        self.__dict__.update(d=d, a=_ints(a, "action weights"), p=_ints(p, "weights"),
-                             m=_ints(m, "exponents"))
+        (d,) = _ints((d,), "orders", IllFormed)
+        self.__dict__.update(d=d, a=_ints(a, "action weights", IllFormed),
+                             p=_ints(p, "weights", IllFormed), m=_ints(m, "exponents", IllFormed))
         self._check()
 
     def _check(self):
@@ -185,7 +173,7 @@ class WeightedCurveSpec:
         am = [ai * mi for ai, mi in zip(a, m)]
         for i, x in enumerate(am):
             if x % d:
-                raise IllFormed(f"d={d} does not divide a_{i}*m_{i}={x}")
+                raise IllFormed(f"d={_shown(d)} does not divide a_{i}*m_{i}={_shown(x)}")
         if len({pi * mi for pi, mi in zip(p, m)}) > 1:
             raise IllFormed("curve is not weighted homogeneous: p_i*m_i differ")
         # With every p_i > 0, a_i*p_j = a_j*p_i for all i, j >= 1 holds iff it

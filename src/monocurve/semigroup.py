@@ -22,9 +22,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import (
-    InternalInconsistency, NotCoprime, NotPlane, NotRepresentable, _exact_div, _shown,
-)
+from .errors import NotCoprime, NotPlane, NotRepresentable, _exact_div, _ints, _require_int, _shown
 
 __all__ = [
     "PlaneSemigroup",
@@ -90,13 +88,7 @@ def build_semigroup(gens) -> PlaneSemigroup:
             string is rejected, never truncated or converted), or a
             non-positive entry.
     """
-    try:
-        gens = tuple(gens)
-    except TypeError:
-        raise ValueError(f"generators must be a sequence of integers, got {gens!r}") from None
-    for x in gens:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError(f"generators must be integers, got {x!r}")
+    gens = _ints(gens, "generators", ValueError)
     if len(gens) < 3:
         raise ValueError("need at least three generators (g >= 2)")
     if any(x <= 0 for x in gens):
@@ -119,7 +111,7 @@ def build_semigroup(gens) -> PlaneSemigroup:
         if n[i] < 2:
             raise NotPlane(f"n_{i} = {_shown(n[i])} < 2")
     # n0 is the leading digit of n1*b1 = lcm(b0, b1) = n0*b0: an exact quotient.
-    n0 = n[0] = _exact_div(n[1] * gens[1], gens[0], "n_1*b_1 by b_0")
+    n[0] = _exact_div(n[1] * gens[1], gens[0], "n_1*b_1 by b_0")
 
     # Strictness between consecutive characteristic terms.
     for i in range(1, g):
@@ -136,8 +128,6 @@ def build_semigroup(gens) -> PlaneSemigroup:
         except NotRepresentable as exc:
             raise NotPlane(f"n_{i}*b_{i} has no digit representation") from exc
         rows.append(row)
-    if rows[0][0] != n0:
-        raise InternalInconsistency("leading digit of n1*b1 disagrees with n0")
     return PlaneSemigroup(gens=gens, e=tuple(e), n=tuple(n), digits=tuple(rows))
 
 
@@ -265,13 +255,6 @@ def random_semigroup(seed: int, g: int, max_size: int) -> PlaneSemigroup:
             b = _next_generator(ns, gens, 0)
         gens.append(b)
     return build_semigroup(gens)
-
-
-def _require_int(value, name: str) -> None:
-    """Refuse a ``value`` that is not an ``int`` or is a ``bool``, as
-    :func:`build_semigroup` refuses such a generator."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_level(s, i, sg: PlaneSemigroup) -> None:

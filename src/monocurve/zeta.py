@@ -38,8 +38,11 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InternalInconsistency, NotPolynomial, _exact_div, _int_text
-from .semigroup import PlaneSemigroup, _require_int
+from .errors import (
+    BudgetExceeded, InternalInconsistency, NotPolynomial, _exact_div, _int_text, _require_int,
+    _shown,
+)
+from .semigroup import PlaneSemigroup
 
 __all__ = [
     "FactorProduct",
@@ -73,10 +76,13 @@ class FactorProduct:
         try:
             pairs = [(a, e) for a, e in self.factors]
         except (TypeError, ValueError):
-            raise ValueError(f"factors must be (a, e_a) pairs, got {self.factors!r}") from None
+            raise ValueError(
+                f"factors must be (a, e_a) pairs, got {_shown(self.factors)}"
+            ) from None
         merged: dict[int, int] = {}
         for a, e in pairs:  # the pairs denote a product: a repeated a adds its exponents
-            _check_factor(a, e)  # before the sum, which would turn a bool into an int
+            _require_int(a, "factor exponent of t")  # before the sum, which would turn a
+            _require_int(e, "factor multiplicity")  # bool into an int
             merged[a] = merged.get(a, 0) + e
         object.__setattr__(self, "factors", _canonical(merged))
 
@@ -136,13 +142,14 @@ def _canonical(factors: dict[int, int]) -> tuple[tuple[int, int], ...]:
     try:
         items = factors.items()
     except AttributeError:
-        raise ValueError(f"factors must be a mapping, got {factors!r}") from None
+        raise ValueError(f"factors must be a mapping, got {_shown(factors)}") from None
     canon = []
     for a, e in items:
         if type(a) is not int or type(e) is not int:
-            _check_factor(a, e)
+            _require_int(a, "factor exponent of t")
+            _require_int(e, "factor multiplicity")
         if a < 1:
-            raise ValueError(f"factor exponent of t must be positive, got {a}")
+            raise ValueError(f"factor exponent of t must be positive, got {_shown(a)}")
         if e:
             canon.append((a, e))
     canon.sort()
@@ -155,12 +162,6 @@ def _check_sign(sign) -> None:
         _require_int(sign, "sign")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-
-
-def _check_factor(a, e) -> None:
-    """Refuse a factor exponent or multiplicity that is not an ``int`` or is a ``bool``."""
-    _require_int(a, "factor exponent of t")
-    _require_int(e, "factor multiplicity")
 
 
 def cyclotomic_exponent(fp: FactorProduct, d: int) -> int:
@@ -176,7 +177,7 @@ def cyclotomic_exponent(fp: FactorProduct, d: int) -> int:
     if type(d) is not int:
         _require_int(d, "cyclotomic order")
     if d < 1:
-        raise ValueError(f"cyclotomic order must be positive, got {d}")
+        raise ValueError(f"cyclotomic order must be positive, got {_shown(d)}")
     c = 0
     for a, e in fp.factors:
         if a % d == 0:
@@ -269,7 +270,7 @@ class CharacteristicPolynomial:
         :data:`DEFAULT_EXPANSION_CAP` (:class:`BudgetExceeded` beyond)."""
         if self.mu > DEFAULT_EXPANSION_CAP:
             raise BudgetExceeded(
-                f"dense expansion of degree {self.mu} exceeds cap {DEFAULT_EXPANSION_CAP}"
+                f"dense expansion of degree {_shown(self.mu)} exceeds cap {DEFAULT_EXPANSION_CAP}"
             )
         coeffs = _sparse_product([1], self.product)
         if len(coeffs) != self.mu + 1:

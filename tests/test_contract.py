@@ -12,8 +12,10 @@ ran after the budget check would show as :class:`BudgetExceeded`, and no row
 reaches an enumeration.
 
 The last table starts from one valid call of each semigroup function, of the
-exhaustive digit search, of each :class:`FactorProduct` constructor and of
-the exact-division helper, and puts one hostile value into one argument at a
+exhaustive digit search, of each :class:`FactorProduct` constructor, of the
+quotient-type and curve-spec constructors, of :func:`cyclotomic_exponent`, of
+the dense expansion, of the enumeration budget and grid, and of the
+exact-division helper, and puts one hostile value into one argument at a
 time.  Each row names the error class and the message; the class is a
 ``ValueError`` that the function's docstring names, or a
 :class:`MonocurveError` subclass.  An int past the int-to-str digit limit
@@ -29,12 +31,18 @@ import pytest
 from monocurve.errors import (
     BudgetExceeded, IllFormed, NotCoprime, NotDivisible, NotPlane, NotRepresentable, _exact_div,
 )
-from monocurve.oracle import DEFAULT_BUDGET, enum_count_solutions, enum_digits
-from monocurve.qspace import CyclicQuotientType, count_solutions_fixed_tail, count_solutions_total
+from monocurve.oracle import (
+    DEFAULT_BUDGET, EnumerationBudget, enum_count_solutions, enum_digits, grid_discrepancies,
+)
+from monocurve.qspace import (
+    CyclicQuotientType, WeightedCurveSpec, count_solutions_fixed_tail, count_solutions_total,
+)
 from monocurve.semigroup import (
     build_semigroup, decompose, min_last_generator, plane_semigroups, random_semigroup,
 )
-from monocurve.zeta import FactorProduct
+from monocurve.zeta import (
+    CharacteristicPolynomial, FactorProduct, characteristic_polynomial, cyclotomic_exponent,
+)
 
 D = DEFAULT_BUDGET.max_group_order + 1
 TYPE = ((D,), ((1, 1),))  # X(D; 1, 1); exponent D at each coordinate is well formed
@@ -110,6 +118,12 @@ HUGE = 10**5000  # past the default int-to-str digit limit of 4300 digits
 LIMITED = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                              reason="no int-to-str digit limit")
 SHOWN = "<int of 16610 bits>"  # how a message shows HUGE, HUGE + 1 or HUGE + 2
+WIDE_N1 = 10**4400  # n_1 = e_0/e_1 of WIDE, past the digit limit
+WIDE = build_semigroup((2 * WIDE_N1, 2 * WIDE_N1 + 2, WIDE_N1 * (2 * WIDE_N1 + 2) + 1))
+SMALL_BUDGET = EnumerationBudget(1, 1, 1)
+SPEC = (2, (1, 0, 0), (1, 1, 1), (2, 2, 2))  # x_0^2 + x_1^2 + x_2^2 = 0 in X(2; 1, 0, 0)
+POSITIVE = "orders, weights and exponents must be positive"
+BOUNDS = "all budget bounds must be positive"
 
 # (function, the arguments of one valid call)
 VALID_CALLS = [
@@ -117,6 +131,10 @@ VALID_CALLS = [
     (min_last_generator, (2,)), (random_semigroup, (0, 2, 100)), (plane_semigroups, (13,)),
     (FactorProduct, ((),)), (FactorProduct.from_map, ({},)),
     (FactorProduct.from_t_minus_one, ({},)), (_exact_div, (6, 2, "b_{0}", 1)),
+    (CyclicQuotientType, ((2,), ((1, 1),))), (WeightedCurveSpec, SPEC),
+    (cyclotomic_exponent, (FactorProduct(((2, 1),)), 2)),
+    (characteristic_polynomial(SG).expand, ()), (EnumerationBudget, (1, 1, 1)),
+    (grid_discrepancies, (SMALL_BUDGET, 1, 0)),
 ]
 
 
@@ -146,6 +164,10 @@ ARGUMENT_ROWS = [
            "need at least three generators (g >= 2)"),
     *_rows(build_semigroup, "b_2", lambda x: ((4, 6, x),), _values(0, -1), ValueError,
            "generators must be positive"),
+    *_rows(build_semigroup, "gens", lambda x: (x,), [("HUGE", HUGE)], ValueError,
+           f"generators must be a sequence of integers, got {SHOWN}", marks=LIMITED),
+    *_rows(build_semigroup, "b_2", lambda x: ((4, 6, x),), [("(HUGE,)", (HUGE,))], ValueError,
+           f"generators must be integers, got ({SHOWN},)", marks=LIMITED),
     *_rows(build_semigroup, "b_2", lambda x: ((4, 6, x),), [("HUGE + 2", HUGE + 2)], NotCoprime,
            f"gcd of (4, 6, {SHOWN}) is 2, expected 1", marks=LIMITED),
     *_rows(build_semigroup, "b_1", lambda x: ((4, x, 6),), [("HUGE + 2", HUGE + 2)], NotPlane,
@@ -210,6 +232,105 @@ ARGUMENT_ROWS = [
            ValueError, MAPPING),
     *_rows(FactorProduct.from_t_minus_one, "factor multiplicity", lambda x: ({1: x},),
            NON_INTS, ValueError, NOT_INT),
+    # CyclicQuotientType(d, A): the row order d_0 and the weight a_0; each refusal is IllFormed.
+    *_rows(CyclicQuotientType, "d_0", lambda x: ((x,), ((1, 1),)), NON_INTS, IllFormed,
+           "row orders must be integers, got {x!r}"),
+    *_rows(CyclicQuotientType, "d_0", lambda x: ((x,), ((1, 1),)), _values(0, -1), IllFormed,
+           "row order must be >= 1, got {x}"),
+    *_rows(CyclicQuotientType, "d_0", lambda x: ((x,), ((1, 1),)), [("-HUGE", -HUGE)],
+           IllFormed, f"row order must be >= 1, got -{SHOWN}", marks=LIMITED),
+    *_rows(CyclicQuotientType, "d", lambda x: (x, ((1, 1),)), _values(None, 2), IllFormed,
+           ONE_ROW),
+    *_rows(CyclicQuotientType, "a_0", lambda x: ((2,), ((x, 1),)), NON_INTS, IllFormed,
+           "weights must be integers, got {x!r}"),
+    *_rows(CyclicQuotientType, "A_0", lambda x: ((2,), (x,)), _values(None, 2), IllFormed,
+           "weights must be a sequence of integers, got {x!r}"),
+    *_rows(CyclicQuotientType, "A", lambda x: ((2,), x), _values(None, 2), IllFormed, ONE_ROW),
+    # The one system check of both counts and the oracle, on X(2; 1).
+    *_rows(count_solutions_total, "k_0", lambda x: (CyclicQuotientType((2,), ((1,),)), (x,)),
+           [("-HUGE", -HUGE)], IllFormed, f"exponents must be >= 1, got -{SHOWN}",
+           marks=LIMITED),
+    *_rows(count_solutions_total, "k_0", lambda x: (CyclicQuotientType((2,), ((1,),)), (x,)),
+           [("HUGE + 1", HUGE + 1)], IllFormed,
+           f"system not well defined: d=2 does not divide a_0*k_0={SHOWN}", marks=LIMITED),
+    # WeightedCurveSpec(d, a, p, m); True and 2.0 as d and True as an exponent are
+    # tests/test_qspace.py's SPEC_TYPE_CASES.
+    *_rows(WeightedCurveSpec, "d", lambda x: (x, *SPEC[1:]), NON_INTS[2:], IllFormed,
+           "orders must be integers, got {x!r}"),
+    *_rows(WeightedCurveSpec, "d", lambda x: (x, *SPEC[1:]), _values(0, -1), IllFormed,
+           POSITIVE),
+    *_rows(WeightedCurveSpec, "a_1", lambda x: (2, (1, x, 0), (1, 1, 1), (2, 2, 2)), NON_INTS,
+           IllFormed, "action weights must be integers, got {x!r}"),
+    *_rows(WeightedCurveSpec, "a", lambda x: (2, x, (1, 1, 1), (2, 2, 2)), _values(None, 2),
+           IllFormed, "action weights must be a sequence of integers, got {x!r}"),
+    *_rows(WeightedCurveSpec, "p_0", lambda x: (2, (1, 0, 0), (x, 1, 1), (2, 2, 2)), NON_INTS,
+           IllFormed, "weights must be integers, got {x!r}"),
+    *_rows(WeightedCurveSpec, "p_0", lambda x: (2, (1, 0, 0), (x, 1, 1), (2, 2, 2)),
+           _values(0, -1), IllFormed, POSITIVE),
+    *_rows(WeightedCurveSpec, "p", lambda x: (2, (1, 0, 0), x, (2, 2, 2)), _values(None, 2),
+           IllFormed, "weights must be a sequence of integers, got {x!r}"),
+    *_rows(WeightedCurveSpec, "m_0", lambda x: (2, (1, 0, 0), (1, 1, 1), (x, 2, 2)),
+           NON_INTS[1:], IllFormed, "exponents must be integers, got {x!r}"),
+    *_rows(WeightedCurveSpec, "m_0", lambda x: (2, (1, 0, 0), (1, 1, 1), (x, 2, 2)),
+           _values(0, -1), IllFormed, POSITIVE),
+    *_rows(WeightedCurveSpec, "m", lambda x: (2, (1, 0, 0), (1, 1, 1), x), _values(None, 2),
+           IllFormed, "exponents must be a sequence of integers, got {x!r}"),
+    *_rows(WeightedCurveSpec, "m_0", lambda x: (2, (1, 0, 0), (1, 1, 1), (x, 2, 2)),
+           [("HUGE + 1", HUGE + 1)], IllFormed, f"d=2 does not divide a_0*m_0={SHOWN}",
+           marks=LIMITED),
+    # FactorProduct's exponent sign past the digit limit, cyclotomic_exponent(fp, d) and the
+    # dense expansion's cap on the degree mu.
+    *_rows(FactorProduct, "factors", lambda x: (x,), [("HUGE", HUGE)], ValueError,
+           f"factors must be (a, e_a) pairs, got {SHOWN}", marks=LIMITED),
+    *_rows(FactorProduct.from_map, "factors", lambda x: (x,), [("HUGE", HUGE)], ValueError,
+           f"factors must be a mapping, got {SHOWN}", marks=LIMITED),
+    *_rows(FactorProduct, "a", lambda x: (((x, 1),),), [("-HUGE", -HUGE)], ValueError,
+           f"factor exponent of t must be positive, got -{SHOWN}", marks=LIMITED),
+    *_rows(cyclotomic_exponent, "cyclotomic order", lambda x: (FactorProduct(((2, 1),)), x),
+           NON_INTS, ValueError, NOT_INT),
+    *_rows(cyclotomic_exponent, "d", lambda x: (FactorProduct(((2, 1),)), x), _values(0, -1),
+           ValueError, "cyclotomic order must be positive, got {x}"),
+    *_rows(cyclotomic_exponent, "d", lambda x: (FactorProduct(((2, 1),)), x),
+           [("-HUGE", -HUGE)], ValueError, f"cyclotomic order must be positive, got -{SHOWN}",
+           marks=LIMITED),
+    *_rows(CharacteristicPolynomial.expand, "mu",
+           lambda x: (CharacteristicPolynomial(FactorProduct(), x),), [("HUGE + 1", HUGE + 1)],
+           BudgetExceeded, f"dense expansion of degree {SHOWN} exceeds cap 1000000",
+           marks=LIMITED),
+    # EnumerationBudget(max_group_order, max_exponent, max_rank).
+    *_rows(EnumerationBudget, "max_group_order", lambda x: (x, 1, 1), NON_INTS, ValueError,
+           NOT_INT),
+    *_rows(EnumerationBudget, "max_exponent", lambda x: (1, x, 1), NON_INTS, ValueError,
+           NOT_INT),
+    *_rows(EnumerationBudget, "max_rank", lambda x: (1, 1, x), NON_INTS, ValueError, NOT_INT),
+    *_rows(EnumerationBudget, "max_group_order", lambda x: (x, 1, 1), _values(0, -1),
+           ValueError, BOUNDS),
+    *_rows(EnumerationBudget, "max_exponent", lambda x: (1, x, 1), _values(0, -1), ValueError,
+           BOUNDS),
+    *_rows(EnumerationBudget, "max_rank", lambda x: (1, 1, x), _values(0, -1), ValueError,
+           BOUNDS),
+    # The oracle's messages past the digit limit: the constants, d, then an exponent, over
+    # the default budget, and the digit search's cap on WIDE, whose level 2 lists n_1 sums.
+    *_rows(enum_count_solutions, "c", lambda x: (CyclicQuotientType(*TYPE), (D, D), x),
+           [("HUGE", HUGE)], IllFormed, f"constants must be a sequence of rationals, got {SHOWN}",
+           marks=LIMITED),
+    *_rows(enum_count_solutions, "d_0",
+           lambda x: (CyclicQuotientType((x,), ((0,),)), (1,), (0,)), [("HUGE", HUGE)],
+           BudgetExceeded, f"group order {SHOWN} exceeds 12", marks=LIMITED),
+    *_rows(enum_count_solutions, "k_0", lambda x: (CyclicQuotientType((1,), ((0,),)), (x,), (0,)),
+           [("HUGE", HUGE)], BudgetExceeded, f"exponent in ({SHOWN},) exceeds 6", marks=LIMITED),
+    *_rows(enum_digits, "sg", lambda x: (2 * x.gens[2], 2, x), [("WIDE", WIDE)], BudgetExceeded,
+           f"digit search lists <int of {WIDE_N1.bit_length()} bits> tail sums, over 10000",
+           marks=LIMITED),
+    # grid_discrepancies(budget, draws, seed); any int is a seed.
+    *_rows(grid_discrepancies, "draws", lambda x: (SMALL_BUDGET, x, 0), NON_INTS, ValueError,
+           NOT_INT),
+    *_rows(grid_discrepancies, "draws", lambda x: (SMALL_BUDGET, x, 0), _values(0, -1),
+           ValueError, "draws must be >= 1, got {x}"),
+    *_rows(grid_discrepancies, "draws", lambda x: (SMALL_BUDGET, x, 0), [("-HUGE", -HUGE)],
+           ValueError, f"draws must be >= 1, got -{SHOWN}", marks=LIMITED),
+    *_rows(grid_discrepancies, "seed", lambda x: (SMALL_BUDGET, 1, x), NON_INTS, ValueError,
+           NOT_INT),
     # _exact_div(num, den, what, *args) formats its operands only on the failure branch.
     *_rows(_exact_div, "num", lambda x: (x, 2, "b_{0}", 1), [("HUGE + 1", HUGE + 1)],
            NotDivisible, f"b_1: {SHOWN} not divisible by 2", marks=LIMITED),

@@ -12,7 +12,7 @@ from monocurve import resolution, zeta
 from monocurve.cli import main
 from monocurve.conjecture import verify_conjecture
 from monocurve.crosscheck import DENSE_MU_CAP, campaign, cross_check
-from monocurve.errors import BudgetExceeded, InternalInconsistency
+from monocurve.errors import BudgetExceeded, InternalInconsistency, _shown
 from monocurve.resolution import build_resolution, zeta_from_graph
 from monocurve.semigroup import build_semigroup, plane_semigroups, random_semigroup
 
@@ -262,6 +262,25 @@ class TestCampaign:
         draws = [random_semigroup(i, 2 + i % 4, 10**6) for i in range(1000)]
         assert campaign(draws) == []
         assert outcomes == {"ran": sum(sg.g for sg in draws)} == {"ran": 3500}
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no int-to-str digit limit")
+    def test_generators_past_the_digit_limit_are_reported(self):
+        # A stage that fails on generators past the int-to-str digit limit adds its line, with
+        # each such generator shown by its bit length, and the battery does not raise.  Pole
+        # displays past the limit fail the Delta stage; at K the digit search's level 2,
+        # n_1 = K sums, is over its cap and skipped.
+        limit = sys.get_int_max_str_digits()
+        stage = ("Delta, P_k and pole verification: an output integer has more than "
+                 f"{limit} digits, the int-to-str digit limit")
+        K = 10**4400
+        sg = build_semigroup((2 * K, 2 * K + 2, K * (2 * K + 2) + 1))
+        shown = ", ".join(f"<int of {b.bit_length()} bits>" for b in sg.gens)
+        assert cross_check(sg) == [f"gens=({shown}): {stage}"]
+        draws = [random_semigroup(i, 2 + i % 3, 10**5000) for i in range(3)]
+        assert campaign(draws) == [
+            f"FAIL instance {i}: gens={_shown(sg.gens)}: {stage}" for i, sg in enumerate(draws)
+        ]
 
     def test_wide_and_deep_draws_are_clean(self):
         # 500 draws with g = 2..16 and b_g up to 2**1024, well past the fuzz

@@ -126,6 +126,21 @@ class TestDigitLimit:
         assert (_shown(big), _shown(-big)) == (shown, "-" + shown)
         assert _shown((1, big)) == f"(1, {shown})"
 
+    def test_message_values_that_are_no_int_show_their_repr(self):
+        for x in ("4", None, 2.5, float("nan"), Fraction(5, 2), ("a", 2.0), ((1,),), [1, "2"]):
+            assert _shown(x) == repr(x)
+
+
+def test_integer_rule_is_defined_once():
+    # The rule "an int and not a bool" lives in monocurve.errors; other modules only call it.
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted(pathlib.Path(monocurve.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_ints", "_require_int")
+    ]
+    assert defined == ["errors.py:_require_int", "errors.py:_ints"]
+
 
 # At 4,6,13: M = (M_0, M_1, M_2) = (2, 6, 13) and N = (N_1, N_2) = (6, 26).
 M_4_6_13, N_4_6_13 = (2, 6, 13), (6, 26)
