@@ -28,7 +28,7 @@ import sys
 
 from .conjecture import verify_conjecture
 from .crosscheck import campaign
-from .errors import MonocurveError, _int_text, _json_text
+from .errors import MonocurveError, _int_text, _json_text, _shown
 from .oracle import EnumerationBudget, grid_discrepancies
 from .resolution import _graph_doc, build_resolution, export_graph
 from .semigroup import _require_feasible, build_semigroup, random_semigroup
@@ -52,10 +52,8 @@ def _parse_gens(text: str) -> tuple[int, ...]:
                     f"b_{i} has {len(digits)} digits, more than the int-to-str "
                     f"digit limit of {sys.get_int_max_str_digits()}"
                 )
-            shown = repr(part)
-            if len(part) > 20:
-                shown = f"{part[:20]!r}... ({len(part)} characters)"
-            raise argparse.ArgumentTypeError(f"b_{i} is not an integer: {shown}")
+            more = f"... ({len(part)} characters)" if len(part) > 20 else ""
+            raise argparse.ArgumentTypeError(f"b_{i} is not an integer: {_shown(part[:20])}{more}")
     return tuple(gens)
 
 
@@ -277,7 +275,7 @@ def _run(args, sg) -> int:
         _emit("\n".join(lines), args.output)
         return 0 if not discrepancies else 1
 
-    raise AssertionError(f"unhandled command {args.command!r}")
+    raise AssertionError(f"unhandled command {_shown(args.command)}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
-"""Exception hierarchy for the monocurve package, its exact-division helper,
-its integer-argument rule and its two text writers for integers and JSON documents.
+"""Exception hierarchy for the monocurve package, with its exact-division helper,
+integer-argument rule, message-value rule and text writers for ints and JSON documents.
 
 Every error raised by the library derives from :class:`MonocurveError` so
 callers (and the CLI) can distinguish bad input from internal failures.  The
 rule "an ``int`` and not a ``bool``" is written only here, in :func:`_require_int`
-and :func:`_ints`; refusals show a caller's int through :func:`_shown`.
+and :func:`_ints`; every message shows a caller's value only through :func:`_shown`.
 """
 
 import sys
@@ -43,14 +43,21 @@ def _exact_div(num: int, den: int, what: str, *args) -> int:
 
 
 def _shown(x) -> str:
-    """``repr(x)`` for a message, never raising for an int or a tuple: an int past the
-    int-to-str digit limit shows as its bit length."""
-    if type(x) is tuple:
-        return f"({', '.join(map(_shown, x))}{',' * (len(x) == 1)})"
+    """``repr(x)`` for a message, never raising: where ``repr`` fails, an int shows as
+    ``<int of N bits>``, a tuple or list item by item, and anything else as ``<T object>``."""
     try:
-        return f"{x!r}"
-    except ValueError:  # the only ValueError repr of an int raises
-        return f"{'-' * (x < 0)}<int of {x.bit_length()} bits>"
+        return repr(x)
+    except Exception:  # past the digit limit (an int or a value holding one), a failing __repr__
+        t = type(x)
+    try:
+        if isinstance(x, int):
+            return f"{'-' * (x < 0)}<int of {x.bit_length()} bits>"
+        if t is tuple or t is list:
+            items = ", ".join(map(_shown, x)) + "," * (len(x) == 1 and t is tuple)
+            return f"({items})" if t is tuple else f"[{items}]"
+    except Exception:  # RecursionError: a container nested past the limit, or holding itself
+        pass
+    return f"<{t.__name__} object>"
 
 
 def _require_int(value, name: str) -> None:

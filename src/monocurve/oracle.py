@@ -104,7 +104,7 @@ def enum_count_solutions(
         try:
             ratios.append((x if isinstance(x, Fraction) else Fraction(x)).as_integer_ratio())
         except _NOT_CONVERTED:
-            raise IllFormed(f"constants must be rational, got {x!r}") from None
+            raise IllFormed(f"constants must be rational, got {_shown(x)}") from None
     n = len(a)
     if len(ratios) != n:
         raise IllFormed("one constant per coordinate required")
@@ -127,7 +127,7 @@ def enum_count_solutions(
                 break
         n = 1
     elif mode != "total":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"unknown mode {_shown(mode)}")
     perm = [0]
     for i in range(n):
         ki = k[i]
@@ -284,7 +284,7 @@ def expand_and_verify(fp: FactorProduct) -> tuple[tuple[int, ...], dict[int, int
     """
     degree = sum(a * e for a, e in fp.numerator_factors())
     if degree > MAX_EXPAND_DEGREE:
-        raise BudgetExceeded(f"numerator degree {degree} exceeds {MAX_EXPAND_DEGREE}")
+        raise BudgetExceeded(f"numerator degree {_shown(degree)} exceeds {MAX_EXPAND_DEGREE}")
     coeffs = _sparse_product([1], fp)
     orders = {d for a, _ in fp.factors for d in range(1, a + 1) if a % d == 0}
     mults: dict[int, int] = {}

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from . import qspace
-from .errors import BudgetExceeded, InternalInconsistency, _exact_div, _int_text, _json_text
+from .errors import BudgetExceeded, InternalInconsistency, _exact_div, _int_text, _json_text, _shown
 from .qspace import WeightedCurveSpec
 from .semigroup import PlaneSemigroup
 from .zeta import FactorProduct, resolution_multiplicities
@@ -231,8 +231,8 @@ def _listing(graph: ResolutionGraph) -> tuple[list[str], list[tuple[str, str]]]:
         InternalInconsistency: the listing is not a tree.
     """
     r = [lvl.r for lvl in graph.levels]
-    if sum(r) > MAX_COMPONENTS:
-        raise BudgetExceeded(f"{sum(r)} exceptional components exceed the cap {MAX_COMPONENTS}")
+    if (n := sum(r)) > MAX_COMPONENTS:
+        raise BudgetExceeded(f"{_shown(n)} exceptional components exceed the cap {MAX_COMPONENTS}")
     g = len(r)
     labels = [[f"E_{k}_{j}" for j in range(1, r[k - 1] + 1)] for k in range(1, g + 1)]
     nodes = [*[f"H_{i}" for i in range(g + 1)], *[v for level in labels for v in level], "Yhat"]
@@ -368,5 +368,5 @@ def export_graph(graph: ResolutionGraph, format: str = "json") -> str:
             lines.append(f'  "{u}" -- "{v}"{attr};')
         lines.append("}")
         return "\n".join(lines)
-    raise ValueError(f"unknown format {format!r}")
+    raise ValueError(f"unknown format {_shown(format)}")
 

@@ -119,7 +119,7 @@ class FactorProduct:
         elif convention == "t_minus_one":
             head, tail, one = "(t^", "-1)", "(t-1)"
         else:
-            raise ValueError(f"unknown convention {convention!r}")
+            raise ValueError(f"unknown convention {_shown(convention)}")
         num, den, total = [], [], 0
         for a, e in self.factors:
             total += e
@@ -275,7 +275,7 @@ class CharacteristicPolynomial:
         coeffs = _sparse_product([1], self.product)
         if len(coeffs) != self.mu + 1:
             raise InternalInconsistency(
-                f"expansion degree {len(coeffs) - 1} != mu = {self.mu}"
+                f"expansion degree {len(coeffs) - 1} != mu = {_shown(self.mu)}"
             )
         if coeffs[-1] != 1:
             raise InternalInconsistency("leading coefficient of Delta is not +1")
@@ -340,7 +340,7 @@ def _div_one_minus_ta(p: list[int], a: int) -> list[int]:
     # last a are the remainder.  Loop over a residues or n/a blocks, the fewer.
     n = len(p)
     if n <= a:
-        raise NotPolynomial(f"cannot divide degree {n - 1} by (1 - t^{a})")
+        raise NotPolynomial(f"cannot divide degree {n - 1} by (1 - t^{_shown(a)})")
     q = p.copy()
     if a * a < n:
         for r in range(a):

@@ -14,13 +14,15 @@ reaches an enumeration.
 The last table starts from one valid call of each semigroup function, of the
 exhaustive digit search, of each :class:`FactorProduct` constructor, of the
 quotient-type and curve-spec constructors, of :func:`cyclotomic_exponent`, of
-the dense expansion, of the enumeration budget and grid, and of the
-exact-division helper, and puts one hostile value into one argument at a
-time.  Each row names the error class and the message; the class is a
-``ValueError`` that the function's docstring names, or a
-:class:`MonocurveError` subclass.  An int past the int-to-str digit limit
-(``HUGE``) is refused with the function's own error, its message showing the
-int's bit length.
+the dense expansion and its verifier, of the enumeration budget and grid, of
+the exact-division helper, of the graph export and of the factor rendering,
+and puts one hostile value into one argument at a time.  Each row names the
+error class and the message; the class is a ``ValueError`` that the
+function's docstring names, or a :class:`MonocurveError` subclass.  An int
+past the int-to-str digit limit (``HUGE``) is refused with the function's own
+error, its message showing the int's bit length wherever it sits: a tuple or
+list shows it item by item, and any other value holding it shows as a
+placeholder naming its type.
 """
 
 import sys
@@ -29,14 +31,17 @@ from fractions import Fraction
 import pytest
 
 from monocurve.errors import (
-    BudgetExceeded, IllFormed, NotCoprime, NotDivisible, NotPlane, NotRepresentable, _exact_div,
+    BudgetExceeded, IllFormed, InternalInconsistency, NotCoprime, NotDivisible, NotPlane,
+    NotPolynomial, NotRepresentable, _exact_div,
 )
 from monocurve.oracle import (
-    DEFAULT_BUDGET, EnumerationBudget, enum_count_solutions, enum_digits, grid_discrepancies,
+    DEFAULT_BUDGET, EnumerationBudget, enum_count_solutions, enum_digits, expand_and_verify,
+    grid_discrepancies,
 )
 from monocurve.qspace import (
     CyclicQuotientType, WeightedCurveSpec, count_solutions_fixed_tail, count_solutions_total,
 )
+from monocurve.resolution import build_resolution, export_graph
 from monocurve.semigroup import (
     build_semigroup, decompose, min_last_generator, plane_semigroups, random_semigroup,
 )
@@ -118,9 +123,18 @@ HUGE = 10**5000  # past the default int-to-str digit limit of 4300 digits
 LIMITED = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                              reason="no int-to-str digit limit")
 SHOWN = "<int of 16610 bits>"  # how a message shows HUGE, HUGE + 1 or HUGE + 2
+# (label, a value holding HUGE, how a message shows it); repr raises on each
+HELD = [("Fraction(HUGE, 3)", Fraction(HUGE, 3), "<Fraction object>"),
+        ("[HUGE]", [HUGE], f"[{SHOWN}]"), ("{HUGE}", {HUGE}, "<set object>")]
 WIDE_N1 = 10**4400  # n_1 = e_0/e_1 of WIDE, past the digit limit
 WIDE = build_semigroup((2 * WIDE_N1, 2 * WIDE_N1 + 2, WIDE_N1 * (2 * WIDE_N1 + 2) + 1))
 SMALL_BUDGET = EnumerationBudget(1, 1, 1)
+GRAPH = build_resolution(SG)
+FP = FactorProduct(((2, 1),))  # 1 - t^2
+# g = 3 with n_2 = n_3 = MANY, so E_1 has r_1 = MANY components, past the digit limit
+MANY = 10**4400
+MANY_GRAPH = build_resolution(build_semigroup(
+    (2 * MANY**2, 3 * MANY**2, MANY * (6 * MANY + 1), MANY**2 * (6 * MANY + 1) + 1)))
 SPEC = (2, (1, 0, 0), (1, 1, 1), (2, 2, 2))  # x_0^2 + x_1^2 + x_2^2 = 0 in X(2; 1, 0, 0)
 POSITIVE = "orders, weights and exponents must be positive"
 BOUNDS = "all budget bounds must be positive"
@@ -134,7 +148,8 @@ VALID_CALLS = [
     (CyclicQuotientType, ((2,), ((1, 1),))), (WeightedCurveSpec, SPEC),
     (cyclotomic_exponent, (FactorProduct(((2, 1),)), 2)),
     (characteristic_polynomial(SG).expand, ()), (EnumerationBudget, (1, 1, 1)),
-    (grid_discrepancies, (SMALL_BUDGET, 1, 0)),
+    (grid_discrepancies, (SMALL_BUDGET, 1, 0)), (expand_and_verify, (FP,)),
+    (export_graph, (GRAPH, "dot")), (FP.render, ("t_minus_one",)),
 ]
 
 
@@ -150,6 +165,15 @@ def _rows(func, name, args_of, values, error, message, marks=()):
 
 def _values(*xs):
     return [(repr(x), x) for x in xs]
+
+
+def _held_rows(func, name, args_of, error, message):
+    """One row per value of ``HELD``, the ``{x!r}`` of ``message`` read as its shown text."""
+    return [
+        pytest.param(func, args_of(x), error, message.replace("{x!r}", shown).format(name=name),
+                     id=f"{func.__qualname__}({name}={label})", marks=LIMITED)
+        for label, x, shown in HELD
+    ]
 
 
 ARGUMENT_ROWS = [
@@ -168,6 +192,8 @@ ARGUMENT_ROWS = [
            f"generators must be a sequence of integers, got {SHOWN}", marks=LIMITED),
     *_rows(build_semigroup, "b_2", lambda x: ((4, 6, x),), [("(HUGE,)", (HUGE,))], ValueError,
            f"generators must be integers, got ({SHOWN},)", marks=LIMITED),
+    *_held_rows(build_semigroup, "b_2", lambda x: ((4, 6, x),), ValueError,
+                "generators must be integers, got {x!r}"),
     *_rows(build_semigroup, "b_2", lambda x: ((4, 6, x),), [("HUGE + 2", HUGE + 2)], NotCoprime,
            f"gcd of (4, 6, {SHOWN}) is 2, expected 1", marks=LIMITED),
     *_rows(build_semigroup, "b_1", lambda x: ((4, x, 6),), [("HUGE + 2", HUGE + 2)], NotPlane,
@@ -183,6 +209,7 @@ ARGUMENT_ROWS = [
            f"{SHOWN} is not divisible by e_1 = 2", marks=LIMITED),
     *_rows(decompose, "i", lambda x: (SG, 26, x), [("HUGE + 1", HUGE + 1)], ValueError,
            f"index i must be in 1..2, got {SHOWN}", marks=LIMITED),
+    *_held_rows(decompose, "s", lambda x: (SG, x, 2), ValueError, NOT_INT),
     *_rows(enum_digits, "s", lambda x: (x, 2, SG), NON_INTS, ValueError, NOT_INT),
     *_rows(enum_digits, "index i", lambda x: (26, x, SG), NON_INTS, ValueError, NOT_INT),
     *_rows(enum_digits, "i", lambda x: (26, x, SG), _values(0, -1, 3), ValueError,
@@ -228,6 +255,8 @@ ARGUMENT_ROWS = [
     *_rows(FactorProduct.from_map, "factor multiplicity", lambda x: ({1: x},), NON_INTS,
            ValueError, NOT_INT),
     *_rows(FactorProduct.from_map, "sign", lambda x: ({}, x), NON_INTS, ValueError, NOT_INT),
+    *_held_rows(FactorProduct.from_map, "factor multiplicity", lambda x: ({1: x},), ValueError,
+                NOT_INT),
     *_rows(FactorProduct.from_t_minus_one, "factors", lambda x: (x,), _values(None, 5, ()),
            ValueError, MAPPING),
     *_rows(FactorProduct.from_t_minus_one, "factor multiplicity", lambda x: ({1: x},),
@@ -293,10 +322,22 @@ ARGUMENT_ROWS = [
     *_rows(cyclotomic_exponent, "d", lambda x: (FactorProduct(((2, 1),)), x),
            [("-HUGE", -HUGE)], ValueError, f"cyclotomic order must be positive, got -{SHOWN}",
            marks=LIMITED),
+    *_held_rows(cyclotomic_exponent, "cyclotomic order", lambda x: (FP, x), ValueError, NOT_INT),
     *_rows(CharacteristicPolynomial.expand, "mu",
            lambda x: (CharacteristicPolynomial(FactorProduct(), x),), [("HUGE + 1", HUGE + 1)],
            BudgetExceeded, f"dense expansion of degree {SHOWN} exceeds cap 1000000",
            marks=LIMITED),
+    # A huge (1 - t^a) under the cap leaves a remainder; a negative mu disagrees with Delta.
+    *_rows(CharacteristicPolynomial.expand, "a",
+           lambda x: (CharacteristicPolynomial(FactorProduct(((1, 1), (x, -1))), 1),),
+           [("HUGE", HUGE)], NotPolynomial, f"cannot divide degree 1 by (1 - t^{SHOWN})",
+           marks=LIMITED),
+    *_rows(CharacteristicPolynomial.expand, "mu",
+           lambda x: (CharacteristicPolynomial(FactorProduct(), x),), [("-HUGE", -HUGE)],
+           InternalInconsistency, f"expansion degree 0 != mu = -{SHOWN}", marks=LIMITED),
+    # expand_and_verify(fp) caps the numerator degree before expanding.
+    *_rows(expand_and_verify, "a", lambda x: (FactorProduct(((x, 1),)),), [("HUGE", HUGE)],
+           BudgetExceeded, f"numerator degree {SHOWN} exceeds 5000", marks=LIMITED),
     # EnumerationBudget(max_group_order, max_exponent, max_rank).
     *_rows(EnumerationBudget, "max_group_order", lambda x: (x, 1, 1), NON_INTS, ValueError,
            NOT_INT),
@@ -314,6 +355,12 @@ ARGUMENT_ROWS = [
     *_rows(enum_count_solutions, "c", lambda x: (CyclicQuotientType(*TYPE), (D, D), x),
            [("HUGE", HUGE)], IllFormed, f"constants must be a sequence of rationals, got {SHOWN}",
            marks=LIMITED),
+    *_rows(enum_count_solutions, "c_1", lambda x: (CyclicQuotientType(*TYPE), (D, D), (0, x)),
+           [("[HUGE]", [HUGE])], IllFormed, f"constants must be rational, got [{SHOWN}]",
+           marks=LIMITED),
+    *_rows(enum_count_solutions, "mode",
+           lambda x: (CyclicQuotientType((2,), ((1, 1),)), (2, 2), (0, 0), x), [("HUGE", HUGE)],
+           ValueError, f"unknown mode {SHOWN}", marks=LIMITED),
     *_rows(enum_count_solutions, "d_0",
            lambda x: (CyclicQuotientType((x,), ((0,),)), (1,), (0,)), [("HUGE", HUGE)],
            BudgetExceeded, f"group order {SHOWN} exceeds 12", marks=LIMITED),
@@ -331,6 +378,19 @@ ARGUMENT_ROWS = [
            ValueError, f"draws must be >= 1, got -{SHOWN}", marks=LIMITED),
     *_rows(grid_discrepancies, "seed", lambda x: (SMALL_BUDGET, 1, x), NON_INTS, ValueError,
            NOT_INT),
+    # export_graph(graph, format) and FactorProduct.render(convention) name an unknown choice;
+    # both exports list the components first and cap their number.
+    *_rows(export_graph, "format", lambda x: (GRAPH, x), [*NON_INTS, *_values("xml")],
+           ValueError, "unknown format {x!r}"),
+    *_rows(export_graph, "format", lambda x: (GRAPH, x), [("HUGE", HUGE)], ValueError,
+           f"unknown format {SHOWN}", marks=LIMITED),
+    *_rows(export_graph, "graph", lambda x: (x, "dot"), [("r_1 = MANY", MANY_GRAPH)],
+           BudgetExceeded, f"<int of {(MANY + 2).bit_length()} bits> exceptional components "
+           "exceed the cap 65536", marks=LIMITED),
+    *_rows(FP.render, "convention", lambda x: (x,), [*NON_INTS, *_values("xml")], ValueError,
+           "unknown convention {x!r}"),
+    *_rows(FP.render, "convention", lambda x: (x,), [("HUGE", HUGE)], ValueError,
+           f"unknown convention {SHOWN}", marks=LIMITED),
     # _exact_div(num, den, what, *args) formats its operands only on the failure branch.
     *_rows(_exact_div, "num", lambda x: (x, 2, "b_{0}", 1), [("HUGE + 1", HUGE + 1)],
            NotDivisible, f"b_1: {SHOWN} not divisible by 2", marks=LIMITED),

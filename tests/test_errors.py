@@ -131,6 +131,70 @@ class TestDigitLimit:
             assert _shown(x) == repr(x)
 
 
+def _shapes(n: int) -> list:
+    """Values of each shape a message meets, each holding the int ``n``."""
+    return [
+        n, -n, (n,), (1, (n, "a")), [n], [-n, [n], ()], {n}, frozenset({-n}), {"k": n}, {n: [n]},
+        Fraction(n, 3), (None, True, [{"k": (n,)}]),
+    ]
+
+
+class TestShown:
+    # The rule: _shown(x) is repr(x) whenever repr succeeds, and a str whatever x is.
+    UNDER = [0, 1, -7, True, False, None, "", "4", 'q"', 2.5, float("nan"), (), (5,), [], [1],
+             set(), {}, ((1,), [2, (3,)]), {"a": [1, (2,)]}, {(1, 2)}, Fraction(5, 2)]
+
+    def test_under_the_limit_it_is_repr(self):
+        big = 10 ** sys.get_int_max_str_digits()
+        for x in [*self.UNDER, *_shapes(big - 1)]:
+            assert _shown(x) == repr(x)
+
+    def test_past_the_limit_it_is_a_str(self):
+        big = 10 ** sys.get_int_max_str_digits()
+        for x in _shapes(big):
+            assert type(_shown(x)) is str
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no int-to-str digit limit")
+    def test_past_the_limit_ints_show_wherever_they_sit(self):
+        big = 10 ** sys.get_int_max_str_digits()
+        shown = f"<int of {big.bit_length()} bits>"
+        assert _shown([big]) == f"[{shown}]"
+        assert _shown([-big, [big], ()]) == f"[-{shown}, [{shown}], ()]"
+        assert _shown((1, (big, "a"))) == f"(1, ({shown}, 'a'))"
+        assert _shown((None, [big])) == f"(None, [{shown}])"
+        assert _shown({big}) == "<set object>"
+        assert _shown({"k": big}) == "<dict object>"
+        assert _shown(Fraction(big, 3)) == "<Fraction object>"
+
+    def test_hostile_values_show_without_raising(self):
+        class Unprintable:
+            def __repr__(self):
+                raise RuntimeError("no repr")
+
+        big = 10 ** sys.get_int_max_str_digits()
+        looped = [big]
+        looped.append(looped)
+        deep = functools.reduce(lambda inner, _: (inner,), range(5000), big)
+        assert _shown(Unprintable()) == "<Unprintable object>"
+        assert _shown([1, Unprintable()]) == "[1, <Unprintable object>]"
+        for x in (looped, deep):
+            assert type(_shown(x)) is str
+
+
+def test_no_raise_message_formats_with_repr_conversion():
+    # A raise message shows a caller's value through errors._shown, never with !r.
+    found = [
+        f"{path.name}:{value.lineno}"
+        for path in sorted(pathlib.Path(monocurve.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for value in ast.walk(node.exc)
+        if isinstance(value, ast.FormattedValue) and value.conversion == ord("r")
+    ]
+    assert found == []
+
+
 def test_integer_rule_is_defined_once():
     # The rule "an int and not a bool" lives in monocurve.errors; other modules only call it.
     defined = [
